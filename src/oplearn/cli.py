@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -227,28 +227,33 @@ def _table_name(stem: str, fmt: str) -> str:
 
 
 def _write_table(
-    outdir: Path, stem: str, header: Sequence[str], rows: list[list[object]], fmt: str
+    outdir: Path, stem: str, header: Sequence[str], columns: Sequence[object], fmt: str
 ) -> str:
     name = _table_name(stem, fmt)
     if fmt == "json":
-        records = [
-            {key: (v.item() if isinstance(v, np.generic) else v) for key, v in zip(header, row)}
-            for row in rows
-        ]
-        reporting.write_json(outdir / name, records)
+        reporting.write_json_table(outdir / name, header, columns)
     else:
-        reporting.write_csv(outdir / name, header, rows)
+        reporting.write_csv(outdir / name, header, columns)
     return name
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path: Path, usecols: Callable[[str], bool]) -> tuple[list[str], np.ndarray]:
+    """Names and float values of the kept columns of a CSV or JSON table."""
     if path.suffix == ".json":
         records = json.loads(path.read_text())
         if not records:
             raise PipelineError(f"empty table: {path}")
-        header = list(records[0].keys())
-        return header, [[str(rec[k]) for k in header] for rec in records]
-    return reporting.read_csv(path)
+        names = [k for k in records[0] if usecols(k)]
+        values = np.array([[float(rec[k]) for rec in records] for k in names]).T
+        return names, values.reshape(len(records), len(names))
+    return reporting.read_csv(path, usecols)
+
+
+def _ids(values: np.ndarray, what: str) -> np.ndarray:
+    """Integer ids from a float table column, truncated like ``int()``."""
+    if not np.isfinite(values).all():
+        raise PipelineError(f"non-finite {what} id")
+    return values.astype(np.int64)
 
 
 def _find_table(outdir: Path, stem: str) -> Path:
@@ -259,13 +264,16 @@ def _find_table(outdir: Path, stem: str) -> Path:
     raise PipelineError(f"missing artifact {stem}.csv (or .json) in {outdir}")
 
 
-def _shares_rows(assignments: Mapping[str, PolicyAssignment]) -> list[list[object]]:
-    rows: list[list[object]] = []
-    for label, pol in assignments.items():
-        shares = pol.action_shares()
-        for a, share in enumerate(shares):
-            rows.append([label, a, int((pol.actions == a).sum()), float(share)])
-    return rows
+def _shares_columns(assignments: Mapping[str, PolicyAssignment]) -> list[object]:
+    """preference, action, count, share: one row per (preference, arm)."""
+    pols = list(assignments.values())
+    m = pols[0].n_actions
+    return [
+        np.repeat(list(assignments), m),
+        np.tile(np.arange(m), len(pols)),
+        np.concatenate([np.bincount(p.actions, minlength=m) for p in pols]),
+        np.concatenate([p.action_shares() for p in pols]),
+    ]
 
 
 def cmd_fit(config: RunConfig) -> RunReport:
@@ -288,54 +296,37 @@ def cmd_fit(config: RunConfig) -> RunReport:
             )
 
     artifacts: list[str] = []
-    idx = np.arange(dataset.n_units)
+    n, m = dataset.n_units, dataset.n_actions
+    idx = np.arange(n)
     header = ["unit"]
+    columns: list[object] = [idx]
     header += [f"{label}_action" for label in assignments]
-    for label in assignments:
-        header += [f"{label}_utility_{a}" for a in range(dataset.n_actions)]
-    rows: list[list[object]] = []
-    for i in idx:
-        row: list[object] = [int(i)]
-        row += [int(assignments[label].actions[i]) for label in assignments]
-        for label in assignments:
-            row += [float(u) for u in assignments[label].utility[i]]
-        rows.append(row)
+    columns += [pol.actions for pol in assignments.values()]
+    for label, pol in assignments.items():
+        header += [f"{label}_utility_{a}" for a in range(m)]
+        columns += list(pol.utility.T)
     artifacts.append(
-        _write_table(outdir, "assignments", header, rows, config.table_format)
+        _write_table(outdir, "assignments", header, columns, config.table_format)
     )
 
-    moment_rows = [
-        [int(i), a, float(moments.mu[i, a]), float(moments.sigma[i, a])]
-        for i in idx
-        for a in range(dataset.n_actions)
-    ]
     artifacts.append(
         _write_table(
             outdir,
             "moments",
             ["unit", "arm", "mu", "sigma"],
-            moment_rows,
+            [np.repeat(idx, m), np.tile(np.arange(m), n), moments.mu.ravel(), moments.sigma.ravel()],
             config.table_format,
         )
     )
 
     for label, pol in assignments.items():
         chosen = pol.actions
-        scatter_rows = [
-            [
-                int(i),
-                int(chosen[i]),
-                float(moments.mu[i, chosen[i]]),
-                float(moments.sigma[i, chosen[i]]),
-            ]
-            for i in idx
-        ]
         artifacts.append(
             _write_table(
                 outdir,
                 f"scatter_{label}",
                 ["unit", "action", "mu", "sigma"],
-                scatter_rows,
+                [idx, chosen, moments.mu[idx, chosen], moments.sigma[idx, chosen]],
                 config.table_format,
             )
         )
@@ -345,7 +336,7 @@ def cmd_fit(config: RunConfig) -> RunReport:
             outdir,
             "shares",
             ["preference", "action", "count", "share"],
-            _shares_rows(assignments),
+            _shares_columns(assignments),
             config.table_format,
         )
     )
@@ -380,24 +371,20 @@ def cmd_fit(config: RunConfig) -> RunReport:
 
 
 def _read_assignments(path: Path, n_units: int) -> dict[str, np.ndarray]:
-    header, rows = _read_table(path)
-    _require("unit" in header, f"assignments file {path} has no 'unit' column")
-    policy_cols = [h for h in header if h.endswith("_action")]
+    names, values = _read_table(path, lambda h: h == "unit" or h.endswith("_action"))
+    _require("unit" in names, f"assignments file {path} has no 'unit' column")
+    policy_cols = [h for h in names if h.endswith("_action")]
     _require(bool(policy_cols), f"assignments file {path} has no '*_action' column")
-    unit_col = header.index("unit")
-    units = np.array([int(float(r[unit_col])) for r in rows])
+    units = _ids(values[:, names.index("unit")], "unit")
     if len(units) != n_units or not np.array_equal(units, np.arange(n_units)):
         raise PipelineError(
             "assignments do not align with the dataset by unit id "
             f"({len(units)} rows vs {n_units} units)"
         )
-    policies = {}
-    for col in policy_cols:
-        j = header.index(col)
-        policies[col[: -len("_action")]] = np.array(
-            [int(float(r[j])) for r in rows], dtype=np.int64
-        )
-    return policies
+    return {
+        col[: -len("_action")]: _ids(values[:, names.index(col)], "action")
+        for col in policy_cols
+    }
 
 
 def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
@@ -500,16 +487,15 @@ def cmd_simulate(config: RunConfig) -> RunReport:
     header = ["unit"]
     for stem in ("po", "mu", "sigma", "propensity"):
         header += [f"{stem}_{a}" for a in range(m)]
-    rows = []
-    for i in range(oracle.n_units):
-        rows.append(
-            [int(i)]
-            + [float(v) for v in oracle.potential_outcomes[i]]
-            + [float(v) for v in oracle.true_mu[i]]
-            + [float(v) for v in oracle.true_sigma[i]]
-            + [float(v) for v in oracle.true_propensity[i]]
-        )
-    reporting.write_csv(outdir / "oracle.csv", header, rows)
+    columns = [np.arange(oracle.n_units)]
+    for matrix in (
+        oracle.potential_outcomes,
+        oracle.true_mu,
+        oracle.true_sigma,
+        oracle.true_propensity,
+    ):
+        columns += list(matrix.T)
+    reporting.write_csv(outdir / "oracle.csv", header, columns)
 
     report = RunReport(
         command="simulate",
@@ -538,19 +524,16 @@ def cmd_report(run_dir: str | Path) -> RunReport:
     assignments_path = _find_table(outdir, "assignments")
     moments_path = _find_table(outdir, "moments")
 
-    header, rows = _read_table(moments_path)
-    unit_c, arm_c = header.index("unit"), header.index("arm")
-    mu_c, sigma_c = header.index("mu"), header.index("sigma")
-    units = sorted({int(float(r[unit_c])) for r in rows})
-    arms = sorted({int(float(r[arm_c])) for r in rows})
+    names, values = _read_table(moments_path, {"unit", "arm", "mu", "sigma"}.__contains__)
+    unit = _ids(values[:, names.index("unit")], "unit")
+    arm = _ids(values[:, names.index("arm")], "arm")
+    units, arms = np.unique(unit).tolist(), np.unique(arm).tolist()
     if units != list(range(len(units))) or arms != list(range(len(arms))):
         raise PipelineError(f"moments table {moments_path} has gaps in unit/arm ids")
     mu = np.zeros((len(units), len(arms)))
     sigma = np.zeros_like(mu)
-    for r in rows:
-        i, a = int(float(r[unit_c])), int(float(r[arm_c]))
-        mu[i, a] = float(r[mu_c])
-        sigma[i, a] = float(r[sigma_c])
+    mu[unit, arm] = values[:, names.index("mu")]
+    sigma[unit, arm] = values[:, names.index("sigma")]
 
     policies = _read_assignments(assignments_path, len(units))
     arm_labels = [str(a) for a in arms]
@@ -558,17 +541,15 @@ def cmd_report(run_dir: str | Path) -> RunReport:
     idx = np.arange(len(units))
     scatter_stats: dict[str, float] = {}
     shares: dict[str, list[float]] = {}
-    share_rows: list[list[object]] = []
+    share_columns: list[list[object]] = [[], [], [], []]
     for label, actions in policies.items():
         chosen_mu = mu[idx, actions]
         chosen_sigma = sigma[idx, actions]
-        scatter_rows = [
-            [int(i), int(actions[i]), float(chosen_mu[i]), float(chosen_sigma[i])]
-            for i in idx
-        ]
         name = f"scatter_{label}"
         reporting.write_csv(
-            outdir / f"{name}.csv", ["unit", "action", "mu", "sigma"], scatter_rows
+            outdir / f"{name}.csv",
+            ["unit", "action", "mu", "sigma"],
+            [idx, actions, chosen_mu, chosen_sigma],
         )
         artifacts.append(f"{name}.csv")
         svg = reporting.scatter_svg(
@@ -584,10 +565,11 @@ def cmd_report(run_dir: str | Path) -> RunReport:
         counts = np.bincount(actions, minlength=len(arms))
         shares[label] = (counts / len(units)).tolist()
         for a in arms:
-            share_rows.append([label, a, int(counts[a]), float(counts[a] / len(units))])
+            for col, v in zip(share_columns, (label, a, counts[a], counts[a] / len(units))):
+                col.append(v)
 
     reporting.write_csv(
-        outdir / "shares.csv", ["preference", "action", "count", "share"], share_rows
+        outdir / "shares.csv", ["preference", "action", "count", "share"], share_columns
     )
     artifacts.append("shares.csv")
 

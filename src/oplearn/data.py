@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .reporting import ROW_BLOCK, write_csv
 
 
 class DataFormatError(ValueError):
@@ -167,6 +170,49 @@ def _parse_cell(raw: str, column: str, row: int) -> float:
         ) from None
 
 
+def _parse_rows(
+    rows: list[list[str]], first_row: int, width: int, cols: list[int], names: Sequence[str]
+) -> np.ndarray:
+    """Cell-by-cell parse of ``rows``; raises on the first bad row, in order.
+
+    Columns of the result follow ``names`` (outcome, action, features);
+    ``first_row`` is the file row number of ``rows[0]``.
+    """
+    values = np.empty((len(rows), len(cols)))
+    for i, row in enumerate(rows, start=first_row):
+        if len(row) != width:
+            raise DataFormatError(f"row {i} has {len(row)} fields, expected {width}")
+        for k, (j, name) in enumerate(zip(cols, names)):
+            values[i - first_row, k] = _parse_cell(row[j], name, i)
+            if k == 1 and not values[i - first_row, k].is_integer():
+                raise DataFormatError(
+                    f"non-integer action {float(values[i - first_row, k])!r} "
+                    f"in column '{name}' at row {i}"
+                )
+    return values
+
+
+def _parse_block(
+    rows: list[list[str]], first_row: int, width: int, cols: list[int], names: Sequence[str]
+) -> np.ndarray:
+    """Column-wise parse of ``rows``, falling back to :func:`_parse_rows` on
+    any bad cell so that the error names the same row and column."""
+    try:
+        if any(len(row) != width for row in rows):
+            raise ValueError
+        fields = list(zip(*rows))
+        values = np.empty((len(rows), len(cols)))
+        for k, j in enumerate(cols):
+            # float() strips surrounding whitespace itself and rejects blanks
+            values[:, k] = np.fromiter(map(float, fields[j]), np.float64, len(rows))
+        actions = values[:, 1]
+        if not (np.isfinite(actions) & (actions == np.trunc(actions))).all():
+            raise ValueError
+        return values
+    except ValueError:
+        return _parse_rows(rows, first_row, width, cols, names)
+
+
 def load_dataset(
     path: str | Path,
     schema: ColumnSchema | Mapping[str, object],
@@ -181,60 +227,52 @@ def load_dataset(
     ``action_labels``. When ``expected_actions`` is given, the recoding is
     defined over that set instead and any expected action that never occurs
     is an error. Rows are numbered from 1 (the header is row 0) in error
-    messages.
+    messages; blank lines are skipped and not numbered. Rows are parsed
+    ``ROW_BLOCK`` at a time, a column at a time.
     """
     if not isinstance(schema, ColumnSchema):
         schema = ColumnSchema.from_mapping(schema)
     path = Path(path)
+    names = (schema.outcome, schema.action, *schema.features)
+    blocks = []
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise DataFormatError(f"empty file: {path}")
-    header = [h.strip() for h in rows[0]]
-    col_index: dict[str, int] = {}
-    for name in (schema.outcome, schema.action, *schema.features):
-        if name not in header:
-            raise DataFormatError(f"missing column '{name}' in {path}")
-        col_index[name] = header.index(name)
-    if len(rows) == 1:
+        rows = filter(None, csv.reader(fh, delimiter=delimiter))
+        first = next(rows, None)
+        if first is None:
+            raise DataFormatError(f"empty file: {path}")
+        header = [h.strip() for h in first]
+        for name in names:
+            if name not in header:
+                raise DataFormatError(f"missing column '{name}' in {path}")
+        cols = [header.index(name) for name in names]
+        n = 0
+        while block := list(islice(rows, ROW_BLOCK)):
+            blocks.append(_parse_block(block, n + 1, len(header), cols, names))
+            n += len(block)
+    if not blocks:
         raise DataFormatError(f"no data rows in {path}")
-
-    n = len(rows) - 1
-    outcomes = np.empty(n)
-    raw_actions = np.empty(n)
-    features = np.empty((n, len(schema.features)))
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"row {i} has {len(row)} fields, expected {len(header)}"
-            )
-        outcomes[i - 1] = _parse_cell(row[col_index[schema.outcome]], schema.outcome, i)
-        action = _parse_cell(row[col_index[schema.action]], schema.action, i)
-        if not action.is_integer():
-            raise DataFormatError(
-                f"non-integer action {action!r} in column '{schema.action}' at row {i}"
-            )
-        raw_actions[i - 1] = action
-        for j, fname in enumerate(schema.features):
-            features[i - 1, j] = _parse_cell(row[col_index[fname]], fname, i)
+    values = np.concatenate(blocks)
+    raw_actions = values[:, 1]
 
     if expected_actions is not None:
         levels = sorted(float(v) for v in expected_actions)
-        extra = sorted(set(raw_actions) - set(levels))
+        extra = sorted(set(np.unique(raw_actions)) - set(levels))
         if extra:
             raise DataFormatError(f"unexpected action value(s) {extra}")
     else:
-        levels = sorted(set(raw_actions))
+        levels = np.unique(raw_actions).tolist()
     recode = {v: a for a, v in enumerate(levels)}
-    actions = np.array([recode[v] for v in raw_actions], dtype=np.int64)
-    for v, a in recode.items():
-        if not np.any(actions == a):
+    actions = np.array(list(recode.values()))[
+        np.searchsorted(np.array(list(recode)), raw_actions)
+    ]
+    counts = np.bincount(actions, minlength=len(levels))
+    for a in recode.values():
+        if counts[a] == 0:
             raise DataFormatError(f"action {a} unobserved")
     return Dataset(
-        outcomes=outcomes,
+        outcomes=values[:, 0],
         actions=actions,
-        features=features,
+        features=values[:, 2:],
         n_actions=len(levels),
         feature_names=schema.features,
         action_labels=tuple(_format_action_label(v) for v in levels),
@@ -248,18 +286,13 @@ def save_dataset(dataset: Dataset, path: str | Path, *, delimiter: str = ",") ->
     columns. Floats are written in shortest round-trip form so that
     :func:`load_dataset` reproduces the arrays bit-exactly.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(["outcome", "action", *dataset.feature_names])
-        for i in range(dataset.n_units):
-            writer.writerow(
-                [
-                    repr(float(dataset.outcomes[i])),
-                    dataset.action_labels[dataset.actions[i]],
-                    *(repr(float(v)) for v in dataset.features[i]),
-                ]
-            )
+    labels = np.array(dataset.action_labels)
+    write_csv(
+        Path(path),
+        ["outcome", "action", *dataset.feature_names],
+        [dataset.outcomes, labels[dataset.actions], *dataset.features.T],
+        delimiter=delimiter,
+    )
 
 
 def canonical_schema(dataset: Dataset) -> ColumnSchema:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,33 +29,153 @@ PALETTE = (
 )
 
 
-def fmt(value: object) -> str:
-    """Canonical text for one table cell (shortest round-trip for floats)."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+# Rows formatted, written or parsed per step: large enough that the
+# per-block overhead is negligible, small enough that one block's text
+# stays a small fraction of the table.
+ROW_BLOCK = 4096
+
+# Characters that make csv.writer quote a field besides the delimiter. A bare
+# "\r" is quoted too: left unquoted it would split the row on reading.
+_QUOTE_TRIGGERS = ('"', "\r", "\n")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def _columns(header: Sequence[str], columns: Sequence[object]) -> tuple[list[np.ndarray], int]:
+    """Columns as arrays, and their common length."""
+    arrays = [np.asarray(col) for col in columns]
+    if len(arrays) != len(header):
+        raise ValueError(f"{len(header)} column names but {len(arrays)} columns")
+    lengths = {len(col) for col in arrays}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    return arrays, lengths.pop() if lengths else 0
+
+
+def _cell_text(column: np.ndarray) -> list[str]:
+    """Canonical text of each cell: shortest round-trip repr for floats."""
+    values = column.tolist()
+    return list(map(repr if column.dtype.kind == "f" else str, values))
+
+
+def _csv_quoted(cells: list[str], delimiter: str) -> list[str]:
+    """``cells`` with csv.writer's minimal quoting; a column none of whose
+    cells needs quoting is returned as is."""
+    triggers = (delimiter, *_QUOTE_TRIGGERS)
+    text = "".join(cells)
+    if not any(t in text for t in triggers):
+        return cells
+    return [
+        '"' + c.replace('"', '""') + '"' if any(t in c for t in triggers) else c
+        for c in cells
+    ]
+
+
+def _csv_lines(cell_columns: list[list[str]], delimiter: str) -> str:
+    """Text of the rows spelled out by ``cell_columns``, one line each."""
+    cell_columns = [_csv_quoted(cells, delimiter) for cells in cell_columns]
+    if len(cell_columns) == 1:
+        # csv.writer quotes a lone empty field so the row is not a blank line
+        cell_columns = [['""' if c == "" else c for c in cell_columns[0]]]
+    return "\n".join(map(delimiter.join, zip(*cell_columns))) + "\n"
+
+
+def write_csv(
+    path: Path,
+    header: Sequence[str],
+    columns: Sequence[object],
+    *,
+    delimiter: str = ",",
+) -> None:
+    """Write a delimited table from one column per header name.
+
+    Cells are formatted a column at a time, ``ROW_BLOCK`` rows per step:
+    floats in shortest round-trip form, everything else with ``str``. The
+    bytes equal those of ``csv.writer(fh, delimiter=delimiter,
+    lineterminator="\n")`` given the same cell text row by row.
+    """
+    if len(delimiter) != 1:
+        raise TypeError('"delimiter" must be a 1-character string')
+    arrays, n_rows = _columns(header, columns)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        fh.write(_csv_lines([[str(h)] for h in header], delimiter))
+        for start in range(0, n_rows, ROW_BLOCK):
+            block = [_cell_text(col[start : start + ROW_BLOCK]) for col in arrays]
+            fh.write(_csv_lines(block, delimiter))
+
+
+def _json_text(column: np.ndarray) -> list[str]:
+    """Cell text as ``json.dumps`` spells each value."""
+    if column.dtype.kind in "iu" or (
+        column.dtype.kind == "f" and np.isfinite(column).all()
+    ):
+        return _cell_text(column)
+    return list(map(json.dumps, column.tolist()))
+
+
+def write_json_table(path: Path, header: Sequence[str], columns: Sequence[object]) -> None:
+    """Write a table as a JSON list of one record per row.
+
+    The bytes equal ``write_json(path, [dict(zip(header, row)) ...])``: each
+    row fills a record template whose keys are sorted and indented the way
+    ``json.dumps(records, indent=2, sort_keys=True)`` lays them out.
+    """
+    arrays, n_rows = _columns(header, columns)
+    if n_rows == 0:
+        write_json(path, [])
+        return
+    position = {key: j for j, key in enumerate(header)}  # a repeated key keeps its last column
+    keys = sorted(position)
+    template = "  {\n" + ",\n".join(
+        "    " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys
+    ) + "\n  }"
+    order = [arrays[position[key]] for key in keys]
+    with path.open("w") as fh:
+        fh.write("[\n")
+        for start in range(0, n_rows, ROW_BLOCK):
+            block = [_json_text(col[start : start + ROW_BLOCK]) for col in order]
+            if start:
+                fh.write(",\n")
+            fh.write(",\n".join(map(template.__mod__, zip(*block))))
+        fh.write("\n]\n")
 
 
 def write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def read_csv(
+    path: Path, usecols: Callable[[str], bool] | None = None
+) -> tuple[list[str], np.ndarray]:
+    """Read the numeric columns of a comma-delimited table.
+
+    Returns the names of the columns kept by ``usecols`` (all by default)
+    and their values as an ``(n_rows, n_columns)`` float array. Rows are
+    parsed ``ROW_BLOCK`` at a time and converted a column at a time with
+    ``float``, so values read back bit-exactly. Blank lines are skipped; a
+    row with the wrong number of fields or a non-numeric kept cell raises
+    ``ValueError``.
+    """
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"empty file: {path}")
-    return rows[0], rows[1:]
+        rows = filter(None, csv.reader(fh))
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"empty file: {path}")
+        kept = [j for j, name in enumerate(header) if usecols is None or usecols(name)]
+        blocks = []
+        start = 0
+        while block := list(islice(rows, ROW_BLOCK)):
+            for i, row in enumerate(block, start=start + 1):
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"row {i} of {path} has {len(row)} fields, expected {len(header)}"
+                    )
+            start += len(block)
+            fields = list(zip(*block))
+            values = np.empty((len(block), len(kept)))
+            for k, j in enumerate(kept):
+                values[:, k] = np.fromiter(map(float, fields[j]), np.float64, len(block))
+            blocks.append(values)
+    names = [header[j] for j in kept]
+    return names, np.concatenate(blocks) if blocks else np.empty((0, len(kept)))
 
 
 def sha256_bytes(data: bytes) -> str:

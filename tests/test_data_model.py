@@ -1,5 +1,8 @@
 """Dataset ingestion, recoding, round trips, and validation."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from oplearn import (
     save_dataset,
     validate_dataset,
 )
+
+from oplearn.reporting import ROW_BLOCK
 
 from helpers import make_dataset
 
@@ -90,8 +95,81 @@ class TestLoad:
         d = load_dataset(path, SCHEMA, delimiter=";")
         assert d.n_units == 2
 
+    def test_whitespace_padded_cells(self, tmp_path):
+        path = write(tmp_path, " y , treat ,x1\n 1.5 , 0 ,\t-2e-05 \n2.0,1 , 0.25\n")
+        d = load_dataset(path, SCHEMA)
+        assert d.outcomes.tolist() == [1.5, 2.0]
+        assert d.actions.tolist() == [0, 1]
+        assert d.features[:, 0].tolist() == [-2e-05, 0.25]
+
+    @pytest.mark.parametrize("bad_row", [3, ROW_BLOCK + 2])
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ("7.0,1", "row {row} has 2 fields, expected 3"),
+            ("7.0,1,0.1,9", "row {row} has 4 fields, expected 3"),
+            ("7.0,,0.1", "blank value in column 'treat' at row {row}"),
+            ("7.0,1, ", "blank value in column 'x1' at row {row}"),
+            ("7.0,1,abc", "non-numeric value 'abc' in column 'x1' at row {row}"),
+            ("1e,1,0.1", "non-numeric value '1e' in column 'y' at row {row}"),
+            ("7.0,0.5,0.1", "non-integer action 0.5 in column 'treat' at row {row}"),
+            ("7.0,inf,0.1", "non-integer action inf in column 'treat' at row {row}"),
+        ],
+    )
+    def test_bad_row_message(self, tmp_path, cells, message, bad_row):
+        # the first bad row is reported, in or after the first parse block
+        lines = [f"{i}.5,{i % 2},0.{i}" for i in range(ROW_BLOCK + 10)]
+        lines[bad_row - 1] = cells
+        lines[bad_row + 2] = "8.0,,0.1"  # a later bad row must not be reported
+        path = write(tmp_path, "y,treat,x1\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path, SCHEMA)
+        assert str(info.value) == message.format(row=bad_row)
+
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("delimiter", [",", ";", ".", "-"])
+    def test_save_matches_csv_writer(self, tmp_path, delimiter):
+        # "." and "-" occur inside formatted numbers, so csv.writer quotes them
+        d = make_dataset(np.random.default_rng(8), n=40, m=3, p=2)
+        d = Dataset(
+            outcomes=d.outcomes - 1.0,
+            actions=d.actions,
+            features=d.features * 1e-6,
+            n_actions=3,
+            feature_names=("x,1", 'x"2'),
+            action_labels=("low", "mid,dle", 'hi"gh'),
+        )
+        buf = io.StringIO()
+        writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(["outcome", "action", *d.feature_names])
+        for i in range(d.n_units):
+            writer.writerow(
+                [repr(float(d.outcomes[i])), d.action_labels[d.actions[i]]]
+                + [repr(float(v)) for v in d.features[i]]
+            )
+        path = tmp_path / "out.csv"
+        save_dataset(d, path, delimiter=delimiter)
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("delimiter", [",", ";", ".", "-"])
+    def test_save_load_round_trip_any_delimiter(self, tmp_path, delimiter):
+        d = make_dataset(np.random.default_rng(9), n=30, m=3, p=2)
+        d = Dataset(
+            outcomes=d.outcomes - 1.0,
+            actions=d.actions,
+            features=d.features * 1e-6,
+            n_actions=3,
+            action_labels=("-5", "7", "10"),
+        )
+        path = tmp_path / "out.csv"
+        save_dataset(d, path, delimiter=delimiter)
+        back = load_dataset(path, canonical_schema(d), delimiter=delimiter)
+        assert np.array_equal(back.outcomes, d.outcomes)
+        assert np.array_equal(back.actions, d.actions)
+        assert np.array_equal(back.features, d.features)
+        assert back.action_labels == d.action_labels
+
     def test_save_load_is_bit_exact(self, tmp_path):
         d = make_dataset(np.random.default_rng(3), n=60, m=3, p=2)
         path = tmp_path / "out.csv"

@@ -6,8 +6,8 @@ writes the assignments, moment matrices, and plot data. ``evaluate`` fits a
 propensity model and scores saved policy columns with the RA, IPW, and DR
 welfare estimators plus regret against the first-best (neutral) column.
 ``simulate`` draws a synthetic dataset with a ground-truth sidecar, and
-``report`` renders scatter/share plot data and SVGs from a completed fit
-run.
+``report`` renders one scatter SVG per preference and a summary from a
+completed fit run.
 
 Options come from a JSON config file and/or command flags; flags win.
 Every command writes a manifest with config, input, and artifact hashes,
@@ -518,7 +518,11 @@ def cmd_simulate(config: RunConfig) -> RunReport:
 
 
 def cmd_report(run_dir: str | Path) -> RunReport:
-    """Render plot data and SVGs from a completed fit run."""
+    """Render the scatter SVGs and ``summary.json`` of a completed fit run.
+
+    The scatter and share tables are ``fit``'s; report only reads the
+    assignments and moments tables.
+    """
     outdir = Path(run_dir)
     _require(outdir.is_dir(), f"run directory {outdir} does not exist")
     assignments_path = _find_table(outdir, "assignments")
@@ -541,17 +545,10 @@ def cmd_report(run_dir: str | Path) -> RunReport:
     idx = np.arange(len(units))
     scatter_stats: dict[str, float] = {}
     shares: dict[str, list[float]] = {}
-    share_columns: list[list[object]] = [[], [], [], []]
     for label, actions in policies.items():
         chosen_mu = mu[idx, actions]
         chosen_sigma = sigma[idx, actions]
         name = f"scatter_{label}"
-        reporting.write_csv(
-            outdir / f"{name}.csv",
-            ["unit", "action", "mu", "sigma"],
-            [idx, actions, chosen_mu, chosen_sigma],
-        )
-        artifacts.append(f"{name}.csv")
         svg = reporting.scatter_svg(
             chosen_sigma,
             chosen_mu,
@@ -564,14 +561,6 @@ def cmd_report(run_dir: str | Path) -> RunReport:
         scatter_stats[label] = float(chosen_sigma.mean())
         counts = np.bincount(actions, minlength=len(arms))
         shares[label] = (counts / len(units)).tolist()
-        for a in arms:
-            for col, v in zip(share_columns, (label, a, counts[a], counts[a] / len(units))):
-                col.append(v)
-
-    reporting.write_csv(
-        outdir / "shares.csv", ["preference", "action", "count", "share"], share_columns
-    )
-    artifacts.append("shares.csv")
 
     summary: dict[str, object] = {
         "action_shares": shares,

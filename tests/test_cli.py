@@ -254,7 +254,8 @@ class TestEvaluate:
 
 class TestReport:
     def test_scatter_svg_and_share_artifacts(self, tmp_path, sim_run):
-        # a 2-preference fit gets 2 scatter tables, 2 SVGs, and 1 share table
+        # a 2-preference fit writes 2 scatter tables and 1 share table;
+        # report adds 2 SVGs and summary.json and leaves fit's files alone
         outdir = tmp_path / "two_pref"
         assert (
             run(
@@ -272,17 +273,31 @@ class TestReport:
             )
             == 0
         )
-        assert run(["report", str(outdir)]) == 0
         scatters = sorted(p.name for p in outdir.glob("scatter_*.csv"))
-        svgs = sorted(p.name for p in outdir.glob("scatter_*.svg"))
         assert scatters == ["scatter_linear.csv", "scatter_neutral.csv"]
-        assert svgs == ["scatter_linear.svg", "scatter_neutral.svg"]
         assert (outdir / "shares.csv").exists()
         n = LINEAR_DGP["n_units"]
         for name in scatters:
             assert len((outdir / name).read_text().splitlines()) - 1 == n
+        before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in outdir.iterdir()}
+        assert run(["report", str(outdir)]) == 0
+        after = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in outdir.iterdir()}
+        assert sorted(set(after) - set(before)) == [
+            "scatter_linear.svg",
+            "scatter_neutral.svg",
+            "summary.json",
+        ]
+        assert all(after[name] == before[name] for name in before)
         svg = (outdir / "scatter_neutral.svg").read_text()
         assert svg.startswith("<svg") and svg.count("<circle") >= n
+
+    def test_report_after_json_fit_writes_no_csv(self, tmp_path, sim_run):
+        outdir = tmp_path / "jsonfit"
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(outdir)]
+        assert run([*argv, "--format", "json"]) == 0
+        assert run(["report", str(outdir)]) == 0
+        assert list(outdir.glob("*.csv")) == []
+        assert (outdir / "scatter_quadratic.svg").exists()
 
     def test_missing_run_dir_fails(self, tmp_path):
         assert run(["report", str(tmp_path / "nothing")]) == 1

@@ -61,7 +61,7 @@ class RunConfig:
     clip_bounds: tuple[float, float] = (0.01, 0.99)
     ridge: float = 1e-6
     max_iter: int = 100
-    tol: float = 1e-8
+    tol: float | None = None  # None: fit_mnlogit's default, which scales with N
     estimators: tuple[str, ...] = ("RA", "IPW", "DR")
     seed: int | None = None
     table_format: str = "csv"
@@ -195,7 +195,7 @@ def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> Run
         clip_bounds=(float(clip[0]), float(clip[1])),
         ridge=float(learner.get("ridge", 1e-6)),
         max_iter=int(learner.get("max_iter", 100)),
-        tol=float(learner.get("tol", 1e-8)),
+        tol=None if learner.get("tol") is None else float(learner["tol"]),
         estimators=tuple(merged.get("estimators", ("RA", "IPW", "DR"))),
         seed=merged.get("seed"),
         table_format=str(merged.get("format", "csv")),

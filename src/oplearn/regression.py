@@ -17,6 +17,8 @@ The multinomial logit maximises the log-likelihood by Newton ascent with
 step halving, softmax probabilities with class 0 as the zero-score baseline,
 and an optional ridge penalty on the non-intercept coefficients. The
 (penalised) log-likelihood is non-decreasing across accepted iterations.
+Its gradient is a sum over all N units, so the default convergence
+tolerance, ``LOGIT_TOL_PER_UNIT * N``, grows with N.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Default logit gradient tolerance per unit. The gradient sums N per-unit
+# terms, so its float rounding floor grows with N: an absolute 1e-8 can sit
+# below it (1.84e-8 at 15,000 units), and Newton then runs to max_iter with
+# the log-likelihood no longer changing.
+LOGIT_TOL_PER_UNIT = 1e-10
 
 
 class RankDeficiencyError(ValueError):
@@ -202,13 +210,14 @@ def fit_mnlogit(
     actions: np.ndarray,
     *,
     max_iter: int = 100,
-    tol: float = 1e-8,
+    tol: float | None = None,
     ridge: float = 1e-6,
 ) -> MultinomialLogitModel:
     """Fit a multinomial logit of action on features by Newton ascent.
 
     Every class in ``0..M-1`` must be present. Convergence is declared when
-    the max-norm of the (penalised) gradient drops below ``tol``; step
+    the max-norm of the (penalised) gradient drops below ``tol``, by default
+    ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); step
     halving guarantees the objective never decreases. Coefficients beyond
     ``1e6`` in absolute value abort with :class:`QuasiSeparationError`,
     which usually means the classes are separable and a stronger ``ridge``
@@ -230,6 +239,8 @@ def fit_mnlogit(
         raise ValueError(f"class {missing} has no observations")
     if n < m * d:
         raise ValueError(f"need at least {m * d} rows, got {n}")
+    if tol is None:
+        tol = LOGIT_TOL_PER_UNIT * n
 
     onehot = np.zeros((n, m))
     onehot[np.arange(n), a] = 1.0

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from oplearn import DGPSpec, RiskPreference, generate, oracle_policy, true_value
-from oplearn.cli import main
+from oplearn.cli import load_config, main
 
 TRADEOFF_DGP = {
     "n_units": 3000,
@@ -58,6 +58,15 @@ def sim_run(tmp_path):
     )
     assert run(["fit", "--config", fit_cfg]) == 0
     return {"sim": simdir, "run": rundir, "fit_cfg": fit_cfg, "tmp": tmp_path}
+
+
+class TestConfig:
+    def test_logit_tolerance_defaults_to_per_unit_scaling(self, tmp_path):
+        default = load_config(None, {})
+        assert default.tol is None
+        assert default.hash_payload()["learner"]["tol"] is None
+        cfg = write_config(tmp_path, learner={"tol": 1e-8})
+        assert load_config(cfg, {}).tol == 1e-8
 
 
 class TestSimulate:

@@ -7,17 +7,49 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oplearn import (
+    DGPSpec,
     LinearModel,
     MultinomialLogitModel,
     QuasiSeparationError,
     RankDeficiencyError,
     fit_mnlogit,
     fit_ols,
+    generate,
     predict_ols,
     predict_proba,
 )
+from oplearn.regression import LOGIT_TOL_PER_UNIT
 
 from helpers import ols_oracle
+
+# A 4-arm, 5-feature logit-assignment draw on which an absolute gradient
+# tolerance of 1e-8 stalls (the sample the benchmark's stall probe uses).
+STALL_DGP = {
+    "n_units": 15000,
+    "n_actions": 4,
+    "n_features": 5,
+    "mean_coeffs": [
+        [4.7753, -0.6471, -0.518, -0.3946, -0.0628, 0.5095],
+        [3.409, 0.0341, 0.475, 0.033, 0.4202, 0.8795],
+        [4.3944, 0.6727, 0.6276, -0.157, -0.1431, 0.7158],
+        [4.7619, 0.4878, 0.0035, 0.3815, -0.6861, 0.1926],
+    ],
+    "noise_scale_coeffs": [
+        [0.6626, -0.4371, -0.0414, -0.0789, 0.0168, 0.2199],
+        [-0.0357, -0.0432, -0.1874, 0.2833, -0.9257, -0.2142],
+        [0.9552, -0.4325, -0.1962, -0.1089, -0.5681, 0.0657],
+        [0.8369, -0.2321, 0.0917, -0.0547, 0.0706, 0.0783],
+    ],
+    "assignment": "logit",
+    "assignment_coeffs": [
+        [0.0, -0.2133, 0.2478, -0.1392, -0.2029, 0.6862],
+        [0.0, 0.1474, 0.1009, -0.0463, -0.05, 0.1524],
+        [0.0, 0.4504, 0.0262, 0.0796, -0.1584, -0.0484],
+        [0.0, -0.0706, 0.0836, -0.0084, -0.0438, -0.0899],
+    ],
+    "feature_dist": "normal",
+    "seed": 18,
+}
 
 
 class TestOls:
@@ -178,6 +210,20 @@ class TestMnlogit:
         model = fit_mnlogit(X, a, tol=1e-8)
         assert model.converged
         assert model.final_gradient_norm < 1e-8
+
+    def test_default_tolerance_scales_with_n_on_stalling_sample(self):
+        # 15,000 units where the summed gradient's rounding floor (1.84e-8)
+        # sits above an absolute 1e-8: Newton then stalls with a flat
+        # log-likelihood; the per-unit default stops after a few steps
+        spec = DGPSpec.from_dict(STALL_DGP)
+        d = generate(spec).dataset
+        stalled = fit_mnlogit(d.features, d.actions, tol=1e-8, max_iter=12)
+        assert not stalled.converged and stalled.iterations == 12
+        assert len(set(stalled.loglik_path[5:])) == 1
+        model = fit_mnlogit(d.features, d.actions)
+        assert model.converged and model.iterations <= 10
+        assert model.final_gradient_norm < LOGIT_TOL_PER_UNIT * d.n_units
+        assert model.loglik_path[-1] == pytest.approx(stalled.loglik_path[-1], abs=1e-6)
 
     def test_quasi_separation_raises_without_ridge(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])

@@ -113,7 +113,9 @@ def test_artifact_hashes_match_golden(tmp_path):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         GOLDEN.write_text(json.dumps(_all_hashes(Path(tmp)), indent=2, sort_keys=True) + "\n")

@@ -117,14 +117,21 @@ class TestLoad:
         ],
     )
     def test_bad_row_message(self, tmp_path, cells, message, bad_row):
-        # the first bad row is reported, in or after the first parse block
+        # rows inside and after the first parse block are numbered alike
         lines = [f"{i}.5,{i % 2},0.{i}" for i in range(ROW_BLOCK + 10)]
         lines[bad_row - 1] = cells
-        lines[bad_row + 2] = "8.0,,0.1"  # a later bad row must not be reported
         path = write(tmp_path, "y,treat,x1\n" + "\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as info:
             load_dataset(path, SCHEMA)
         assert str(info.value) == message.format(row=bad_row)
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        lines = [f"{i}.5,{i % 2},0.{i}" for i in range(20)]
+        lines[12] = "8.0,,0.1"
+        lines[4] = "7.0,1,0.1,9"
+        path = write(tmp_path, "y,treat,x1\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="^row 5 has 4 fields, expected 3$"):
+            load_dataset(path, SCHEMA)
 
 
 class TestRoundTrip:

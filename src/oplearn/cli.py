@@ -314,7 +314,12 @@ def cmd_fit(config: RunConfig) -> RunReport:
             outdir,
             "moments",
             ["unit", "arm", "mu", "sigma"],
-            [np.repeat(idx, m), np.tile(np.arange(m), n), moments.mu.ravel(), moments.sigma.ravel()],
+            [
+                np.repeat(idx, m),
+                np.tile(np.arange(m), n),
+                moments.mu.ravel(),
+                moments.sigma.ravel(),
+            ],
             config.table_format,
         )
     )

@@ -183,12 +183,12 @@ def _parse_rows(
         if len(row) != width:
             raise DataFormatError(f"row {i} has {len(row)} fields, expected {width}")
         for k, (j, name) in enumerate(zip(cols, names)):
-            values[i - first_row, k] = _parse_cell(row[j], name, i)
-            if k == 1 and not values[i - first_row, k].is_integer():
+            value = _parse_cell(row[j], name, i)
+            if k == 1 and not value.is_integer():
                 raise DataFormatError(
-                    f"non-integer action {float(values[i - first_row, k])!r} "
-                    f"in column '{name}' at row {i}"
+                    f"non-integer action {value!r} in column '{name}' at row {i}"
                 )
+            values[i - first_row, k] = value
     return values
 
 
@@ -261,10 +261,10 @@ def load_dataset(
             raise DataFormatError(f"unexpected action value(s) {extra}")
     else:
         levels = np.unique(raw_actions).tolist()
+    # a level repeated in expected_actions keeps the last of its codes
     recode = {v: a for a, v in enumerate(levels)}
-    actions = np.array(list(recode.values()))[
-        np.searchsorted(np.array(list(recode)), raw_actions)
-    ]
+    codes = np.array(list(recode.values()))
+    actions = codes[np.searchsorted(np.array(list(recode)), raw_actions)]
     counts = np.bincount(actions, minlength=len(levels))
     for a in recode.values():
         if counts[a] == 0:

@@ -217,11 +217,11 @@ def fit_mnlogit(
 
     Every class in ``0..M-1`` must be present. Convergence is declared when
     the max-norm of the (penalised) gradient drops below ``tol``, by default
-    ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); step
-    halving guarantees the objective never decreases. Coefficients beyond
-    ``1e6`` in absolute value abort with :class:`QuasiSeparationError`,
-    which usually means the classes are separable and a stronger ``ridge``
-    is needed.
+    ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); an explicit ``tol`` is
+    absolute. Step halving guarantees the objective never decreases.
+    Coefficients beyond ``1e6`` in absolute value abort with
+    :class:`QuasiSeparationError`, which usually means the classes are
+    separable and a stronger ``ridge`` is needed.
     """
     design = _design(X)
     a = np.asarray(actions, dtype=np.int64)

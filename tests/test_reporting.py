@@ -22,7 +22,10 @@ CASES = {
         ["preference", "count"],
         [np.array(["a,b", 'say "hi"', "", "x\ny"]), np.arange(4)],
     ),
-    "header with comma, quote and percent": (['x,1', 'x"2', "%s"], [FLOATS[:3], FLOATS[3:6], [1, 2, 3]]),
+    "header with comma, quote and percent": (
+        ["x,1", 'x"2', "%s"],
+        [FLOATS[:3], FLOATS[3:6], [1, 2, 3]],
+    ),
     "no data rows": (["unit", "arm", "mu"], [[], [], []]),
     "single text column with blanks": (["note"], [np.array(["", "a", ""])]),
     "non-finite and non-ascii": (["z", "a"], [[np.nan, np.inf, -np.inf], ["é", "ß", "z"]]),

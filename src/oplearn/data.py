@@ -20,8 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .reporting import ROW_BLOCK, write_csv
-
 
 class DataFormatError(ValueError):
     """An input file could not be parsed into a valid dataset."""
@@ -230,6 +228,10 @@ def load_dataset(
     messages; blank lines are skipped and not numbered. Rows are parsed
     ``ROW_BLOCK`` at a time, a column at a time.
     """
+    # imported here, like in save_dataset, so that importing the package
+    # does not load the artifact writers
+    from .reporting import ROW_BLOCK
+
     if not isinstance(schema, ColumnSchema):
         schema = ColumnSchema.from_mapping(schema)
     path = Path(path)
@@ -286,6 +288,8 @@ def save_dataset(dataset: Dataset, path: str | Path, *, delimiter: str = ",") ->
     columns. Floats are written in shortest round-trip form so that
     :func:`load_dataset` reproduces the arrays bit-exactly.
     """
+    from .reporting import write_csv
+
     labels = np.array(dataset.action_labels)
     write_csv(
         Path(path),

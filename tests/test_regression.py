@@ -212,18 +212,16 @@ class TestMnlogit:
         assert model.final_gradient_norm < 1e-8
 
     def test_default_tolerance_scales_with_n_on_stalling_sample(self):
-        # 15,000 units where the summed gradient's rounding floor (1.84e-8)
-        # sits above an absolute 1e-8: Newton then stalls with a flat
-        # log-likelihood; the per-unit default stops after a few steps
-        spec = DGPSpec.from_dict(STALL_DGP)
-        d = generate(spec).dataset
-        stalled = fit_mnlogit(d.features, d.actions, tol=1e-8, max_iter=12)
-        assert not stalled.converged and stalled.iterations == 12
-        assert len(set(stalled.loglik_path[5:])) == 1
+        # 15,000 units where, with NumPy 2.4 on x86-64, the summed gradient's
+        # rounding floor (1.84e-8) sits above an absolute 1e-8, so Newton
+        # ran to max_iter with a flat log-likelihood; the per-unit default
+        # stops after a few steps at the same optimum
+        d = generate(DGPSpec.from_dict(STALL_DGP)).dataset
         model = fit_mnlogit(d.features, d.actions)
         assert model.converged and model.iterations <= 10
         assert model.final_gradient_norm < LOGIT_TOL_PER_UNIT * d.n_units
-        assert model.loglik_path[-1] == pytest.approx(stalled.loglik_path[-1], abs=1e-6)
+        longer = fit_mnlogit(d.features, d.actions, tol=1e-8, max_iter=12)
+        assert longer.loglik_path[-1] - model.loglik_path[-1] < 1e-6
 
     def test_quasi_separation_raises_without_ridge(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])

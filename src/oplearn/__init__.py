@@ -20,14 +20,12 @@ from .data import (
 )
 from .moments import (
     ArmMoments,
-    ConditionalVariance,
     InterceptOnlyLearner,
     LinearLearner,
     MomentLearner,
     build_arm_moments,
     default_variance_floor,
     estimate_conditional_means,
-    estimate_conditional_variance,
 )
 from .policies import (
     PolicyAssignment,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmMoments",
     "ColumnSchema",
-    "ConditionalVariance",
     "DGPSpec",
     "DataFormatError",
     "Dataset",
@@ -87,7 +84,6 @@ __all__ = [
     "clip_propensities",
     "default_variance_floor",
     "estimate_conditional_means",
-    "estimate_conditional_variance",
     "fit_mnlogit",
     "fit_ols",
     "generate",

@@ -34,7 +34,7 @@ from .data import (
     save_dataset,
     validate_dataset,
 )
-from .moments import LinearLearner, build_arm_moments, estimate_conditional_means
+from .moments import build_arm_moments, estimate_conditional_means
 from .policies import PolicyAssignment, RiskPreference, assign_policy
 from .regression import fit_mnlogit, predict_proba
 from .simulate import DGPSpec, generate
@@ -282,9 +282,7 @@ def cmd_fit(config: RunConfig) -> RunReport:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    moments = build_arm_moments(
-        dataset, LinearLearner(), variance_floor=config.variance_floor
-    )
+    moments = build_arm_moments(dataset, variance_floor=config.variance_floor)
     assignments = {
         pref.value: assign_policy(moments, pref) for pref in config.preferences
     }
@@ -402,7 +400,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
         if actions.min() < 0 or actions.max() >= dataset.n_actions:
             raise PipelineError(f"policy {label!r} contains invalid arm indices")
 
-    q_hat = estimate_conditional_means(dataset, LinearLearner())
+    q_hat = estimate_conditional_means(dataset)
     logit = fit_mnlogit(
         dataset.features,
         dataset.actions,
@@ -596,7 +594,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--clip", help="propensity clip bounds LOW,HIGH")
     parser.add_argument("--variance-floor", type=float, dest="variance_floor")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--format", choices=["csv", "json"], dest="table_format")
     parser.add_argument("--delimiter")
     parser.add_argument("--outcome-col", dest="outcome_col")
@@ -610,7 +607,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         "input": args.input,
         "outdir": args.outdir,
         "variance_floor": args.variance_floor,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),  # simulate-only flag
         "format": args.table_format,
         "delimiter": args.delimiter,
         "allow_unconverged": args.allow_unconverged,
@@ -651,6 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="draw a synthetic dataset")
     _add_common_flags(simulate)
+    simulate.add_argument("--seed", type=int)
 
     report = sub.add_parser("report", help="render plots for a completed fit run")
     report.add_argument("run_dir", help="directory written by 'fit'")

@@ -260,7 +260,8 @@ def load_dataset(
         levels = sorted(float(v) for v in expected_actions)
         extra = sorted(set(np.unique(raw_actions)) - set(levels))
         if extra:
-            raise DataFormatError(f"unexpected action value(s) {extra}")
+            labels = ", ".join(map(_format_action_label, extra))
+            raise DataFormatError(f"unexpected action value(s) {labels}")
     else:
         levels = np.unique(raw_actions).tolist()
     # a level repeated in expected_actions keeps the last of its codes

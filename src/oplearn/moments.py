@@ -76,19 +76,6 @@ class InterceptOnlyLearner:
 
 
 @dataclass(frozen=True, eq=False)
-class ConditionalVariance:
-    """Clamped plug-in variance with its elementwise square root."""
-
-    sigma2: np.ndarray
-    sigma: np.ndarray
-    clamped: np.ndarray
-
-    @property
-    def n_clamped(self) -> int:
-        return int(self.clamped.sum())
-
-
-@dataclass(frozen=True, eq=False)
 class ArmMoments:
     """Estimated (mu, sigma) pair for every unit x arm cell.
 
@@ -174,44 +161,28 @@ def estimate_conditional_means(
     return _fit_per_arm(dataset, learner, dataset.outcomes)
 
 
-def estimate_conditional_variance(
-    dataset: Dataset,
-    learner: MomentLearner = LinearLearner(),
-    variance_floor: float | None = None,
-) -> ConditionalVariance:
-    """Plug-in conditional variance, clamped below at ``variance_floor``.
-
-    Per arm, the learner is fit twice on the arm subsample - once with
-    target Y^2, once with target Y - and both fits predict for all units;
-    the variance is the difference of the predictions.
-    """
-    _require_valid(dataset)
-    if variance_floor is None:
-        variance_floor = default_variance_floor(dataset.outcomes)
-    if variance_floor <= 0:
-        raise ValueError("variance_floor must be strictly positive")
-    second = _fit_per_arm(dataset, learner, dataset.outcomes**2)
-    first = _fit_per_arm(dataset, learner, dataset.outcomes)
-    raw = second - first**2
-    clamped = raw < variance_floor
-    sigma2 = np.where(clamped, variance_floor, raw)
-    return ConditionalVariance(sigma2=sigma2, sigma=np.sqrt(sigma2), clamped=clamped)
-
-
 def build_arm_moments(
     dataset: Dataset,
     learner: MomentLearner = LinearLearner(),
     variance_floor: float | None = None,
 ) -> ArmMoments:
-    """Bundle the conditional mean and variance estimates for all arms."""
+    """Conditional mean and clamped plug-in variance for all arms.
+
+    Per arm, the learner is fit twice on the arm subsample - once with
+    target Y, once with target Y^2 - and both fits predict for all units;
+    the variance is E[Y^2] - mu^2, clamped below at ``variance_floor``.
+    """
+    _require_valid(dataset)
     if variance_floor is None:
         variance_floor = default_variance_floor(dataset.outcomes)
-    mu = estimate_conditional_means(dataset, learner)
-    var = estimate_conditional_variance(dataset, learner, variance_floor)
+    mu = _fit_per_arm(dataset, learner, dataset.outcomes)
+    raw = _fit_per_arm(dataset, learner, dataset.outcomes**2) - mu**2
+    clamped = raw < variance_floor
+    sigma2 = np.where(clamped, variance_floor, raw)
     return ArmMoments(
         mu=mu,
-        sigma2=var.sigma2,
-        sigma=var.sigma,
+        sigma2=sigma2,
+        sigma=np.sqrt(sigma2),
         variance_floor=variance_floor,
-        clamped=var.clamped,
+        clamped=clamped,
     )

@@ -35,7 +35,7 @@ import numpy as np
 from .data import Dataset
 from .policies import PolicyAssignment
 
-ESTIMATOR_KINDS = ("RA", "IPW", "DR", "TRUE")
+ESTIMATOR_KINDS = ("RA", "IPW", "DR")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from oplearn import (
     build_arm_moments,
     default_variance_floor,
     estimate_conditional_means,
-    estimate_conditional_variance,
 )
+from oplearn import moments as moments_module
 
 from helpers import make_dataset
 
@@ -92,9 +92,9 @@ class TestConditionalVariance:
             features=np.zeros((10, 1)),
             n_actions=2,
         )
-        var = estimate_conditional_variance(d, InterceptOnlyLearner(), 1e-10)
-        assert np.allclose(var.sigma2[:, 0], 9.0)
-        assert np.allclose(var.sigma[:, 0], 3.0)
+        m = build_arm_moments(d, InterceptOnlyLearner(), 1e-10)
+        assert np.allclose(m.sigma2[:, 0], 9.0)
+        assert np.allclose(m.sigma[:, 0], 3.0)
 
     def test_constant_arm_clamps_to_floor(self):
         outcomes = np.array([5.0] * 6 + [1.0, 2.0, 3.0, 4.0])
@@ -105,10 +105,10 @@ class TestConditionalVariance:
             features=np.zeros((10, 1)),
             n_actions=2,
         )
-        var = estimate_conditional_variance(d, InterceptOnlyLearner(), 1e-8)
-        assert var.clamped[:, 0].all()
-        assert np.allclose(var.sigma2[:, 0], 1e-8)
-        assert var.n_clamped >= 10
+        m = build_arm_moments(d, InterceptOnlyLearner(), 1e-8)
+        assert m.clamped[:, 0].all()
+        assert np.allclose(m.sigma2[:, 0], 1e-8)
+        assert m.n_clamped >= 10
 
     def test_matches_cell_variance_oracle_heteroskedastic(self):
         # Y = X + (1 + X) * eps with X in {0, 1}: cell X=1 has variance 4
@@ -119,29 +119,45 @@ class TestConditionalVariance:
         actions[:2] = (0, 1)
         outcomes = x + (1.0 + x) * rng.standard_normal(n)
         d = Dataset(outcomes=outcomes, actions=actions, features=x[:, None], n_actions=2)
-        var = estimate_conditional_variance(d, LinearLearner(), 1e-10)
+        m = build_arm_moments(d, LinearLearner(), 1e-10)
         for a in range(2):
             cell = (d.actions == a) & (x == 1.0)
             oracle = np.var(outcomes[cell])
-            estimate = var.sigma2[x == 1.0, a][0]
+            estimate = m.sigma2[x == 1.0, a][0]
             assert abs(estimate - oracle) / oracle < 0.05
 
     def test_floor_must_be_positive(self):
         d = make_dataset(np.random.default_rng(6), n=50)
         with pytest.raises(ValueError, match="variance_floor"):
-            estimate_conditional_variance(d, LinearLearner(), 0.0)
+            build_arm_moments(d, LinearLearner(), 0.0)
 
 
 class TestBuildArmMoments:
-    def test_composition_matches_parts(self):
+    def test_mu_equals_conditional_means(self):
         d = make_dataset(np.random.default_rng(7), n=80, m=3, p=2)
-        floor = 1e-8
-        m = build_arm_moments(d, LinearLearner(), floor)
-        mu = estimate_conditional_means(d, LinearLearner())
-        var = estimate_conditional_variance(d, LinearLearner(), floor)
-        assert np.array_equal(m.mu, mu)
-        assert np.array_equal(m.sigma2, var.sigma2)
-        assert np.array_equal(m.sigma, var.sigma)
+        m = build_arm_moments(d, LinearLearner(), 1e-8)
+        assert np.array_equal(m.mu, estimate_conditional_means(d, LinearLearner()))
+
+    def test_each_moment_fitted_once_per_arm(self, monkeypatch):
+        fits = []
+
+        class CountingLearner:
+            def fit(self, features, targets):
+                fits.append(len(targets))
+                return LinearLearner().fit(features, targets)
+
+        validations = []
+        validate = moments_module.validate_dataset
+
+        def counting_validate(dataset):
+            validations.append(dataset)
+            return validate(dataset)
+
+        monkeypatch.setattr(moments_module, "validate_dataset", counting_validate)
+        d = make_dataset(np.random.default_rng(7), n=80, m=3, p=2)
+        build_arm_moments(d, CountingLearner())
+        assert len(fits) == 2 * d.n_actions
+        assert len(validations) == 1
 
     def test_invariants_on_random_instances(self):
         for seed in range(5):

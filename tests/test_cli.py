@@ -173,6 +173,17 @@ class TestFit:
         )
         assert run(["fit", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_seed_flag_is_simulate_only(self, tmp_path, command, capsys):
+        cfg = write_config(tmp_path, outdir=str(tmp_path / "r"), schema=SCHEMA)
+        argv = [command, "--config", cfg, "--seed", "1"]
+        if command == "evaluate":
+            argv += ["--assignments", str(tmp_path / "assignments.csv")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_schema_flags_override(self, tmp_path, sim_run):
         outdir = tmp_path / "flags"
         code = run(

@@ -70,6 +70,12 @@ class TestLoad:
         with pytest.raises(DataFormatError, match="action 1 unobserved"):
             load_dataset(path, SCHEMA, expected_actions=(0, 1))
 
+    def test_unexpected_action_code_named_as_written(self, tmp_path):
+        path = write(tmp_path, "y,treat,x1\n0.5,0,0.1\n0.6,1,0.2\n0.7,3,0.3\n")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path, SCHEMA, expected_actions=(0, 1))
+        assert str(err.value) == "unexpected action value(s) 3"
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "y,x1\n1.0,0.1\n")
         with pytest.raises(DataFormatError, match="missing column 'treat'"):

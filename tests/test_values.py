@@ -197,6 +197,10 @@ class TestRegret:
         b = ValueEstimate("RA", "neutral", 3.2)
         assert regret(a, b) == 0.0
 
+    def test_unknown_estimator_kind_rejected(self):
+        with pytest.raises(ValueError, match="estimator must be one of"):
+            ValueEstimate("TRUE", "x", 1.0)
+
     def test_estimator_kind_mismatch(self):
         with pytest.raises(ValueError, match="same estimator"):
             regret(ValueEstimate("RA", "fb", 1.0), ValueEstimate("IPW", "alt", 0.5))

@@ -7,7 +7,7 @@ propensity model and scores saved policy columns with the RA, IPW, and DR
 welfare estimators plus regret against the first-best (neutral) column.
 ``simulate`` draws a synthetic dataset with a ground-truth sidecar, and
 ``report`` renders one scatter SVG per preference and a summary from a
-completed fit run.
+fit run's ``report.json`` and ``scatter_<pref>`` tables.
 
 Options come from a JSON config file and/or command flags; flags win.
 Every command writes a manifest with config, input, and artifact hashes,
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -38,7 +38,8 @@ from .moments import build_arm_moments, estimate_conditional_means
 from .policies import PolicyAssignment, RiskPreference, assign_policy
 from .regression import fit_mnlogit, predict_proba
 from .simulate import DGPSpec, generate
-from .values import ValueEstimate, clip_propensities, value_dr, value_ipw, value_ra
+from .values import ESTIMATOR_KINDS, ValueEstimate, clip_propensities
+from .values import value_dr, value_ipw, value_ra
 
 
 class PipelineError(RuntimeError):
@@ -75,24 +76,18 @@ class RunConfig:
             raise ValueError(f"invalid clip bounds ({low}, {high})")
         if self.table_format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
         for kind in self.estimators:
-            if kind not in ("RA", "IPW", "DR"):
+            if kind not in ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator {kind!r}")
 
     def hash_payload(self) -> dict:
         """Config as hashed into the manifest; outdir is excluded so the
         same run into two directories hashes identically."""
-        payload = {
+        return {
             "input": self.input,
-            "schema": (
-                None
-                if self.schema is None
-                else {
-                    "outcome": self.schema.outcome,
-                    "action": self.schema.action,
-                    "features": list(self.schema.features),
-                }
-            ),
+            "schema": None if self.schema is None else asdict(self.schema),
             "preferences": [p.value for p in self.preferences],
             "variance_floor": self.variance_floor,
             "clip": list(self.clip_bounds),
@@ -108,7 +103,6 @@ class RunConfig:
             "allow_unconverged": self.allow_unconverged,
             "dgp": self.dgp,
         }
-        return payload
 
 
 @dataclass
@@ -136,33 +130,11 @@ class RunReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "action_shares": self.action_shares,
-            "value_table": self.value_table,
-            "regret_table": self.regret_table,
-            "clamp_count": self.clamp_count,
-            "clip_count": self.clip_count,
-            "diagnostics": self.diagnostics,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
-_CONFIG_KEYS = {
-    "input",
-    "outdir",
-    "schema",
-    "preferences",
-    "variance_floor",
-    "clip",
-    "learner",
-    "estimators",
-    "seed",
-    "format",
-    "delimiter",
-    "allow_unconverged",
-    "dgp",
-}
+# outdir is the one config key that is not hashed
+_CONFIG_KEYS = {"outdir", *RunConfig().hash_payload()}
 
 
 def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> RunConfig:
@@ -178,28 +150,34 @@ def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> Run
         if value is not None:
             merged[key] = value
 
-    learner = merged.get("learner", {}) or {}
+    def option(key: str, default: object, convert: Callable, source: Mapping = merged):
+        value = source.get(key, default)
+        try:
+            return convert(value)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            message = f"invalid value for config option {key!r}: {value!r}"
+            raise PipelineError(message) from exc
+
+    learner = option("learner", {}, lambda raw: dict(raw or {}))
     schema = merged.get("schema")
     if schema is not None and not isinstance(schema, ColumnSchema):
-        schema = ColumnSchema.from_mapping(schema)
-    preferences = tuple(
-        RiskPreference(p) for p in merged.get("preferences", ("neutral", "linear", "quadratic"))
-    )
-    clip = merged.get("clip", (0.01, 0.99))
+        schema = option("schema", None, ColumnSchema.from_mapping)
     return RunConfig(
         input=merged.get("input"),
-        outdir=str(merged.get("outdir", "run")),
+        outdir=option("outdir", "run", str),
         schema=schema,
-        preferences=preferences,
+        preferences=option(
+            "preferences", tuple(RiskPreference), lambda ps: tuple(map(RiskPreference, ps))
+        ),
         variance_floor=merged.get("variance_floor"),
-        clip_bounds=(float(clip[0]), float(clip[1])),
-        ridge=float(learner.get("ridge", 1e-6)),
-        max_iter=int(learner.get("max_iter", 100)),
-        tol=None if learner.get("tol") is None else float(learner["tol"]),
-        estimators=tuple(merged.get("estimators", ("RA", "IPW", "DR"))),
+        clip_bounds=option("clip", (0.01, 0.99), lambda c: (float(c[0]), float(c[1]))),
+        ridge=option("ridge", 1e-6, float, learner),
+        max_iter=option("max_iter", 100, int, learner),
+        tol=option("tol", None, lambda t: None if t is None else float(t), learner),
+        estimators=option("estimators", ("RA", "IPW", "DR"), tuple),
         seed=merged.get("seed"),
-        table_format=str(merged.get("format", "csv")),
-        delimiter=str(merged.get("delimiter", ",")),
+        table_format=option("format", "csv", str),
+        delimiter=option("delimiter", ",", str),
         allow_unconverged=bool(merged.get("allow_unconverged", False)),
         dgp=merged.get("dgp"),
     )
@@ -222,14 +200,10 @@ def _load_valid_dataset(config: RunConfig) -> tuple[Dataset, list[str]]:
     return dataset, list(report.warnings)
 
 
-def _table_name(stem: str, fmt: str) -> str:
-    return f"{stem}.{'json' if fmt == 'json' else 'csv'}"
-
-
 def _write_table(
     outdir: Path, stem: str, header: Sequence[str], columns: Sequence[object], fmt: str
 ) -> str:
-    name = _table_name(stem, fmt)
+    name = f"{stem}.{fmt}"
     if fmt == "json":
         reporting.write_json_table(outdir / name, header, columns)
     else:
@@ -244,8 +218,15 @@ def _read_table(path: Path, usecols: Callable[[str], bool]) -> tuple[list[str], 
         if not records:
             raise PipelineError(f"empty table: {path}")
         names = [k for k in records[0] if usecols(k)]
-        values = np.array([[float(rec[k]) for rec in records] for k in names]).T
-        return names, values.reshape(len(records), len(names))
+        columns = []
+        for name in names:
+            try:
+                columns.append([float(rec[name]) for rec in records])
+            except KeyError:
+                raise PipelineError(f"table {path}: a record has no {name!r} key") from None
+            except (TypeError, ValueError):
+                raise PipelineError(f"table {path}: non-numeric {name!r} value") from None
+        return names, np.array(columns).T.reshape(len(records), len(names))
     return reporting.read_csv(path, usecols)
 
 
@@ -274,6 +255,19 @@ def _shares_columns(assignments: Mapping[str, PolicyAssignment]) -> list[object]
         np.concatenate([np.bincount(p.actions, minlength=m) for p in pols]),
         np.concatenate([p.action_shares() for p in pols]),
     ]
+
+
+def _write_record(
+    outdir: Path, report: RunReport, payload: dict, input_path: Path | None, artifacts: list[str]
+) -> None:
+    """Write ``report.json`` and ``config.json``, then the manifest that
+    hashes them with the command's other ``artifacts``."""
+    reporting.write_json(outdir / "report.json", report.to_dict())
+    reporting.write_json(outdir / "config.json", payload)
+    names = [*artifacts, "report.json", "config.json"]
+    reporting.write_manifest(
+        outdir, config_payload=payload, input_path=input_path, artifact_names=names
+    )
 
 
 def cmd_fit(config: RunConfig) -> RunReport:
@@ -360,16 +354,7 @@ def cmd_fit(config: RunConfig) -> RunReport:
         },
         warnings=warnings,
     )
-    reporting.write_json(outdir / "report.json", report.to_dict())
-    artifacts.append("report.json")
-    reporting.write_json(outdir / "config.json", config.hash_payload())
-    artifacts.append("config.json")
-    reporting.write_manifest(
-        outdir,
-        config_payload=config.hash_payload(),
-        input_path=Path(config.input),
-        artifact_names=artifacts,
-    )
+    _write_record(outdir, report, config.hash_payload(), Path(config.input), artifacts)
     return report
 
 
@@ -461,16 +446,8 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
         },
         warnings=warnings,
     )
-    artifacts = ["values.json", "report.json", "config.json"]
     reporting.write_json(outdir / "values.json", value_table)
-    reporting.write_json(outdir / "report.json", report.to_dict())
-    reporting.write_json(outdir / "config.json", config.hash_payload())
-    reporting.write_manifest(
-        outdir,
-        config_payload=config.hash_payload(),
-        input_path=Path(config.input),
-        artifact_names=artifacts,
-    )
+    _write_record(outdir, report, config.hash_payload(), Path(config.input), ["values.json"])
     return report
 
 
@@ -509,52 +486,54 @@ def cmd_simulate(config: RunConfig) -> RunReport:
             "arm_counts": oracle.dataset.arm_counts().tolist(),
         },
     )
-    artifacts = ["dataset.csv", "oracle.csv", "report.json", "config.json"]
-    reporting.write_json(outdir / "report.json", report.to_dict())
-    payload = config.hash_payload()
-    payload["dgp"] = spec.to_dict()
-    reporting.write_json(outdir / "config.json", payload)
-    reporting.write_manifest(
-        outdir, config_payload=payload, input_path=None, artifact_names=artifacts
-    )
+    payload = {**config.hash_payload(), "dgp": spec.to_dict()}
+    _write_record(outdir, report, payload, None, ["dataset.csv", "oracle.csv"])
     return report
 
 
 def cmd_report(run_dir: str | Path) -> RunReport:
     """Render the scatter SVGs and ``summary.json`` of a completed fit run.
 
-    The scatter and share tables are ``fit``'s; report only reads the
-    assignments and moments tables.
+    Report renders what ``fit`` recorded: the preference labels, action
+    shares and sizes come from fit's ``report.json``, and each chosen arm's
+    mu and sigma from its ``scatter_<pref>`` table. The moments and
+    assignments tables are not read.
     """
     outdir = Path(run_dir)
     _require(outdir.is_dir(), f"run directory {outdir} does not exist")
-    assignments_path = _find_table(outdir, "assignments")
-    moments_path = _find_table(outdir, "moments")
+    record_path = outdir / "report.json"
+    _require(record_path.exists(), f"missing run record {record_path}")
+    record = json.loads(record_path.read_text())
+    _require(
+        isinstance(record, dict) and record.get("command") == "fit",
+        f"{record_path} is not the record of a fit run",
+    )
+    try:
+        shares, diagnostics = record["action_shares"], record["diagnostics"]
+        n_units, n_actions = diagnostics["n_units"], diagnostics["n_actions"]
+    except (KeyError, TypeError):
+        raise PipelineError(
+            f"{record_path} lacks action_shares, diagnostics.n_units or diagnostics.n_actions"
+        ) from None
 
-    names, values = _read_table(moments_path, {"unit", "arm", "mu", "sigma"}.__contains__)
-    unit = _ids(values[:, names.index("unit")], "unit")
-    arm = _ids(values[:, names.index("arm")], "arm")
-    units, arms = np.unique(unit).tolist(), np.unique(arm).tolist()
-    if units != list(range(len(units))) or arms != list(range(len(arms))):
-        raise PipelineError(f"moments table {moments_path} has gaps in unit/arm ids")
-    mu = np.zeros((len(units), len(arms)))
-    sigma = np.zeros_like(mu)
-    mu[unit, arm] = values[:, names.index("mu")]
-    sigma[unit, arm] = values[:, names.index("sigma")]
-
-    policies = _read_assignments(assignments_path, len(units))
-    arm_labels = [str(a) for a in arms]
+    arm_labels = [str(a) for a in range(n_actions)]
     artifacts: list[str] = []
-    idx = np.arange(len(units))
     scatter_stats: dict[str, float] = {}
-    shares: dict[str, list[float]] = {}
-    for label, actions in policies.items():
-        chosen_mu = mu[idx, actions]
-        chosen_sigma = sigma[idx, actions]
+    for label in shares:
         name = f"scatter_{label}"
+        path = _find_table(outdir, name)
+        names, values = _read_table(path, {"action", "mu", "sigma"}.__contains__)
+        _require(len(names) == 3, f"{path} needs action, mu and sigma columns")
+        _require(len(values) == n_units, f"{path} has {len(values)} rows for {n_units} units")
+        actions = _ids(values[:, names.index("action")], "action")
+        _require(
+            0 <= actions.min() and actions.max() < n_actions,
+            f"{path} holds an action id outside 0..{n_actions - 1}",
+        )
+        chosen_sigma = values[:, names.index("sigma")]
         svg = reporting.scatter_svg(
             chosen_sigma,
-            chosen_mu,
+            values[:, names.index("mu")],
             actions,
             title=f"optimal policy ({label}): chosen-arm return vs risk",
             legend_labels=arm_labels,
@@ -562,13 +541,8 @@ def cmd_report(run_dir: str | Path) -> RunReport:
         (outdir / f"{name}.svg").write_text(svg)
         artifacts.append(f"{name}.svg")
         scatter_stats[label] = float(chosen_sigma.mean())
-        counts = np.bincount(actions, minlength=len(arms))
-        shares[label] = (counts / len(units)).tolist()
 
-    summary: dict[str, object] = {
-        "action_shares": shares,
-        "mean_chosen_sigma": scatter_stats,
-    }
+    summary: dict[str, object] = {"action_shares": shares, "mean_chosen_sigma": scatter_stats}
     values_path = outdir / "values.json"
     if values_path.exists():
         summary["values"] = json.loads(values_path.read_text())

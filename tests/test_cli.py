@@ -1,11 +1,12 @@
 """End-to-end command-line pipeline: simulate, fit, evaluate, report."""
 
 import json
+import shutil
 
 import pytest
 
 from oplearn import DGPSpec, RiskPreference, generate, oracle_policy, true_value
-from oplearn.cli import load_config, main
+from oplearn.cli import PipelineError, load_config, main
 
 TRADEOFF_DGP = {
     "n_units": 3000,
@@ -42,6 +43,15 @@ def run(argv):
     return main(argv)
 
 
+def assert_fails_with_one_error(argv, capsys, fragment):
+    """The command exits 1 and prints exactly one ``error:`` line, no traceback."""
+    capsys.readouterr()
+    assert run(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert fragment in lines[0]
+
+
 @pytest.fixture()
 def sim_run(tmp_path):
     """simulate + fit on the 3-arm linear DGP; returns the run directory."""
@@ -67,6 +77,39 @@ class TestConfig:
         assert default.hash_payload()["learner"]["tol"] is None
         cfg = write_config(tmp_path, learner={"tol": 1e-8})
         assert load_config(cfg, {}).tol == 1e-8
+
+    @pytest.mark.parametrize(
+        "payload, option",
+        [
+            ({"learner": 5}, "learner"),
+            ({"clip": 5}, "clip"),
+            ({"clip": [0.1]}, "clip"),
+            ({"clip": None}, "clip"),
+            ({"preferences": 5}, "preferences"),
+            ({"estimators": 5}, "estimators"),
+            ({"schema": 5}, "schema"),
+            ({"learner": {"ridge": "x"}}, "ridge"),
+        ],
+    )
+    def test_wrongly_shaped_value_names_the_option(self, tmp_path, capsys, payload, option):
+        cfg = write_config(tmp_path, **payload)
+        with pytest.raises(PipelineError, match=f"config option '{option}'"):
+            load_config(cfg, {})
+        argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "r")]
+        assert_fails_with_one_error(argv, capsys, f"config option '{option}'")
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_multi_character_delimiter_fails(self, tmp_path, capsys, command):
+        cfg = write_config(
+            tmp_path,
+            dgp=LINEAR_DGP,
+            input=str(tmp_path / "data.csv"),
+            outdir=str(tmp_path / "r"),
+            schema=SCHEMA,
+        )
+        argv = [command, "--config", cfg, "--delimiter", ";;"]
+        assert_fails_with_one_error(argv, capsys, "delimiter must be one character")
+        assert not (tmp_path / "r").exists()
 
 
 class TestSimulate:
@@ -322,6 +365,59 @@ class TestReport:
     def test_missing_run_dir_fails(self, tmp_path):
         assert run(["report", str(tmp_path / "nothing")]) == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_needs_neither_moments_nor_assignments(self, tmp_path, sim_run, fmt):
+        full, bare = tmp_path / f"full_{fmt}", tmp_path / f"bare_{fmt}"
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(full), "--format", fmt]
+        assert run(argv) == 0
+        shutil.copytree(full, bare)
+        for stem in ("moments", "assignments"):
+            (bare / f"{stem}.{fmt}").unlink()
+        assert run(["report", str(full)]) == 0
+        assert run(["report", str(bare)]) == 0
+        rendered = ["summary.json"] + [f"scatter_{p.value}.svg" for p in RiskPreference]
+        for name in rendered:
+            assert (bare / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_report_on_evaluate_run_fails(self, tmp_path, sim_run, capsys):
+        evaldir = tmp_path / "eval"
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(evaldir)]
+        assert run([*argv, "--assignments", str(sim_run["run"] / "assignments.csv")]) == 0
+        assert_fails_with_one_error(["report", str(evaldir)], capsys, "not the record of a fit run")
+
+    def test_report_without_fit_record_fails(self, sim_run, capsys):
+        (sim_run["run"] / "report.json").unlink()
+        assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, "missing run record")
+
+    def test_report_with_incomplete_fit_record_fails(self, sim_run, capsys):
+        path = sim_run["run"] / "report.json"
+        record = json.loads(path.read_text())
+        del record["diagnostics"]["n_actions"]
+        path.write_text(json.dumps(record))
+        assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, "lacks action_shares")
+
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            ("drop_row", "rows for 8000 units"),
+            ("action_out_of_range", "action id outside 0..2"),
+            ("delete", "missing artifact scatter_neutral.csv"),
+        ],
+    )
+    def test_damaged_scatter_table_fails(self, sim_run, capsys, damage, fragment):
+        path = sim_run["run"] / "scatter_neutral.csv"
+        lines = path.read_text().splitlines()
+        if damage == "drop_row":
+            lines.pop()
+        elif damage == "action_out_of_range":
+            cells = lines[1].split(",")
+            cells[1] = str(LINEAR_DGP["n_actions"])
+            lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        if damage == "delete":
+            path.unlink()
+        assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, fragment)
+
     def test_tradeoff_linear_preference_prefers_low_risk_arm(self, tmp_path):
         simdir = tmp_path / "sim"
         cfg = write_config(tmp_path, dgp=TRADEOFF_DGP, outdir=str(simdir))
@@ -381,3 +477,24 @@ class TestJsonTables:
             == 0
         )
         assert (evaldir / "values.json").exists()
+
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            ("drop_unit", "a record has no 'unit' key"),
+            ("null_action", "non-numeric 'neutral_action'"),
+        ],
+    )
+    def test_malformed_json_assignments_fail(self, tmp_path, sim_run, capsys, damage, fragment):
+        fitdir = tmp_path / "jsonfit"
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(fitdir), "--format", "json"]
+        assert run(argv) == 0
+        path = fitdir / "assignments.json"
+        records = json.loads(path.read_text())
+        if damage == "drop_unit":
+            del records[3]["unit"]
+        else:
+            records[3]["neutral_action"] = None
+        path.write_text(json.dumps(records))
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
+        assert_fails_with_one_error([*argv, "--assignments", str(path)], capsys, fragment)

@@ -137,6 +137,14 @@ class RunReport:
 _CONFIG_KEYS = {"outdir", *RunConfig().hash_payload()}
 
 
+def _as_given(value: object, ok: bool) -> object:
+    """``value`` unchanged if ``ok``, so that the hashed config spells it as
+    given: a variance floor of ``1`` is hashed as ``1``, not ``1.0``."""
+    if not ok:
+        raise ValueError(value)
+    return value
+
+
 def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> RunConfig:
     """Merge a JSON config file with command-line overrides (flags win)."""
     raw: dict = {}
@@ -169,13 +177,15 @@ def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> Run
         preferences=option(
             "preferences", tuple(RiskPreference), lambda ps: tuple(map(RiskPreference, ps))
         ),
-        variance_floor=merged.get("variance_floor"),
+        variance_floor=option(
+            "variance_floor", None, lambda v: _as_given(v, v is None or v > 0)
+        ),
         clip_bounds=option("clip", (0.01, 0.99), lambda c: (float(c[0]), float(c[1]))),
         ridge=option("ridge", 1e-6, float, learner),
         max_iter=option("max_iter", 100, int, learner),
         tol=option("tol", None, lambda t: None if t is None else float(t), learner),
         estimators=option("estimators", ("RA", "IPW", "DR"), tuple),
-        seed=merged.get("seed"),
+        seed=option("seed", None, lambda s: _as_given(s, s is None or isinstance(s, int))),
         table_format=option("format", "csv", str),
         delimiter=option("delimiter", ",", str),
         allow_unconverged=bool(merged.get("allow_unconverged", False)),
@@ -227,14 +237,21 @@ def _read_table(path: Path, usecols: Callable[[str], bool]) -> tuple[list[str], 
             except (TypeError, ValueError):
                 raise PipelineError(f"table {path}: non-numeric {name!r} value") from None
         return names, np.array(columns).T.reshape(len(records), len(names))
-    return reporting.read_csv(path, usecols)
+    try:
+        return reporting.read_csv(path, usecols)
+    except ValueError as exc:
+        raise PipelineError(f"table {path}: {exc}") from None
 
 
-def _ids(values: np.ndarray, what: str) -> np.ndarray:
-    """Integer ids from a float table column, truncated like ``int()``."""
-    if not np.isfinite(values).all():
-        raise PipelineError(f"non-finite {what} id")
-    return values.astype(np.int64)
+def _ids(path: Path, names: list[str], values: np.ndarray, column: str) -> np.ndarray:
+    """The ``column`` of the table read from ``path`` as integer ids."""
+    ids = values[:, names.index(column)]
+    bad = ~(np.isfinite(ids) & (ids == np.trunc(ids)))
+    if bad.any():
+        i = int(bad.argmax())
+        message = f"non-integer id {float(ids[i])!r} in column '{column}' at row {i + 1}"
+        raise PipelineError(f"table {path}: {message}")
+    return ids.astype(np.int64)
 
 
 def _find_table(outdir: Path, stem: str) -> Path:
@@ -363,14 +380,14 @@ def _read_assignments(path: Path, n_units: int) -> dict[str, np.ndarray]:
     _require("unit" in names, f"assignments file {path} has no 'unit' column")
     policy_cols = [h for h in names if h.endswith("_action")]
     _require(bool(policy_cols), f"assignments file {path} has no '*_action' column")
-    units = _ids(values[:, names.index("unit")], "unit")
+    units = _ids(path, names, values, "unit")
     if len(units) != n_units or not np.array_equal(units, np.arange(n_units)):
         raise PipelineError(
             "assignments do not align with the dataset by unit id "
             f"({len(units)} rows vs {n_units} units)"
         )
     return {
-        col[: -len("_action")]: _ids(values[:, names.index(col)], "action")
+        col[: -len("_action")]: _ids(path, names, values, col)
         for col in policy_cols
     }
 
@@ -525,7 +542,7 @@ def cmd_report(run_dir: str | Path) -> RunReport:
         names, values = _read_table(path, {"action", "mu", "sigma"}.__contains__)
         _require(len(names) == 3, f"{path} needs action, mu and sigma columns")
         _require(len(values) == n_units, f"{path} has {len(values)} rows for {n_units} units")
-        actions = _ids(values[:, names.index("action")], "action")
+        actions = _ids(path, names, values, "action")
         _require(
             0 <= actions.min() and actions.max() < n_actions,
             f"{path} holds an action id outside 0..{n_actions - 1}",
@@ -542,10 +559,7 @@ def cmd_report(run_dir: str | Path) -> RunReport:
         artifacts.append(f"{name}.svg")
         scatter_stats[label] = float(chosen_sigma.mean())
 
-    summary: dict[str, object] = {"action_shares": shares, "mean_chosen_sigma": scatter_stats}
-    values_path = outdir / "values.json"
-    if values_path.exists():
-        summary["values"] = json.loads(values_path.read_text())
+    summary = {"action_shares": shares, "mean_chosen_sigma": scatter_stats}
     reporting.write_json(outdir / "summary.json", summary)
     artifacts.append("summary.json")
 

@@ -2,9 +2,10 @@
 
 Every downstream step consumes a :class:`Dataset`: one observed outcome per
 unit, one action index in ``{0, ..., n_actions - 1}``, and a numeric feature
-matrix. Files are read from delimited text with a single header row; the
-identical format is used for output, and a write/read round trip reproduces
-the arrays bit-exactly.
+matrix. Files are delimited text with a single header row, parsed by
+:func:`oplearn.reporting.read_csv` like every table of the package; the
+identical format is used for output, and a write/read round trip
+reproduces the arrays bit-exactly.
 
 Features are passed through unscaled; callers who want standardized inputs
 must pre-process.
@@ -12,9 +13,7 @@ must pre-process.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -156,61 +155,6 @@ def _format_action_label(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_cell(raw: str, column: str, row: int) -> float:
-    text = raw.strip()
-    if not text:
-        raise DataFormatError(f"blank value in column '{column}' at row {row}")
-    try:
-        return float(text)
-    except ValueError:
-        raise DataFormatError(
-            f"non-numeric value {raw!r} in column '{column}' at row {row}"
-        ) from None
-
-
-def _parse_rows(
-    rows: list[list[str]], first_row: int, width: int, cols: list[int], names: Sequence[str]
-) -> np.ndarray:
-    """Cell-by-cell parse of ``rows``; raises on the first bad row, in order.
-
-    Columns of the result follow ``names`` (outcome, action, features);
-    ``first_row`` is the file row number of ``rows[0]``.
-    """
-    values = np.empty((len(rows), len(cols)))
-    for i, row in enumerate(rows, start=first_row):
-        if len(row) != width:
-            raise DataFormatError(f"row {i} has {len(row)} fields, expected {width}")
-        for k, (j, name) in enumerate(zip(cols, names)):
-            value = _parse_cell(row[j], name, i)
-            if k == 1 and not value.is_integer():
-                raise DataFormatError(
-                    f"non-integer action {value!r} in column '{name}' at row {i}"
-                )
-            values[i - first_row, k] = value
-    return values
-
-
-def _parse_block(
-    rows: list[list[str]], first_row: int, width: int, cols: list[int], names: Sequence[str]
-) -> np.ndarray:
-    """Column-wise parse of ``rows``, falling back to :func:`_parse_rows` on
-    any bad cell so that the error names the same row and column."""
-    try:
-        if any(len(row) != width for row in rows):
-            raise ValueError
-        fields = list(zip(*rows))
-        values = np.empty((len(rows), len(cols)))
-        for k, j in enumerate(cols):
-            # float() strips surrounding whitespace itself and rejects blanks
-            values[:, k] = np.fromiter(map(float, fields[j]), np.float64, len(rows))
-        actions = values[:, 1]
-        if not (np.isfinite(actions) & (actions == np.trunc(actions))).all():
-            raise ValueError
-        return values
-    except ValueError:
-        return _parse_rows(rows, first_row, width, cols, names)
-
-
 def load_dataset(
     path: str | Path,
     schema: ColumnSchema | Mapping[str, object],
@@ -224,37 +168,37 @@ def load_dataset(
     ``0..M-1`` by ascending original value, with the original labels kept in
     ``action_labels``. When ``expected_actions`` is given, the recoding is
     defined over that set instead and any expected action that never occurs
-    is an error. Rows are numbered from 1 (the header is row 0) in error
-    messages; blank lines are skipped and not numbered. Rows are parsed
-    ``ROW_BLOCK`` at a time, a column at a time.
+    is an error. :func:`oplearn.reporting.read_csv` parses the schema's
+    columns and its errors (ragged row, blank or non-numeric cell, rows
+    numbered from 1) are raised as :class:`DataFormatError`, before those
+    for a missing column or a non-integer action.
     """
     # imported here, like in save_dataset, so that importing the package
     # does not load the artifact writers
-    from .reporting import ROW_BLOCK
+    from .reporting import read_csv
 
     if not isinstance(schema, ColumnSchema):
         schema = ColumnSchema.from_mapping(schema)
     path = Path(path)
     names = (schema.outcome, schema.action, *schema.features)
-    blocks = []
-    with path.open(newline="") as fh:
-        rows = filter(None, csv.reader(fh, delimiter=delimiter))
-        first = next(rows, None)
-        if first is None:
-            raise DataFormatError(f"empty file: {path}")
-        header = [h.strip() for h in first]
-        for name in names:
-            if name not in header:
-                raise DataFormatError(f"missing column '{name}' in {path}")
-        cols = [header.index(name) for name in names]
-        n = 0
-        while block := list(islice(rows, ROW_BLOCK)):
-            blocks.append(_parse_block(block, n + 1, len(header), cols, names))
-            n += len(block)
-    if not blocks:
+    try:
+        header, table = read_csv(path, set(names).__contains__, delimiter=delimiter)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
+    for name in names:
+        if name not in header:
+            raise DataFormatError(f"missing column '{name}' in {path}")
+    if not len(table):
         raise DataFormatError(f"no data rows in {path}")
-    values = np.concatenate(blocks)
-    raw_actions = values[:, 1]
+    cols = [header.index(name) for name in names]
+    raw_actions = table[:, cols[1]]
+    bad = ~(np.isfinite(raw_actions) & (raw_actions == np.trunc(raw_actions)))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DataFormatError(
+            f"non-integer action {float(raw_actions[i])!r} in column '{schema.action}' "
+            f"at row {i + 1}"
+        )
 
     if expected_actions is not None:
         levels = sorted(float(v) for v in expected_actions)
@@ -273,9 +217,9 @@ def load_dataset(
         if counts[a] == 0:
             raise DataFormatError(f"action {a} unobserved")
     return Dataset(
-        outcomes=values[:, 0],
+        outcomes=table[:, cols[0]],
         actions=actions,
-        features=values[:, 2:],
+        features=table[:, cols[2:]],
         n_actions=len(levels),
         feature_names=schema.features,
         action_labels=tuple(_format_action_label(v) for v in levels),

@@ -142,37 +142,52 @@ def write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def read_csv(
-    path: Path, usecols: Callable[[str], bool] | None = None
-) -> tuple[list[str], np.ndarray]:
-    """Read the numeric columns of a comma-delimited table.
+def _raise_first_bad(rows: list[list[str]], row1: int, header: list[str], kept: list[int]) -> None:
+    """Name the first ragged row, or bad ``kept`` cell, of rows ``row1, ...``."""
+    for i, row in enumerate(rows, start=row1):
+        if len(row) != len(header):
+            raise ValueError(f"row {i} has {len(row)} fields, expected {len(header)}")
+        for j in kept:
+            try:
+                float(row[j])
+            except ValueError:
+                problem = f"non-numeric value {row[j]!r}" if row[j].strip() else "blank value"
+                raise ValueError(f"{problem} in column '{header[j]}' at row {i}") from None
 
-    Returns the names of the columns kept by ``usecols`` (all by default)
-    and their values as an ``(n_rows, n_columns)`` float array. Rows are
-    parsed ``ROW_BLOCK`` at a time and converted a column at a time with
-    ``float``, so values read back bit-exactly. Blank lines are skipped; a
-    row with the wrong number of fields or a non-numeric kept cell raises
-    ``ValueError``.
+
+def read_csv(
+    path: Path, usecols: Callable[[str], bool] | None = None, *, delimiter: str = ","
+) -> tuple[list[str], np.ndarray]:
+    """Read the numeric columns of a delimited table: datasets and artifacts.
+
+    Returns the stripped header names kept by ``usecols`` (all by default)
+    and their values as an ``(n_rows, n_columns)`` float array, parsed
+    ``ROW_BLOCK`` rows and one column at a time with ``float``, so values
+    read back bit-exactly. Blank lines are skipped; data rows count from 1.
+    A ragged row or a blank or non-numeric kept cell raises ``ValueError``
+    naming the first such row and column.
     """
     with path.open(newline="") as fh:
-        rows = filter(None, csv.reader(fh))
-        header = next(rows, None)
-        if header is None:
+        rows = filter(None, csv.reader(fh, delimiter=delimiter))
+        first = next(rows, None)
+        if first is None:
             raise ValueError(f"empty file: {path}")
+        header = [h.strip() for h in first]
         kept = [j for j, name in enumerate(header) if usecols is None or usecols(name)]
         blocks = []
-        start = 0
         while block := list(islice(rows, ROW_BLOCK)):
-            for i, row in enumerate(block, start=start + 1):
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"row {i} of {path} has {len(row)} fields, expected {len(header)}"
-                    )
-            start += len(block)
-            fields = list(zip(*block))
-            values = np.empty((len(block), len(kept)))
-            for k, j in enumerate(kept):
-                values[:, k] = np.fromiter(map(float, fields[j]), np.float64, len(block))
+            try:
+                if any(len(row) != len(header) for row in block):
+                    raise ValueError
+                fields = list(zip(*block))
+                values = np.empty((len(block), len(kept)))
+                for k, j in enumerate(kept):
+                    # float() strips surrounding whitespace itself and rejects blanks
+                    values[:, k] = np.fromiter(map(float, fields[j]), np.float64, len(block))
+            except ValueError:
+                # every block before this one holds ROW_BLOCK rows
+                _raise_first_bad(block, len(blocks) * ROW_BLOCK + 1, header, kept)
+                raise
             blocks.append(values)
     names = [header[j] for j in kept]
     return names, np.concatenate(blocks) if blocks else np.empty((0, len(kept)))

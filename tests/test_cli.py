@@ -89,6 +89,12 @@ class TestConfig:
             ({"estimators": 5}, "estimators"),
             ({"schema": 5}, "schema"),
             ({"learner": {"ridge": "x"}}, "ridge"),
+            ({"variance_floor": "x"}, "variance_floor"),
+            ({"variance_floor": 0}, "variance_floor"),
+            ({"variance_floor": -1.0}, "variance_floor"),
+            ({"variance_floor": float("nan")}, "variance_floor"),
+            ({"seed": "x"}, "seed"),
+            ({"seed": 1.5}, "seed"),
         ],
     )
     def test_wrongly_shaped_value_names_the_option(self, tmp_path, capsys, payload, option):
@@ -97,6 +103,29 @@ class TestConfig:
             load_config(cfg, {})
         argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "r")]
         assert_fails_with_one_error(argv, capsys, f"config option '{option}'")
+
+    def test_negative_variance_floor_flag_fails_before_fitting(self, sim_run, capsys):
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
+        fragment = "invalid value for config option 'variance_floor': -1.0"
+        assert_fails_with_one_error([*argv, "--variance-floor", "-1"], capsys, fragment)
+        assert not (sim_run["tmp"] / "r").exists()
+
+    @pytest.mark.parametrize("floor", [1, 0.5])
+    def test_accepted_variance_floor_is_hashed_as_given(self, tmp_path, sim_run, floor):
+        outdir = tmp_path / "floor"
+        cfg = write_config(
+            tmp_path,
+            name="floor.json",
+            input=str(sim_run["sim"] / "dataset.csv"),
+            outdir=str(outdir),
+            schema=SCHEMA,
+            variance_floor=floor,
+            seed=3,
+        )
+        assert run(["fit", "--config", cfg, "--pref", "neutral"]) == 0
+        written = json.loads((outdir / "config.json").read_text())
+        assert written["seed"] == 3
+        assert repr(written["variance_floor"]) == repr(floor)  # 1 stays 1, not 1.0
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])
     def test_multi_character_delimiter_fails(self, tmp_path, capsys, command):
@@ -314,6 +343,28 @@ class TestEvaluate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            ("ragged", "row 3 has 2 fields, expected 13"),
+            ("non_numeric", "non-numeric value 'abc' in column 'neutral_action' at row 3"),
+            ("fractional", "non-integer id 1.7 in column 'neutral_action' at row 3"),
+        ],
+    )
+    def test_damaged_assignments_fail(self, tmp_path, sim_run, capsys, damage, fragment):
+        bad = tmp_path / "assignments.csv"
+        lines = (sim_run["run"] / "assignments.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        if damage == "ragged":
+            cells = cells[:2]
+        else:
+            cells[1] = "abc" if damage == "non_numeric" else "1.7"
+        lines[3] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
+        message = f"error: table {bad}: {fragment}"
+        assert_fails_with_one_error([*argv, "--assignments", str(bad)], capsys, message)
+
 
 class TestReport:
     def test_scatter_svg_and_share_artifacts(self, tmp_path, sim_run):
@@ -379,6 +430,18 @@ class TestReport:
         for name in rendered:
             assert (bare / name).read_bytes() == (full / name).read_bytes(), name
 
+    def test_summary_ignores_values_of_an_earlier_evaluate(self, tmp_path, sim_run):
+        # an evaluate run and a later fit share one directory: the values
+        # scored another fit's policies, so the summary must not list them
+        mixdir = tmp_path / "mix"
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(mixdir)]
+        assert run([*argv, "--assignments", str(sim_run["run"] / "assignments.csv")]) == 0
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(mixdir)]
+        assert run([*argv, "--pref", "neutral"]) == 0
+        assert run(["report", str(mixdir)]) == 0
+        summary = json.loads((mixdir / "summary.json").read_text())
+        assert sorted(summary) == ["action_shares", "mean_chosen_sigma"]
+
     def test_report_on_evaluate_run_fails(self, tmp_path, sim_run, capsys):
         evaldir = tmp_path / "eval"
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(evaldir)]
@@ -401,6 +464,7 @@ class TestReport:
         [
             ("drop_row", "rows for 8000 units"),
             ("action_out_of_range", "action id outside 0..2"),
+            ("fractional_action", "non-integer id 0.5 in column 'action' at row 1"),
             ("delete", "missing artifact scatter_neutral.csv"),
         ],
     )
@@ -412,6 +476,10 @@ class TestReport:
         elif damage == "action_out_of_range":
             cells = lines[1].split(",")
             cells[1] = str(LINEAR_DGP["n_actions"])
+            lines[1] = ",".join(cells)
+        elif damage == "fractional_action":
+            cells = lines[1].split(",")
+            cells[1] = "0.5"
             lines[1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         if damage == "delete":

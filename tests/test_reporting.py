@@ -103,5 +103,28 @@ def test_read_csv_header_only_and_blank_lines(tmp_path):
 def test_read_csv_ragged_row_names_the_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("unit,mu\n0,1.5\n1\n")
-    with pytest.raises(ValueError, match="row 2 of .* has 1 fields, expected 2"):
+    with pytest.raises(ValueError, match="^row 2 has 1 fields, expected 2$"):
         read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0;1.5\n1; \n", "blank value in column 'mu' at row 2"),
+        ("0;1.5\n1;abc\n", "non-numeric value 'abc' in column 'mu' at row 2"),
+        ("0;x;1.5\n", "row 1 has 3 fields, expected 2"),
+    ],
+)
+def test_read_csv_bad_cell_names_row_and_column(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text(" unit ; mu\n" + body)
+    with pytest.raises(ValueError) as info:
+        read_csv(path, delimiter=";")
+    assert str(info.value) == message
+
+
+def test_read_csv_skips_unkept_columns_and_strips_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(" unit ;note; mu\n0;a b;1.5\n1;;2\n")
+    names, values = read_csv(path, {"unit", "mu"}.__contains__, delimiter=";")
+    assert names == ["unit", "mu"] and values.tolist() == [[0.0, 1.5], [1.0, 2.0]]

@@ -20,7 +20,6 @@ from .data import (
 )
 from .moments import (
     ArmMoments,
-    InterceptOnlyLearner,
     LinearLearner,
     MomentLearner,
     build_arm_moments,
@@ -31,7 +30,6 @@ from .policies import (
     PolicyAssignment,
     RiskPreference,
     assign_policy,
-    cate,
     risk_utility,
     utility_matrix,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "DGPSpec",
     "DataFormatError",
     "Dataset",
-    "InterceptOnlyLearner",
     "LinearLearner",
     "LinearModel",
     "MomentLearner",
@@ -80,7 +77,6 @@ __all__ = [
     "assign_policy",
     "build_arm_moments",
     "canonical_schema",
-    "cate",
     "clip_propensities",
     "default_variance_floor",
     "estimate_conditional_means",

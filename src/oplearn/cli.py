@@ -145,11 +145,27 @@ def _as_given(value: object, ok: bool) -> object:
     return value
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise PipelineError(message)
+
+
+def _read_json(path: str | Path, valid: Callable[[object], bool], wanted: str) -> object:
+    """The JSON value in ``path``; a parse error, or a top-level value that
+    ``valid`` rejects, raises a PipelineError that names the file."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
+    _require(valid(value), f"{path}: {wanted}")
+    return value
+
+
 def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> RunConfig:
     """Merge a JSON config file with command-line overrides (flags win)."""
     raw: dict = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text())
+        raw = _read_json(path, lambda v: isinstance(v, dict), "a config must be a JSON object")
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise PipelineError(f"unknown config option(s): {sorted(unknown)}")
@@ -193,11 +209,6 @@ def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> Run
     )
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise PipelineError(message)
-
-
 def _load_valid_dataset(config: RunConfig) -> tuple[Dataset, list[str]]:
     _require(config.input is not None, "no input dataset configured")
     _require(config.schema is not None, "no column schema configured")
@@ -224,7 +235,11 @@ def _write_table(
 def _read_table(path: Path, usecols: Callable[[str], bool]) -> tuple[list[str], np.ndarray]:
     """Names and float values of the kept columns of a CSV or JSON table."""
     if path.suffix == ".json":
-        records = json.loads(path.read_text())
+        records = _read_json(
+            path,
+            lambda v: isinstance(v, list) and all(isinstance(r, dict) for r in v),
+            "a table must be a JSON list of objects",
+        )
         if not records:
             raise PipelineError(f"empty table: {path}")
         names = [k for k in records[0] if usecols(k)]
@@ -459,6 +474,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
         diagnostics={
             "propensity_converged": logit.converged,
             "propensity_iterations": logit.iterations,
+            "propensity_lstsq_steps": logit.lstsq_steps,
             "propensity_gradient_norm": logit.final_gradient_norm,
         },
         warnings=warnings,
@@ -520,10 +536,10 @@ def cmd_report(run_dir: str | Path) -> RunReport:
     _require(outdir.is_dir(), f"run directory {outdir} does not exist")
     record_path = outdir / "report.json"
     _require(record_path.exists(), f"missing run record {record_path}")
-    record = json.loads(record_path.read_text())
-    _require(
-        isinstance(record, dict) and record.get("command") == "fit",
-        f"{record_path} is not the record of a fit run",
+    record = _read_json(
+        record_path,
+        lambda v: isinstance(v, dict) and v.get("command") == "fit",
+        "not the record of a fit run",
     )
     try:
         shares, diagnostics = record["action_shares"], record["diagnostics"]

@@ -59,22 +59,6 @@ class LinearLearner:
         return _FittedLinear(fit_ols(features, targets, ridge=self.ridge))
 
 
-@dataclass(frozen=True)
-class _ConstantFit:
-    value: float
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(features).shape[0], self.value)
-
-
-@dataclass(frozen=True)
-class InterceptOnlyLearner:
-    """Ignores features and predicts the training mean; useful as a baseline."""
-
-    def fit(self, features: np.ndarray, targets: np.ndarray) -> _ConstantFit:
-        return _ConstantFit(float(np.mean(targets)))
-
-
 @dataclass(frozen=True, eq=False)
 class ArmMoments:
     """Estimated (mu, sigma) pair for every unit x arm cell.

@@ -114,17 +114,3 @@ def assign_policy(moments: ArmMoments, preference: RiskPreference) -> PolicyAssi
         ties_broken=ties,
         n_negative_mu=negative,
     )
-
-
-def cate(moments: ArmMoments, a: int, a_prime: int) -> np.ndarray:
-    """Conditional average treatment effect of arm ``a`` versus ``a_prime``.
-
-    The per-unit difference of conditional mean outcomes between two
-    distinct arms.
-    """
-    m = moments.n_actions
-    if not (0 <= a < m and 0 <= a_prime < m):
-        raise ValueError(f"arm indices must be in 0..{m - 1}")
-    if a == a_prime:
-        raise ValueError("treatment effect requires two distinct arms")
-    return moments.mu[:, a] - moments.mu[:, a_prime]

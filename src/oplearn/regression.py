@@ -18,7 +18,14 @@ step halving, softmax probabilities with class 0 as the zero-score baseline,
 and an optional ridge penalty on the non-intercept coefficients. The
 (penalised) log-likelihood is non-decreasing across accepted iterations.
 Its gradient is a sum over all N units, so the default convergence
-tolerance, ``LOGIT_TOL_PER_UNIT * N``, grows with N.
+tolerance, ``LOGIT_TOL_PER_UNIT * N``, grows with N. The Hessian is
+symmetric in its class pairs and in its feature pairs, so it is built from
+blocks of ``HESSIAN_BLOCK`` rows with one matrix product per block, between
+the weights of the unique class pairs and the products of the unique
+feature pairs, and then mirrored. Each step-halving candidate is scored
+once, and the accepted candidate's softmax probabilities feed the next
+Newton step. A step whose Hessian ``np.linalg.solve`` rejects as singular
+falls back to least squares and is counted in ``lstsq_steps``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ import numpy as np
 # below it (1.84e-8 at 15,000 units), and Newton then runs to max_iter with
 # the log-likelihood no longer changing.
 LOGIT_TOL_PER_UNIT = 1e-10
+
+# Rows per block of the logit Hessian: the block's weight and column-product
+# temporaries stay at a few MB whatever N is.
+HESSIAN_BLOCK = 4096
 
 
 class RankDeficiencyError(ValueError):
@@ -47,7 +58,6 @@ class LinearModel:
     """Fitted least-squares coefficients, intercept first."""
 
     coefficients: np.ndarray
-    training_rows: int
 
     def __post_init__(self) -> None:
         coef = np.ascontiguousarray(self.coefficients, dtype=np.float64)
@@ -67,7 +77,9 @@ class MultinomialLogitModel:
 
     ``coefficients`` has shape (M-1, p+1), intercept first in each row;
     class ``m >= 1`` gets the linear score ``coefficients[m-1] @ [1, x]``
-    while class 0 is pinned at score zero.
+    while class 0 is pinned at score zero. ``lstsq_steps`` counts the Newton
+    steps whose Hessian was singular, so that the step came from
+    ``np.linalg.lstsq`` instead of ``np.linalg.solve``.
     """
 
     coefficients: np.ndarray
@@ -75,6 +87,7 @@ class MultinomialLogitModel:
     iterations: int
     final_gradient_norm: float
     loglik_path: tuple[float, ...] = ()
+    lstsq_steps: int = 0
 
     def __post_init__(self) -> None:
         coef = np.ascontiguousarray(self.coefficients, dtype=np.float64)
@@ -178,7 +191,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> Line
             raise RankDeficiencyError(
                 f"design is rank-deficient; collinear columns: {_column_names(cols)}"
             )
-    return LinearModel(coefficients=beta, training_rows=n)
+    return LinearModel(coefficients=beta)
 
 
 def predict_ols(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -203,6 +216,35 @@ def _class_scores(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
     scores = np.zeros((design.shape[0], coef.shape[0] + 1))
     scores[:, 1:] = design @ coef.T
     return scores
+
+
+def _logit_information(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Negated log-likelihood Hessian of the multinomial logit, unpenalised.
+
+    Entry ``((r, j), (c, l))``, for classes ``r, c >= 1`` and design columns
+    ``j, l``, is ``sum_i p_ir (delta_rc - p_ic) x_ij x_il``. Both index pairs
+    are symmetric, so each block of ``HESSIAN_BLOCK`` rows forms the weights
+    of the unique class pairs ``r <= c`` and the products of the unique
+    column pairs ``j <= l``, and adds their cross product with one GEMM;
+    the sums are mirrored into the full (M-1)d x (M-1)d matrix at the end.
+    """
+    n, d = design.shape
+    k = probs.shape[1] - 1
+    rows, cols = np.triu_indices(k)
+    left, right = np.triu_indices(d)
+    delta = (rows == cols).astype(np.float64)
+    sums = np.zeros((rows.size, left.size))
+    for start in range(0, n, HESSIAN_BLOCK):
+        p = probs[start : start + HESSIAN_BLOCK, 1:]
+        x = design[start : start + HESSIAN_BLOCK]
+        weights = p[:, rows] * (delta - p[:, cols])
+        sums += weights.T @ (x[:, left] * x[:, right])
+    class_pair = np.zeros((k, k), dtype=np.intp)
+    class_pair[rows, cols] = class_pair[cols, rows] = np.arange(rows.size)
+    column_pair = np.zeros((d, d), dtype=np.intp)
+    column_pair[left, right] = column_pair[right, left] = np.arange(left.size)
+    full = sums[class_pair[:, None, :, None], column_pair[None, :, None, :]]
+    return full.reshape(k * d, k * d)
 
 
 def fit_mnlogit(
@@ -248,45 +290,45 @@ def fit_mnlogit(
     penalty[0] = 0.0  # intercepts unpenalised
     coef = np.zeros((m - 1, d))
 
-    def penalised_loglik(b: np.ndarray) -> float:
+    def penalised_loglik(b: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective at ``b`` and the softmax probabilities it was scored on."""
         scores = _class_scores(design, b)
         shift = scores.max(axis=1)
-        lse = shift + np.log(np.exp(scores - shift[:, None]).sum(axis=1))
+        expd = np.exp(scores - shift[:, None])
+        total = expd.sum(axis=1)
+        lse = shift + np.log(total)
         ll = float((scores[np.arange(n), a] - lse).sum())
-        return ll - 0.5 * ridge * float((b**2 * penalty).sum())
+        expd /= total[:, None]
+        return ll - 0.5 * ridge * float((b**2 * penalty).sum()), expd
 
     def gradient(b: np.ndarray, probs: np.ndarray) -> np.ndarray:
         g = design.T @ (onehot[:, 1:] - probs[:, 1:])  # (d, M-1)
         g = g.T - ridge * b * penalty
         return g.reshape(-1)
 
-    loglik_path = [penalised_loglik(coef)]
+    value, probs = penalised_loglik(coef)
+    loglik_path = [value]
     iterations = 0
+    lstsq_steps = 0
     for _ in range(max_iter):
-        probs = _softmax_rows(_class_scores(design, coef))
         grad = gradient(coef, probs)
         if float(np.abs(grad).max()) < tol:
             break
-        hess = np.empty(((m - 1) * d, (m - 1) * d))
-        for r in range(1, m):
-            for c in range(1, m):
-                w = probs[:, r] * ((1.0 if r == c else 0.0) - probs[:, c])
-                block = design.T @ (design * -w[:, None])
-                hess[(r - 1) * d : r * d, (c - 1) * d : c * d] = block
-        hess -= ridge * np.diag(np.tile(penalty, m - 1))
-        neg_hess = -hess
+        neg_hess = _logit_information(design, probs)
+        neg_hess += ridge * np.diag(np.tile(penalty, m - 1))
         try:
             direction = np.linalg.solve(neg_hess, grad)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
+            lstsq_steps += 1
         current = loglik_path[-1]
         step = 1.0
         improved = False
         for _ in range(40):
             candidate = coef + step * direction.reshape(m - 1, d)
-            value = penalised_loglik(candidate)
+            value, candidate_probs = penalised_loglik(candidate)
             if np.isfinite(value) and value >= current:
-                coef = candidate
+                coef, probs = candidate, candidate_probs
                 loglik_path.append(value)
                 improved = True
                 break
@@ -300,7 +342,6 @@ def fit_mnlogit(
                 "classes look separable - increase the ridge penalty"
             )
 
-    probs = _softmax_rows(_class_scores(design, coef))
     grad_norm = float(np.abs(gradient(coef, probs)).max())
     return MultinomialLogitModel(
         coefficients=coef,
@@ -308,6 +349,7 @@ def fit_mnlogit(
         iterations=iterations,
         final_gradient_norm=grad_norm,
         loglik_path=tuple(loglik_path),
+        lstsq_steps=lstsq_steps,
     )
 
 

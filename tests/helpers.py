@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from oplearn import ArmMoments, Dataset, OracleData
@@ -34,6 +36,22 @@ def ols_oracle(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Least-squares coefficients via the elimination oracle."""
     design = np.column_stack([np.ones(len(targets)), features])
     return gauss_solve(design.T @ design, design.T @ targets)
+
+
+@dataclass(frozen=True)
+class _ConstantFit:
+    value: float
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return np.full(np.asarray(features).shape[0], self.value)
+
+
+@dataclass(frozen=True)
+class InterceptOnlyLearner:
+    """Stub moment learner: ignores features and predicts the training mean."""
+
+    def fit(self, features: np.ndarray, targets: np.ndarray) -> _ConstantFit:
+        return _ConstantFit(float(np.mean(targets)))
 
 
 def make_dataset(
@@ -93,3 +111,20 @@ def quadratic_mean_oracle(seed: int, n: int = 5000) -> OracleData:
         true_sigma=sigma,
         true_propensity=np.full((n, 2), 0.5),
     )
+
+
+def logit_hessian_oracle(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Negated multinomial-logit Hessian, one N x d product per class pair.
+
+    The straightforward (M-1)^2 loop over class pairs, kept as the reference
+    for the blocked builder in ``oplearn.regression``.
+    """
+    n, d = design.shape
+    m = probs.shape[1]
+    info = np.empty(((m - 1) * d, (m - 1) * d))
+    for r in range(1, m):
+        for c in range(1, m):
+            w = probs[:, r] * ((1.0 if r == c else 0.0) - probs[:, c])
+            block = design.T @ (design * w[:, None])
+            info[(r - 1) * d : r * d, (c - 1) * d : c * d] = block
+    return info

@@ -6,7 +6,6 @@ import pytest
 from oplearn import (
     ArmMoments,
     Dataset,
-    InterceptOnlyLearner,
     LinearLearner,
     build_arm_moments,
     default_variance_floor,
@@ -14,7 +13,7 @@ from oplearn import (
 )
 from oplearn import moments as moments_module
 
-from helpers import make_dataset
+from helpers import InterceptOnlyLearner, make_dataset
 
 
 def binary_feature_dataset(rng, n=400, cell_means=((0.0, 1.0), (2.0, 5.0)), noise=0.3):

@@ -104,6 +104,19 @@ class TestConfig:
         argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "r")]
         assert_fails_with_one_error(argv, capsys, f"config option '{option}'")
 
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("5", "a config must be a JSON object"),
+            ('{"outdir":\n', "Expecting value: line 2 column 1"),
+        ],
+    )
+    def test_unusable_config_file_names_the_file(self, tmp_path, capsys, text, fragment):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        argv = ["fit", "--config", str(cfg), "--outdir", str(tmp_path / "r")]
+        assert_fails_with_one_error(argv, capsys, f"error: {cfg}: {fragment}")
+
     def test_negative_variance_floor_flag_fails_before_fitting(self, sim_run, capsys):
         argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
         fragment = "invalid value for config option 'variance_floor': -1.0"
@@ -301,6 +314,8 @@ class TestEvaluate:
         assert rows[("neutral", "RA")]["regret_vs_fb"] == 0.0
         for policy in ("linear", "quadratic"):
             assert rows[(policy, "RA")]["regret_vs_fb"] >= 0.0
+        diagnostics = json.loads((outdir / "report.json").read_text())["diagnostics"]
+        assert diagnostics["propensity_lstsq_steps"] == 0
 
     def test_ra_value_close_to_oracle_truth(self, tmp_path, sim_run):
         outdir = tmp_path / "eval2"
@@ -566,3 +581,17 @@ class TestJsonTables:
         path.write_text(json.dumps(records))
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
         assert_fails_with_one_error([*argv, "--assignments", str(path)], capsys, fragment)
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ('{"a": 1}', "a table must be a JSON list of objects"),
+            ('[{"unit": 0, "neutral_action": 1},\n', "Expecting value: line 2 column 1"),
+        ],
+    )
+    def test_unusable_json_assignments_name_the_file(self, tmp_path, sim_run, capsys, text, fragment):
+        path = tmp_path / "assignments.json"
+        path.write_text(text)
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
+        message = f"error: {path}: {fragment}"
+        assert_fails_with_one_error([*argv, "--assignments", str(path)], capsys, message)

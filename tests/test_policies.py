@@ -1,4 +1,4 @@
-"""Risk-preference utilities, assignments, tie-breaking, and CATE."""
+"""Risk-preference utilities, assignments and tie-breaking."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from oplearn import (
     RiskPreference,
     assign_policy,
     build_arm_moments,
-    cate,
     generate,
     utility_matrix,
 )
@@ -114,23 +113,7 @@ class TestAssignPolicy:
         assert np.mean(pol.actions == truth) >= 0.97
 
 
-class TestCate:
-    def test_same_arm_rejected(self):
-        m = make_moments(np.ones((3, 2)), np.ones((3, 2)))
-        with pytest.raises(ValueError, match="distinct"):
-            cate(m, 1, 1)
-
-    def test_out_of_range_arm(self):
-        m = make_moments(np.ones((3, 2)), np.ones((3, 2)))
-        with pytest.raises(ValueError, match="indices"):
-            cate(m, 0, 5)
-
-    def test_antisymmetry_exact(self):
-        rng = np.random.default_rng(1)
-        m = make_moments(rng.normal(size=(25, 3)), rng.uniform(0.5, 2, size=(25, 3)))
-        assert np.all(cate(m, 0, 1) + cate(m, 1, 0) == 0.0)
-        assert np.all(cate(m, 2, 0) == m.mu[:, 2] - m.mu[:, 0])
-
+class TestTreatmentEffect:
     def test_recovers_constant_additive_effect(self):
         delta = 1.0
         spec = DGPSpec(
@@ -143,4 +126,5 @@ class TestCate:
         )
         oracle = generate(spec)
         m = build_arm_moments(oracle.dataset)
-        assert abs(cate(m, 1, 0).mean() - delta) / delta < 0.05
+        effect = m.mu[:, 1] - m.mu[:, 0]
+        assert abs(effect.mean() - delta) / delta < 0.05

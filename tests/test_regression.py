@@ -18,9 +18,16 @@ from oplearn import (
     predict_ols,
     predict_proba,
 )
-from oplearn.regression import LOGIT_TOL_PER_UNIT
+from oplearn.regression import (
+    HESSIAN_BLOCK,
+    LOGIT_TOL_PER_UNIT,
+    _class_scores,
+    _design,
+    _logit_information,
+    _softmax_rows,
+)
 
-from helpers import ols_oracle
+from helpers import logit_hessian_oracle, ols_oracle
 
 # A 4-arm, 5-feature logit-assignment draw on which an absolute gradient
 # tolerance of 1e-8 stalls (the sample the benchmark's stall probe uses).
@@ -113,15 +120,15 @@ class TestOls:
 
 class TestPredictOls:
     def test_intercept_plus_dot(self):
-        model = LinearModel(coefficients=np.array([1.0, 2.0]), training_rows=5)
+        model = LinearModel(coefficients=np.array([1.0, 2.0]))
         assert predict_ols(model, np.array([[3.0]])) == pytest.approx(7.0)
 
     def test_zero_coefficients(self):
-        model = LinearModel(coefficients=np.zeros(3), training_rows=5)
+        model = LinearModel(coefficients=np.zeros(3))
         assert np.all(predict_ols(model, np.random.default_rng(0).random((6, 2))) == 0)
 
     def test_dimension_mismatch(self):
-        model = LinearModel(coefficients=np.array([1.0, 2.0]), training_rows=5)
+        model = LinearModel(coefficients=np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="features"):
             predict_ols(model, np.ones((4, 3)))
 
@@ -218,10 +225,23 @@ class TestMnlogit:
         # stops after a few steps at the same optimum
         d = generate(DGPSpec.from_dict(STALL_DGP)).dataset
         model = fit_mnlogit(d.features, d.actions)
-        assert model.converged and model.iterations <= 10
+        assert model.converged and model.iterations == 4
         assert model.final_gradient_norm < LOGIT_TOL_PER_UNIT * d.n_units
         longer = fit_mnlogit(d.features, d.actions, tol=1e-8, max_iter=12)
         assert longer.loglik_path[-1] - model.loglik_path[-1] < 1e-6
+
+    def test_lstsq_fallback_counted_on_singular_hessian(self):
+        # an all-zero feature column gives the unpenalised Hessian an exactly
+        # zero row and column, so np.linalg.solve raises on every Newton step
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(300)
+        X = np.column_stack([x, np.zeros(300)])
+        scores = np.column_stack([np.zeros(300), x, -0.5 * x])
+        a = np.argmax(scores + rng.gumbel(size=(300, 3)), axis=1)
+        model = fit_mnlogit(X, a, ridge=0.0)
+        assert model.converged and model.iterations > 0
+        assert model.lstsq_steps == model.iterations
+        assert fit_mnlogit(X, a).lstsq_steps == 0
 
     def test_quasi_separation_raises_without_ridge(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])
@@ -238,3 +258,25 @@ class TestMnlogit:
         model = fit_mnlogit(np.zeros((20, 1)), np.arange(20) % 2)
         with pytest.raises(ValueError, match="features"):
             predict_proba(model, np.zeros((4, 2)))
+
+
+class TestLogitHessian:
+    @pytest.mark.parametrize(
+        "n, m, p",
+        [
+            (HESSIAN_BLOCK // 3, 4, 3),  # fewer rows than one block
+            (2 * HESSIAN_BLOCK + 1, 3, 2),  # whole blocks plus one row
+            (500, 2, 4),  # two classes, one class pair
+            (3000, 8, 10),  # the benchmark's 8 arms x 10 features
+        ],
+    )
+    def test_matches_per_pair_oracle(self, n, m, p):
+        rng = np.random.default_rng(n + m + p)
+        design = _design(rng.standard_normal((n, p)))
+        coef = rng.normal(scale=0.5, size=(m - 1, p + 1))
+        probs = _softmax_rows(_class_scores(design, coef))
+        blocked = _logit_information(design, probs)
+        oracle = logit_hessian_oracle(design, probs)
+        assert blocked.shape == ((m - 1) * (p + 1),) * 2
+        assert np.abs(blocked - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.array_equal(blocked, blocked.T)

@@ -31,7 +31,6 @@ from .policies import (
     RiskPreference,
     assign_policy,
     risk_utility,
-    utility_matrix,
 )
 from .regression import (
     LinearModel,
@@ -92,7 +91,6 @@ __all__ = [
     "save_dataset",
     "softplus",
     "true_value",
-    "utility_matrix",
     "validate_dataset",
     "value_dr",
     "value_ipw",

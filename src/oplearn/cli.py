@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,71 +39,52 @@ from .moments import build_arm_moments, estimate_conditional_means
 from .policies import PolicyAssignment, RiskPreference, assign_policy
 from .regression import fit_mnlogit, predict_proba
 from .simulate import DGPSpec, generate
-from .values import ESTIMATOR_KINDS, ValueEstimate, clip_propensities
-from .values import value_dr, value_ipw, value_ra
+from .values import ESTIMATOR_KINDS, clip_propensities, regret, value_dr, value_ipw, value_ra
 
 
 class PipelineError(RuntimeError):
     """A pipeline step could not complete."""
 
 
+# marks the RunConfig fields that the config nests under its "learner" key
+_LEARNER = {"learner": True}
+
+
 @dataclass
 class RunConfig:
-    """Resolved options for one command invocation."""
+    """Resolved options for one command invocation: each field is the
+    config key of its name, except that ``ridge``, ``max_iter`` and ``tol``
+    nest under ``learner``. These are the only defaults."""
 
     input: str | None = None
     outdir: str = "run"
     schema: ColumnSchema | None = None
-    preferences: tuple[RiskPreference, ...] = (
-        RiskPreference.NEUTRAL,
-        RiskPreference.LINEAR,
-        RiskPreference.QUADRATIC,
-    )
+    preferences: tuple[RiskPreference, ...] = tuple(RiskPreference)
     variance_floor: float | None = None
-    clip_bounds: tuple[float, float] = (0.01, 0.99)
-    ridge: float = 1e-6
-    max_iter: int = 100
-    tol: float | None = None  # None: fit_mnlogit's default, which scales with N
-    estimators: tuple[str, ...] = ("RA", "IPW", "DR")
+    clip: tuple[float, float] = (0.01, 0.99)
+    ridge: float = field(default=1e-6, metadata=_LEARNER)
+    max_iter: int = field(default=100, metadata=_LEARNER)
+    # None: fit_mnlogit's default, which scales with N
+    tol: float | None = field(default=None, metadata=_LEARNER)
+    estimators: tuple[str, ...] = ESTIMATOR_KINDS
     seed: int | None = None
-    table_format: str = "csv"
+    format: str = "csv"
     delimiter: str = ","
     allow_unconverged: bool = False
     dgp: dict | None = None
 
-    def __post_init__(self) -> None:
-        low, high = self.clip_bounds
-        if not (0.0 < low < high < 1.0):
-            raise ValueError(f"invalid clip bounds ({low}, {high})")
-        if self.table_format not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
-        if len(self.delimiter) != 1:
-            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
-        for kind in self.estimators:
-            if kind not in ESTIMATOR_KINDS:
-                raise ValueError(f"unknown estimator {kind!r}")
-
     def hash_payload(self) -> dict:
         """Config as hashed into the manifest; outdir is excluded so the
         same run into two directories hashes identically."""
-        return {
-            "input": self.input,
-            "schema": None if self.schema is None else asdict(self.schema),
-            "preferences": [p.value for p in self.preferences],
-            "variance_floor": self.variance_floor,
-            "clip": list(self.clip_bounds),
-            "learner": {
-                "ridge": self.ridge,
-                "max_iter": self.max_iter,
-                "tol": self.tol,
-            },
-            "estimators": list(self.estimators),
-            "seed": self.seed,
-            "format": self.table_format,
-            "delimiter": self.delimiter,
-            "allow_unconverged": self.allow_unconverged,
-            "dgp": self.dgp,
-        }
+        payload = asdict(self)
+        del payload["outdir"]
+        payload["learner"] = {key: payload.pop(key) for key in _LEARNER_KEYS}
+        payload["preferences"] = [p.value for p in self.preferences]
+        return payload
+
+
+_LEARNER_KEYS = tuple(f.name for f in fields(RunConfig) if f.metadata.get("learner"))
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - set(_LEARNER_KEYS) | {"learner"}
 
 
 @dataclass
@@ -133,18 +115,6 @@ class RunReport:
         return asdict(self)
 
 
-# outdir is the one config key that is not hashed
-_CONFIG_KEYS = {"outdir", *RunConfig().hash_payload()}
-
-
-def _as_given(value: object, ok: bool) -> object:
-    """``value`` unchanged if ``ok``, so that the hashed config spells it as
-    given: a variance floor of ``1`` is hashed as ``1``, not ``1.0``."""
-    if not ok:
-        raise ValueError(value)
-    return value
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise PipelineError(message)
@@ -161,52 +131,87 @@ def _read_json(path: str | Path, valid: Callable[[object], bool], wanted: str) -
     return value
 
 
-def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> RunConfig:
-    """Merge a JSON config file with command-line overrides (flags win)."""
-    raw: dict = {}
-    if path is not None:
-        raw = _read_json(path, lambda v: isinstance(v, dict), "a config must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise PipelineError(f"unknown config option(s): {sorted(unknown)}")
-    merged = dict(raw)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+def _is(value: object, *types: type) -> bool:
+    """``isinstance``, except that a bool is not an int here."""
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
-    def option(key: str, default: object, convert: Callable, source: Mapping = merged):
-        value = source.get(key, default)
-        try:
-            return convert(value)
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            message = f"invalid value for config option {key!r}: {value!r}"
-            raise PipelineError(message) from exc
 
-    learner = option("learner", {}, lambda raw: dict(raw or {}))
-    schema = merged.get("schema")
-    if schema is not None and not isinstance(schema, ColumnSchema):
-        schema = option("schema", None, ColumnSchema.from_mapping)
-    return RunConfig(
-        input=merged.get("input"),
-        outdir=option("outdir", "run", str),
-        schema=schema,
-        preferences=option(
-            "preferences", tuple(RiskPreference), lambda ps: tuple(map(RiskPreference, ps))
-        ),
-        variance_floor=option(
-            "variance_floor", None, lambda v: _as_given(v, v is None or v > 0)
-        ),
-        clip_bounds=option("clip", (0.01, 0.99), lambda c: (float(c[0]), float(c[1]))),
-        ridge=option("ridge", 1e-6, float, learner),
-        max_iter=option("max_iter", 100, int, learner),
-        tol=option("tol", None, lambda t: None if t is None else float(t), learner),
-        estimators=option("estimators", ("RA", "IPW", "DR"), tuple),
-        seed=option("seed", None, lambda s: _as_given(s, s is None or isinstance(s, int))),
-        table_format=option("format", "csv", str),
-        delimiter=option("delimiter", ",", str),
-        allow_unconverged=bool(merged.get("allow_unconverged", False)),
-        dgp=merged.get("dgp"),
+def _positive(value: object) -> bool:
+    return _is(value, int, float) and 0 < value < math.inf
+
+
+def _list_of(value: object, choices: Sequence[str]) -> bool:
+    """A non-empty list of distinct ``choices``."""
+    return (
+        _is(value, list, tuple)
+        and 0 < len(value) == len(set(value))
+        and all(v in choices for v in value)
     )
+
+
+def _need(ok: bool, value: Any, reason: str = "") -> Any:
+    """``value`` as given if ``ok``, so that the hashed config spells it as
+    given: a variance floor of ``1`` is hashed as ``1``, not ``1.0``."""
+    if not ok:
+        raise ValueError(reason)
+    return value
+
+
+def _clip(value: Any) -> tuple[float, float]:
+    """``[LOW, HIGH]`` as floats; the --clip flag gives the string LOW,HIGH."""
+    if isinstance(value, str):
+        value = [float(v) for v in value.split(",")]
+    pair = _is(value, list, tuple) and len(value) == 2 and all(_is(v, int, float) for v in value)
+    low, high = map(float, _need(pair, value, "expected [LOW, HIGH]"))
+    return _need(0.0 < low < high < 1.0, (low, high), "expected 0 < LOW < HIGH < 1")
+
+
+_PREFERENCES = [p.value for p in RiskPreference]
+_FORMATS = ["csv", "json"]
+
+# one converter per config key and per key under "learner"
+_CONVERTERS: dict[str, Callable[[Any], object]] = {
+    "input": lambda v: _need(v is None or _is(v, str), v),
+    "outdir": lambda v: _need(_is(v, str), v),
+    "schema": lambda v: None if v is None else ColumnSchema.from_mapping(v),
+    "preferences": lambda v: tuple(map(RiskPreference, _need(_list_of(v, _PREFERENCES), v))),
+    "variance_floor": lambda v: _need(v is None or _positive(v), v),
+    "clip": _clip,
+    "ridge": lambda v: float(_need(_is(v, int, float) and v >= 0, v)),
+    "max_iter": lambda v: _need(_is(v, int) and v > 0, v),
+    "tol": lambda v: None if v is None else float(_need(_positive(v), v)),
+    "estimators": lambda v: tuple(_need(_list_of(v, ESTIMATOR_KINDS), v)),
+    "seed": lambda v: _need(v is None or _is(v, int), v),
+    "format": lambda v: _need(v in _FORMATS, v),
+    "delimiter": lambda v: _need(
+        _is(v, str) and len(v) == 1, v, "a delimiter must be one character"
+    ),
+    "allow_unconverged": lambda v: _need(_is(v, bool), v),
+    "dgp": lambda v: _need(v is None or _is(v, dict), v),
+}
+
+
+def _convert(key: str, value: object) -> object:
+    try:
+        return _CONVERTERS[key](value)
+    except (TypeError, ValueError) as exc:
+        message = f"invalid value for config option {key!r}: {value!r}"
+        raise PipelineError(f"{message} ({exc})" if str(exc) else message) from None
+
+
+def load_config(path: str | Path | None, overrides: Mapping[str, object]) -> RunConfig:
+    """Merge a JSON config file with command-line overrides (flags win);
+    only the keys given are converted, the others keep RunConfig's defaults."""
+    merged: dict = {}
+    if path is not None:
+        merged = _read_json(path, lambda v: isinstance(v, dict), "a config must be a JSON object")
+    merged.update((key, value) for key, value in overrides.items() if value is not None)
+    learner = merged.pop("learner", {})
+    _require(isinstance(learner, dict), f"invalid value for config option 'learner': {learner!r}")
+    unknown = set(merged) - _CONFIG_KEYS
+    unknown |= {f"learner.{key}" for key in set(learner) - set(_LEARNER_KEYS)}
+    _require(not unknown, f"unknown config option(s): {sorted(unknown)}")
+    return RunConfig(**{key: _convert(key, value) for key, value in {**merged, **learner}.items()})
 
 
 def _load_valid_dataset(config: RunConfig) -> tuple[Dataset, list[str]]:
@@ -219,17 +224,6 @@ def _load_valid_dataset(config: RunConfig) -> tuple[Dataset, list[str]]:
         f"dataset failed validation; arm counts {report.arm_counts.tolist()}",
     )
     return dataset, list(report.warnings)
-
-
-def _write_table(
-    outdir: Path, stem: str, header: Sequence[str], columns: Sequence[object], fmt: str
-) -> str:
-    name = f"{stem}.{fmt}"
-    if fmt == "json":
-        reporting.write_json_table(outdir / name, header, columns)
-    else:
-        reporting.write_csv(outdir / name, header, columns)
-    return name
 
 
 def _read_table(path: Path, usecols: Callable[[str], bool]) -> tuple[list[str], np.ndarray]:
@@ -319,7 +313,6 @@ def cmd_fit(config: RunConfig) -> RunReport:
                 "risk-adjusted ranking is fragile there"
             )
 
-    artifacts: list[str] = []
     n, m = dataset.n_units, dataset.n_actions
     idx = np.arange(n)
     header = ["unit"]
@@ -329,14 +322,9 @@ def cmd_fit(config: RunConfig) -> RunReport:
     for label, pol in assignments.items():
         header += [f"{label}_utility_{a}" for a in range(m)]
         columns += list(pol.utility.T)
-    artifacts.append(
-        _write_table(outdir, "assignments", header, columns, config.table_format)
-    )
-
-    artifacts.append(
-        _write_table(
-            outdir,
-            "moments",
+    tables = {
+        "assignments": (header, columns),
+        "moments": (
             ["unit", "arm", "mu", "sigma"],
             [
                 np.repeat(idx, m),
@@ -344,31 +332,19 @@ def cmd_fit(config: RunConfig) -> RunReport:
                 moments.mu.ravel(),
                 moments.sigma.ravel(),
             ],
-            config.table_format,
-        )
-    )
-
+        ),
+    }
     for label, pol in assignments.items():
         chosen = pol.actions
-        artifacts.append(
-            _write_table(
-                outdir,
-                f"scatter_{label}",
-                ["unit", "action", "mu", "sigma"],
-                [idx, chosen, moments.mu[idx, chosen], moments.sigma[idx, chosen]],
-                config.table_format,
-            )
+        tables[f"scatter_{label}"] = (
+            ["unit", "action", "mu", "sigma"],
+            [idx, chosen, moments.mu[idx, chosen], moments.sigma[idx, chosen]],
         )
-
-    artifacts.append(
-        _write_table(
-            outdir,
-            "shares",
-            ["preference", "action", "count", "share"],
-            _shares_columns(assignments),
-            config.table_format,
-        )
-    )
+    tables["shares"] = (["preference", "action", "count", "share"], _shares_columns(assignments))
+    write = reporting.write_json_table if config.format == "json" else reporting.write_csv
+    for stem, (header, columns) in tables.items():
+        write(outdir / f"{stem}.{config.format}", header, columns)
+    artifacts = [f"{stem}.{config.format}" for stem in tables]
 
     report = RunReport(
         command="fit",
@@ -431,19 +407,22 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
             f"(gradient norm {logit.final_gradient_norm:.3g})"
         )
     propensities = clip_propensities(
-        predict_proba(logit, dataset.features), *config.clip_bounds
+        predict_proba(logit, dataset.features), *config.clip
     )
 
-    estimates: dict[str, dict[str, ValueEstimate]] = {}
-    for label, actions in policies.items():
-        per_kind: dict[str, ValueEstimate] = {}
-        if "RA" in config.estimators:
-            per_kind["RA"] = value_ra(q_hat, actions, label=label)
-        if "IPW" in config.estimators:
-            per_kind["IPW"] = value_ipw(dataset, actions, propensities, label=label)
-        if "DR" in config.estimators:
-            per_kind["DR"] = value_dr(dataset, actions, q_hat, propensities, label=label)
-        estimates[label] = per_kind
+    scorers = {
+        "RA": lambda actions, label: value_ra(q_hat, actions, label=label),
+        "IPW": lambda actions, label: value_ipw(dataset, actions, propensities, label=label),
+        "DR": lambda actions, label: value_dr(dataset, actions, q_hat, propensities, label=label),
+    }
+    estimates = {
+        label: {
+            kind: score(actions, label)
+            for kind, score in scorers.items()
+            if kind in config.estimators
+        }
+        for label, actions in policies.items()
+    }
 
     first_best = estimates.get("neutral")
     if first_best is None:
@@ -452,9 +431,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
     regret_table: list[dict] = []
     for label, per_kind in estimates.items():
         for kind, estimate in per_kind.items():
-            gap = None
-            if first_best is not None and kind in first_best:
-                gap = first_best[kind].value - estimate.value
+            gap = None if first_best is None else regret(first_best[kind], estimate)
             value_table.append(
                 {
                     "policy_label": label,
@@ -587,52 +564,37 @@ def cmd_report(run_dir: str | Path) -> RunReport:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """Each flag's ``dest`` is its config key, except for the schema columns."""
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--input", help="input dataset (delimited text)")
     parser.add_argument("--outdir", help="output directory")
     parser.add_argument(
         "--pref",
         action="append",
-        choices=[p.value for p in RiskPreference],
+        choices=_PREFERENCES,
+        dest="preferences",
         help="risk preference (repeatable)",
     )
     parser.add_argument("--clip", help="propensity clip bounds LOW,HIGH")
-    parser.add_argument("--variance-floor", type=float, dest="variance_floor")
-    parser.add_argument("--format", choices=["csv", "json"], dest="table_format")
+    parser.add_argument("--variance-floor", type=float)
+    parser.add_argument("--format", choices=_FORMATS)
     parser.add_argument("--delimiter")
-    parser.add_argument("--outcome-col", dest="outcome_col")
-    parser.add_argument("--action-col", dest="action_col")
-    parser.add_argument("--feature-cols", dest="feature_cols", help="comma-separated")
+    parser.add_argument("--outcome-col")
+    parser.add_argument("--action-col")
+    parser.add_argument("--feature-cols", help="comma-separated")
     parser.add_argument("--allow-unconverged", action="store_true", default=None)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict[str, object] = {
-        "input": args.input,
-        "outdir": args.outdir,
-        "variance_floor": args.variance_floor,
-        "seed": getattr(args, "seed", None),  # simulate-only flag
-        "format": args.table_format,
-        "delimiter": args.delimiter,
-        "allow_unconverged": args.allow_unconverged,
-    }
-    if args.pref:
-        overrides["preferences"] = tuple(args.pref)
-    if args.clip:
-        parts = args.clip.split(",")
-        if len(parts) != 2:
-            raise PipelineError("--clip expects LOW,HIGH")
-        overrides["clip"] = (float(parts[0]), float(parts[1]))
-    if args.outcome_col or args.action_col or args.feature_cols:
-        if not (args.outcome_col and args.action_col and args.feature_cols):
-            raise PipelineError(
-                "--outcome-col, --action-col, and --feature-cols go together"
-            )
-        overrides["schema"] = ColumnSchema(
-            args.outcome_col,
-            args.action_col,
-            tuple(c.strip() for c in args.feature_cols.split(",")),
-        )
+    overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
+    columns = (args.outcome_col, args.action_col, args.feature_cols)
+    if any(columns):
+        _require(all(columns), "--outcome-col, --action-col, and --feature-cols go together")
+        overrides["schema"] = {
+            "outcome": args.outcome_col,
+            "action": args.action_col,
+            "features": [c.strip() for c in args.feature_cols.split(",")],
+        }
     return overrides
 
 

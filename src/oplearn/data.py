@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -43,13 +43,13 @@ class ColumnSchema:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "ColumnSchema":
         try:
-            return cls(
-                outcome=str(mapping["outcome"]),
-                action=str(mapping["action"]),
-                features=tuple(str(c) for c in mapping["features"]),  # type: ignore[union-attr]
-            )
+            features = mapping["features"]
+            names = (mapping["outcome"], mapping["action"], *features)  # type: ignore[misc]
         except KeyError as exc:
             raise DataFormatError(f"schema is missing the {exc} entry") from None
+        if isinstance(features, str) or not all(isinstance(n, str) for n in names):
+            raise DataFormatError("schema column names must be strings, features a list of them")
+        return cls(names[0], names[1], names[2:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,17 +128,6 @@ class Dataset:
     def arm_counts(self) -> np.ndarray:
         return np.bincount(self.actions, minlength=self.n_actions)
 
-    def with_outcomes(self, outcomes: np.ndarray) -> "Dataset":
-        """Copy of the dataset with the outcome vector replaced."""
-        return Dataset(
-            outcomes=np.asarray(outcomes, dtype=np.float64),
-            actions=self.actions,
-            features=self.features,
-            n_actions=self.n_actions,
-            feature_names=self.feature_names,
-            action_labels=self.action_labels,
-        )
-
 
 @dataclass
 class ValidationReport:
@@ -160,15 +149,12 @@ def load_dataset(
     schema: ColumnSchema | Mapping[str, object],
     *,
     delimiter: str = ",",
-    expected_actions: Sequence[float] | None = None,
 ) -> Dataset:
     """Read a delimited text file into a :class:`Dataset`.
 
     Action values may be arbitrary integers in the file; they are recoded to
     ``0..M-1`` by ascending original value, with the original labels kept in
-    ``action_labels``. When ``expected_actions`` is given, the recoding is
-    defined over that set instead and any expected action that never occurs
-    is an error. :func:`oplearn.reporting.read_csv` parses the schema's
+    ``action_labels``. :func:`oplearn.reporting.read_csv` parses the schema's
     columns and its errors (ragged row, blank or non-numeric cell, rows
     numbered from 1) are raised as :class:`DataFormatError`, before those
     for a missing column or a non-integer action.
@@ -200,22 +186,7 @@ def load_dataset(
             f"at row {i + 1}"
         )
 
-    if expected_actions is not None:
-        levels = sorted(float(v) for v in expected_actions)
-        extra = sorted(set(np.unique(raw_actions)) - set(levels))
-        if extra:
-            labels = ", ".join(map(_format_action_label, extra))
-            raise DataFormatError(f"unexpected action value(s) {labels}")
-    else:
-        levels = np.unique(raw_actions).tolist()
-    # a level repeated in expected_actions keeps the last of its codes
-    recode = {v: a for a, v in enumerate(levels)}
-    codes = np.array(list(recode.values()))
-    actions = codes[np.searchsorted(np.array(list(recode)), raw_actions)]
-    counts = np.bincount(actions, minlength=len(levels))
-    for a in recode.values():
-        if counts[a] == 0:
-            raise DataFormatError(f"action {a} unobserved")
+    levels, actions = np.unique(raw_actions, return_inverse=True)
     return Dataset(
         outcomes=table[:, cols[0]],
         actions=actions,

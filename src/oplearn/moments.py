@@ -18,7 +18,7 @@ so that reports can surface how often it fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -45,18 +45,13 @@ class _FittedLinear:
         return predict_ols(self.model, features)
 
 
-@dataclass(frozen=True)
 class LinearLearner:
-    """Default moment learner: least squares with intercept.
-
-    ``ridge`` is passed through to :func:`oplearn.regression.fit_ols` and
-    only kicks in for singular designs.
-    """
-
-    ridge: float | None = None
+    """Default moment learner: least squares with intercept, with
+    :func:`oplearn.regression.fit_ols`'s automatic ridge fallback for
+    singular designs."""
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> _FittedLinear:
-        return _FittedLinear(fit_ols(features, targets, ridge=self.ridge))
+        return _FittedLinear(fit_ols(features, targets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,23 +59,22 @@ class ArmMoments:
     """Estimated (mu, sigma) pair for every unit x arm cell.
 
     Invariants, checked at construction: ``sigma2 >= variance_floor > 0``
-    everywhere, ``sigma`` is the elementwise square root of ``sigma2``, and
-    all entries are finite. ``clamped`` marks the cells where the raw
-    plug-in variance fell below the floor.
+    everywhere and all entries are finite. ``sigma``, the elementwise square
+    root of ``sigma2``, is computed at construction. ``clamped`` marks the
+    cells where the raw plug-in variance fell below the floor.
     """
 
     mu: np.ndarray
     sigma2: np.ndarray
-    sigma: np.ndarray
     variance_floor: float
     clamped: np.ndarray
+    sigma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
         sigma2 = np.ascontiguousarray(self.sigma2, dtype=np.float64)
-        sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
         clamped = np.ascontiguousarray(self.clamped, dtype=bool)
-        if not (mu.shape == sigma2.shape == sigma.shape == clamped.shape):
+        if not (mu.shape == sigma2.shape == clamped.shape):
             raise ValueError("moment matrices disagree on shape")
         if mu.ndim != 2:
             raise ValueError("moment matrices must be 2-d (units x arms)")
@@ -90,8 +84,7 @@ class ArmMoments:
             raise ValueError("moments contain non-finite entries")
         if sigma2.min() < self.variance_floor:
             raise ValueError("sigma2 below the variance floor")
-        if np.abs(sigma - np.sqrt(sigma2)).max() > 1e-12:
-            raise ValueError("sigma is not the square root of sigma2")
+        sigma = np.sqrt(sigma2)
         for arr in (mu, sigma2, sigma, clamped):
             arr.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -166,7 +159,6 @@ def build_arm_moments(
     return ArmMoments(
         mu=mu,
         sigma2=sigma2,
-        sigma=np.sqrt(sigma2),
         variance_floor=variance_floor,
         clamped=clamped,
     )

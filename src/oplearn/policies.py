@@ -93,14 +93,10 @@ class PolicyAssignment:
         return np.bincount(self.actions, minlength=self.n_actions) / self.n_units
 
 
-def utility_matrix(moments: ArmMoments, preference: RiskPreference) -> np.ndarray:
-    """N x M utilities; finite by construction thanks to the variance floor."""
-    return risk_utility(moments.mu, moments.sigma, moments.sigma2, preference)
-
-
 def assign_policy(moments: ArmMoments, preference: RiskPreference) -> PolicyAssignment:
-    """Per-unit argmax of the utility matrix, smallest index on ties."""
-    utility = utility_matrix(moments, preference)
+    """Per-unit argmax of the utility matrix, smallest index on ties. The
+    utilities are finite by construction thanks to the variance floor."""
+    utility = risk_utility(moments.mu, moments.sigma, moments.sigma2, preference)
     actions = np.argmax(utility, axis=1)
     n_max = (utility == utility.max(axis=1, keepdims=True)).sum(axis=1)
     ties = int((n_max > 1).sum())

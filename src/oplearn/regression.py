@@ -100,10 +100,6 @@ class MultinomialLogitModel:
         object.__setattr__(self, "loglik_path", tuple(self.loglik_path))
 
     @property
-    def n_classes(self) -> int:
-        return self.coefficients.shape[0] + 1
-
-    @property
     def n_features(self) -> int:
         return self.coefficients.shape[1] - 1
 

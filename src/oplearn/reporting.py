@@ -223,6 +223,10 @@ def write_manifest(
     return path
 
 
+SVG_WIDTH, SVG_HEIGHT = 640, 480
+SVG_XLABEL, SVG_YLABEL = "sigma (risk)", "mu (return)"
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
@@ -235,11 +239,7 @@ def scatter_svg(
     color_index: np.ndarray,
     *,
     title: str,
-    xlabel: str = "sigma (risk)",
-    ylabel: str = "mu (return)",
     legend_labels: Sequence[str] = (),
-    width: int = 640,
-    height: int = 480,
 ) -> str:
     """Static scatter plot as an SVG document string.
 
@@ -250,8 +250,8 @@ def scatter_svg(
     y = np.asarray(y, dtype=np.float64)
     color_index = np.asarray(color_index, dtype=np.int64)
     left, right, top, bottom = 62, 18, 34, 48
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = SVG_WIDTH - left - right
+    plot_h = SVG_HEIGHT - top - bottom
 
     def span(values: np.ndarray) -> tuple[float, float]:
         lo, hi = float(values.min()), float(values.max())
@@ -270,10 +270,10 @@ def scatter_svg(
         return top + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
+        f'<text x="{SVG_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
@@ -299,13 +299,13 @@ def scatter_svg(
             f'font-family="sans-serif" font-size="10">{tick:.3g}</text>'
         )
     parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+        f'<text x="{left + plot_w / 2:.2f}" y="{SVG_HEIGHT - 10}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{SVG_XLABEL}</text>'
     )
     parts.append(
         f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">{SVG_YLABEL}</text>'
     )
     for xi, yi, ci in zip(x, y, color_index):
         colour = PALETTE[int(ci) % len(PALETTE)]

@@ -25,7 +25,7 @@ same draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -98,18 +98,7 @@ class DGPSpec:
 
     @classmethod
     def from_dict(cls, cfg: Mapping[str, object]) -> "DGPSpec":
-        known = {
-            "n_units",
-            "n_actions",
-            "n_features",
-            "mean_coeffs",
-            "noise_scale_coeffs",
-            "assignment",
-            "assignment_coeffs",
-            "feature_dist",
-            "seed",
-        }
-        unknown = set(cfg) - known
+        unknown = set(cfg) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown DGP option(s): {sorted(unknown)}")
         kwargs = dict(cfg)

@@ -78,7 +78,6 @@ def make_moments(mu: np.ndarray, sigma: np.ndarray) -> ArmMoments:
     return ArmMoments(
         mu=mu,
         sigma2=sigma**2,
-        sigma=sigma,
         variance_floor=1e-12,
         clamped=np.zeros(mu.shape, dtype=bool),
     )

@@ -6,6 +6,7 @@ Tolerances are fixed here, not tuned at runtime.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -171,7 +172,7 @@ def test_criterion_6_assignments_invariant_to_outcome_scaling():
         )
         dataset = generate(spec).dataset
         base = build_arm_moments(dataset)
-        scaled = build_arm_moments(dataset.with_outcomes(3.0 * dataset.outcomes))
+        scaled = build_arm_moments(replace(dataset, outcomes=3.0 * dataset.outcomes))
         keep = ~(base.clamped.any(axis=1) | scaled.clamped.any(axis=1))
         total += int(keep.sum())
         for pref in RiskPreference:

@@ -1,10 +1,11 @@
 """Conditional mean/variance estimation against cell-level oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oplearn import (
-    ArmMoments,
     Dataset,
     LinearLearner,
     build_arm_moments,
@@ -170,7 +171,7 @@ class TestBuildArmMoments:
         d = make_dataset(np.random.default_rng(8), n=100, m=2, p=2, noise=1.0)
         floor = 1e-12
         base = build_arm_moments(d, LinearLearner(), floor)
-        shifted = build_arm_moments(d.with_outcomes(d.outcomes + 5.0), LinearLearner(), floor)
+        shifted = build_arm_moments(replace(d, outcomes=d.outcomes + 5.0), LinearLearner(), floor)
         assert np.abs(shifted.mu - base.mu - 5.0).max() < 1e-8
         keep = ~(base.clamped | shifted.clamped)
         assert np.abs(shifted.sigma2[keep] - base.sigma2[keep]).max() < 1e-7
@@ -179,7 +180,7 @@ class TestBuildArmMoments:
         d = make_dataset(np.random.default_rng(9), n=100, m=2, p=2, noise=1.0)
         floor = 1e-12
         base = build_arm_moments(d, LinearLearner(), floor)
-        scaled = build_arm_moments(d.with_outcomes(3.0 * d.outcomes), LinearLearner(), floor)
+        scaled = build_arm_moments(replace(d, outcomes=3.0 * d.outcomes), LinearLearner(), floor)
         keep = ~(base.clamped | scaled.clamped)
         assert np.abs(scaled.mu - 3.0 * base.mu).max() < 1e-8
         assert np.abs(scaled.sigma[keep] - 3.0 * base.sigma[keep]).max() < 1e-6
@@ -188,13 +189,3 @@ class TestBuildArmMoments:
         out = np.array([1.0, 2.0, 3.0, 4.0])
         assert default_variance_floor(out) == pytest.approx(1e-8 * np.var(out))
         assert default_variance_floor(np.ones(5)) == pytest.approx(1e-8)
-
-    def test_moments_reject_bad_sigma(self):
-        with pytest.raises(ValueError, match="square root"):
-            ArmMoments(
-                mu=np.ones((2, 2)),
-                sigma2=np.ones((2, 2)),
-                sigma=2.0 * np.ones((2, 2)),
-                variance_floor=1e-8,
-                clamped=np.zeros((2, 2), dtype=bool),
-            )

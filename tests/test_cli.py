@@ -5,8 +5,17 @@ import shutil
 
 import pytest
 
-from oplearn import DGPSpec, RiskPreference, generate, oracle_policy, true_value
-from oplearn.cli import PipelineError, load_config, main
+from oplearn import (
+    DGPSpec,
+    RiskPreference,
+    fit_mnlogit,
+    generate,
+    load_dataset,
+    oracle_policy,
+    predict_proba,
+    true_value,
+)
+from oplearn.cli import _CONFIG_KEYS, PipelineError, RunConfig, load_config, main
 
 TRADEOFF_DGP = {
     "n_units": 3000,
@@ -30,7 +39,24 @@ LINEAR_DGP = {
     "seed": 4242,
 }
 
+# README's 2-arm example
+README_DGP = dict(TRADEOFF_DGP, n_units=500, seed=7)
+
+# logit assignment with fitted propensities on both sides of 0.2 and 0.8
+CLIP_DGP = {
+    "n_units": 2000,
+    "n_actions": 2,
+    "n_features": 1,
+    "mean_coeffs": [[1.0, 0.5], [1.5, -0.5]],
+    "noise_scale_coeffs": [[0.0, 0.0], [0.0, 0.0]],
+    "assignment": "logit",
+    "assignment_coeffs": [[0.0, 0.0], [0.0, 2.0]],
+    "feature_dist": "normal",
+    "seed": 11,
+}
+
 SCHEMA = {"outcome": "outcome", "action": "action", "features": ["x1", "x2"]}
+ONE_FEATURE = {"outcome": "outcome", "action": "action", "features": ["x1"]}
 
 
 def write_config(tmp_path, name="config.json", **payload):
@@ -70,7 +96,87 @@ def sim_run(tmp_path):
     return {"sim": simdir, "run": rundir, "fit_cfg": fit_cfg, "tmp": tmp_path}
 
 
+def simulate_and_evaluate(tmp_path, dgp, *flags, **payload):
+    """simulate ``dgp``, fit, then evaluate with ``payload`` in the config
+    and ``flags``; returns evaluate's exit code and output directory."""
+    simdir, fitdir, evaldir = tmp_path / "sim", tmp_path / "fit", tmp_path / "eval"
+    assert run(["simulate", "--config", write_config(tmp_path, dgp=dgp, outdir=str(simdir))]) == 0
+    data = str(simdir / "dataset.csv")
+    cfg = write_config(tmp_path, name="fit.json", input=data, schema=ONE_FEATURE)
+    assert run(["fit", "--config", cfg, "--outdir", str(fitdir)]) == 0
+    cfg = write_config(tmp_path, name="eval.json", input=data, schema=ONE_FEATURE, **payload)
+    argv = ["evaluate", "--config", cfg, "--outdir", str(evaldir)]
+    return run([*argv, "--assignments", str(fitdir / "assignments.csv"), *flags]), evaldir
+
+
 class TestConfig:
+    def test_defaults_are_declared_once(self):
+        assert load_config(None, {}) == RunConfig()
+        assert set(RunConfig().hash_payload()) == _CONFIG_KEYS - {"outdir"}
+
+    def test_every_key_is_echoed_in_config_json(self, tmp_path):
+        simdir = tmp_path / "sim"
+        cfg = write_config(tmp_path, dgp=LINEAR_DGP, outdir=str(simdir), delimiter=";")
+        assert run(["simulate", "--config", cfg]) == 0
+        payload = {
+            "input": str(simdir / "dataset.csv"),
+            "outdir": str(tmp_path / "fit"),
+            "schema": {"outcome": "outcome", "action": "action", "features": ["x2", "x1"]},
+            "preferences": ["quadratic", "neutral"],
+            "variance_floor": 0.001,
+            "clip": [0.02, 0.9],
+            "learner": {"ridge": 0.5, "max_iter": 7, "tol": 0.25},
+            "estimators": ["DR", "RA"],
+            "seed": 5,
+            "format": "json",
+            "delimiter": ";",
+            "allow_unconverged": True,
+            "dgp": {"n_units": 3},
+        }
+        assert set(payload) == _CONFIG_KEYS
+        assert run(["fit", "--config", write_config(tmp_path, name="fit.json", **payload)]) == 0
+        written = json.loads((tmp_path / "fit" / "config.json").read_text())
+        default = RunConfig().hash_payload()
+        assert set(written) == set(payload) - {"outdir"}
+        for key, value in written.items():
+            assert value == payload[key], key
+            assert value != default[key], key
+        for key, value in written["learner"].items():
+            assert value != default["learner"][key], key
+
+    def test_unknown_learner_key_is_an_error(self, sim_run, capsys):
+        base = json.loads((sim_run["tmp"] / "fit.json").read_text())
+        cfg = write_config(sim_run["tmp"], name="bad.json", **base, learner={"tolerance": 5})
+        outdir = sim_run["tmp"] / "bad"
+        argv = ["evaluate", "--config", cfg, "--outdir", str(outdir)]
+        argv += ["--assignments", str(sim_run["run"] / "assignments.csv")]
+        fragment = "unknown config option(s): ['learner.tolerance']"
+        assert_fails_with_one_error(argv, capsys, fragment)
+        assert not outdir.exists()
+
+    def test_clip_flag_sets_the_propensity_clip_bounds(self, tmp_path):
+        code, evaldir = simulate_and_evaluate(tmp_path, CLIP_DGP, "--clip", "0.2,0.8")
+        assert code == 0
+        assert json.loads((evaldir / "config.json").read_text())["clip"] == [0.2, 0.8]
+        d = load_dataset(tmp_path / "sim" / "dataset.csv", ONE_FEATURE)
+        p = predict_proba(fit_mnlogit(d.features, d.actions), d.features)
+        expected = int(((p < 0.2) | (p > 0.8)).sum())
+        assert expected > 0
+        assert json.loads((evaldir / "report.json").read_text())["clip_count"] == expected
+
+    def test_clip_flag_value_is_checked_like_the_key(self, sim_run, capsys):
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
+        fragment = "invalid value for config option 'clip': 'a,b'"
+        assert_fails_with_one_error([*argv, "--clip", "a,b"], capsys, fragment)
+
+    @pytest.mark.parametrize("allow, code", [(False, 1), (True, 0)])
+    def test_unconverged_propensity_fit(self, tmp_path, capsys, allow, code):
+        flags = ["--allow-unconverged"] if allow else []
+        result, _ = simulate_and_evaluate(tmp_path, README_DGP, *flags, learner={"max_iter": 1})
+        assert result == code
+        err = capsys.readouterr().err
+        assert "warning: propensity model did not converge in 1 iterations" in err
+
     def test_logit_tolerance_defaults_to_per_unit_scaling(self, tmp_path):
         default = load_config(None, {})
         assert default.tol is None
@@ -95,6 +201,17 @@ class TestConfig:
             ({"variance_floor": float("nan")}, "variance_floor"),
             ({"seed": "x"}, "seed"),
             ({"seed": 1.5}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"variance_floor": True}, "variance_floor"),
+            ({"delimiter": 5}, "delimiter"),
+            ({"estimators": "RA"}, "estimators"),
+            ({"preferences": []}, "preferences"),
+            ({"estimators": []}, "estimators"),
+            ({"learner": {"max_iter": 2.5}}, "max_iter"),
+            ({"input": 5}, "input"),
+            ({"preferences": ["linear", "linear"]}, "preferences"),
+            ({"schema": dict(SCHEMA, features="x1")}, "schema"),
+            ({"schema": dict(SCHEMA, outcome=5)}, "schema"),
         ],
     )
     def test_wrongly_shaped_value_names_the_option(self, tmp_path, capsys, payload, option):

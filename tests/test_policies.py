@@ -13,7 +13,7 @@ from oplearn import (
     assign_policy,
     build_arm_moments,
     generate,
-    utility_matrix,
+    risk_utility,
 )
 
 from helpers import make_moments
@@ -24,6 +24,10 @@ mu_arrays = hnp.arrays(
 sigma_arrays = hnp.arrays(
     np.float64, (9, 3), elements=st.floats(0.01, 20, allow_nan=False)
 )
+
+
+def utility_matrix(m, preference):
+    return risk_utility(m.mu, m.sigma, m.sigma2, preference)
 
 
 class TestUtilityMatrix:

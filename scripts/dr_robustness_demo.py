@@ -64,9 +64,9 @@ def main() -> None:
         q_hat = estimate_conditional_means(d)  # linear in x: misses the x^2 term
         logit = fit_mnlogit(d.features, d.actions)
         props = clip_propensities(predict_proba(logit, d.features))
-        ra = value_ra(q_hat, policy, label="threshold").value
-        ipw = value_ipw(d, policy, props, label="threshold").value
-        dr = value_dr(d, policy, q_hat, props, label="threshold").value
+        ra = value_ra(q_hat, policy).value
+        ipw = value_ipw(d, policy, props).value
+        dr = value_dr(d, policy, q_hat, props).value
         errors["RA"].append(ra - truth)
         errors["IPW"].append(ipw - truth)
         errors["DR"].append(dr - truth)

@@ -150,8 +150,8 @@ def _list_of(value: object, choices: Sequence[str]) -> bool:
 
 
 def _need(ok: bool, value: Any, reason: str = "") -> Any:
-    """``value`` as given if ``ok``, so that the hashed config spells it as
-    given: a variance floor of ``1`` is hashed as ``1``, not ``1.0``."""
+    """``value`` unchanged if ``ok``; otherwise a ValueError with ``reason``.
+    Converters that hash a number as a float convert it themselves."""
     if not ok:
         raise ValueError(reason)
     return value
@@ -175,7 +175,7 @@ _CONVERTERS: dict[str, Callable[[Any], object]] = {
     "outdir": lambda v: _need(_is(v, str), v),
     "schema": lambda v: None if v is None else ColumnSchema.from_mapping(v),
     "preferences": lambda v: tuple(map(RiskPreference, _need(_list_of(v, _PREFERENCES), v))),
-    "variance_floor": lambda v: _need(v is None or _positive(v), v),
+    "variance_floor": lambda v: None if v is None else float(_need(_positive(v), v)),
     "clip": _clip,
     "ridge": lambda v: float(_need(_is(v, int, float) and v >= 0, v)),
     "max_iter": lambda v: _need(_is(v, int) and v > 0, v),
@@ -252,14 +252,19 @@ def _read_table(path: Path, usecols: Callable[[str], bool]) -> tuple[list[str], 
         raise PipelineError(f"table {path}: {exc}") from None
 
 
-def _ids(path: Path, names: list[str], values: np.ndarray, column: str) -> np.ndarray:
-    """The ``column`` of the table read from ``path`` as integer ids."""
+def _ids(path: Path, names: list[str], values: np.ndarray, column: str, bound: int) -> np.ndarray:
+    """The ``column`` of the table read from ``path`` as integer ids in
+    ``0..bound-1``; the first bad id is reported with its row."""
     ids = values[:, names.index(column)]
-    bad = ~(np.isfinite(ids) & (ids == np.trunc(ids)))
+    integral = np.isfinite(ids) & (ids == np.trunc(ids))
+    bad = ~integral | (ids < 0) | (ids >= bound)
     if bad.any():
         i = int(bad.argmax())
-        message = f"non-integer id {float(ids[i])!r} in column '{column}' at row {i + 1}"
-        raise PipelineError(f"table {path}: {message}")
+        if integral[i]:
+            what = f"id {int(ids[i])} outside 0..{bound - 1}"
+        else:
+            what = f"non-integer id {float(ids[i])!r}"
+        raise PipelineError(f"table {path}: {what} in column '{column}' at row {i + 1}")
     return ids.astype(np.int64)
 
 
@@ -366,19 +371,19 @@ def cmd_fit(config: RunConfig) -> RunReport:
     return report
 
 
-def _read_assignments(path: Path, n_units: int) -> dict[str, np.ndarray]:
+def _read_assignments(path: Path, n_units: int, n_actions: int) -> dict[str, np.ndarray]:
     names, values = _read_table(path, lambda h: h == "unit" or h.endswith("_action"))
     _require("unit" in names, f"assignments file {path} has no 'unit' column")
     policy_cols = [h for h in names if h.endswith("_action")]
     _require(bool(policy_cols), f"assignments file {path} has no '*_action' column")
-    units = _ids(path, names, values, "unit")
+    units = _ids(path, names, values, "unit", n_units)
     if len(units) != n_units or not np.array_equal(units, np.arange(n_units)):
         raise PipelineError(
             "assignments do not align with the dataset by unit id "
             f"({len(units)} rows vs {n_units} units)"
         )
     return {
-        col[: -len("_action")]: _ids(path, names, values, col)
+        col[: -len("_action")]: _ids(path, names, values, col, n_actions)
         for col in policy_cols
     }
 
@@ -388,10 +393,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
     dataset, warnings = _load_valid_dataset(config)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    policies = _read_assignments(Path(assignments_path), dataset.n_units)
-    for label, actions in policies.items():
-        if actions.min() < 0 or actions.max() >= dataset.n_actions:
-            raise PipelineError(f"policy {label!r} contains invalid arm indices")
+    policies = _read_assignments(Path(assignments_path), dataset.n_units, dataset.n_actions)
 
     q_hat = estimate_conditional_means(dataset)
     logit = fit_mnlogit(
@@ -411,13 +413,13 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
     )
 
     scorers = {
-        "RA": lambda actions, label: value_ra(q_hat, actions, label=label),
-        "IPW": lambda actions, label: value_ipw(dataset, actions, propensities, label=label),
-        "DR": lambda actions, label: value_dr(dataset, actions, q_hat, propensities, label=label),
+        "RA": lambda actions: value_ra(q_hat, actions),
+        "IPW": lambda actions: value_ipw(dataset, actions, propensities),
+        "DR": lambda actions: value_dr(dataset, actions, q_hat, propensities),
     }
     estimates = {
         label: {
-            kind: score(actions, label)
+            kind: score(actions)
             for kind, score in scorers.items()
             if kind in config.estimators
         }
@@ -535,11 +537,7 @@ def cmd_report(run_dir: str | Path) -> RunReport:
         names, values = _read_table(path, {"action", "mu", "sigma"}.__contains__)
         _require(len(names) == 3, f"{path} needs action, mu and sigma columns")
         _require(len(values) == n_units, f"{path} has {len(values)} rows for {n_units} units")
-        actions = _ids(path, names, values, "action")
-        _require(
-            0 <= actions.min() and actions.max() < n_actions,
-            f"{path} holds an action id outside 0..{n_actions - 1}",
-        )
+        actions = _ids(path, names, values, "action", n_actions)
         chosen_sigma = values[:, names.index("sigma")]
         svg = reporting.scatter_svg(
             chosen_sigma,

@@ -138,12 +138,6 @@ class ValidationReport:
     passed: bool = True
 
 
-def _format_action_label(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
 def load_dataset(
     path: str | Path,
     schema: ColumnSchema | Mapping[str, object],
@@ -193,7 +187,7 @@ def load_dataset(
         features=table[:, cols[2:]],
         n_actions=len(levels),
         feature_names=schema.features,
-        action_labels=tuple(_format_action_label(v) for v in levels),
+        action_labels=tuple(str(int(v)) for v in levels),
     )
 
 

@@ -78,10 +78,6 @@ class PolicyAssignment:
         object.__setattr__(self, "utility", utility)
 
     @property
-    def label(self) -> str:
-        return self.preference.value
-
-    @property
     def n_units(self) -> int:
         return self.actions.shape[0]
 

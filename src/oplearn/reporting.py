@@ -227,12 +227,6 @@ SVG_WIDTH, SVG_HEIGHT = 640, 480
 SVG_XLABEL, SVG_YLABEL = "sigma (risk)", "mu (return)"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, count)
-
-
 def scatter_svg(
     x: np.ndarray,
     y: np.ndarray,
@@ -278,7 +272,7 @@ def scatter_svg(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
-    for tick in _ticks(x_lo, x_hi):
+    for tick in np.linspace(x_lo, x_hi, 5):
         tx = px(tick)
         parts.append(
             f'<line x1="{tx:.2f}" y1="{top + plot_h}" x2="{tx:.2f}" '
@@ -288,7 +282,7 @@ def scatter_svg(
             f'<text x="{tx:.2f}" y="{top + plot_h + 17}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{tick:.3g}</text>'
         )
-    for tick in _ticks(y_lo, y_hi):
+    for tick in np.linspace(y_lo, y_hi, 5):
         ty = py(tick)
         parts.append(
             f'<line x1="{left - 4}" y1="{ty:.2f}" x2="{left}" y2="{ty:.2f}" '

@@ -32,6 +32,7 @@ import numpy as np
 
 from .data import Dataset
 from .policies import RiskPreference, risk_utility
+from .values import _policy_actions
 
 FEATURE_DISTRIBUTIONS = ("normal", "uniform")
 
@@ -110,21 +111,13 @@ class DGPSpec:
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "n_units": self.n_units,
-            "n_actions": self.n_actions,
-            "n_features": self.n_features,
-            "mean_coeffs": self.mean_coeffs.tolist(),
-            "noise_scale_coeffs": self.noise_scale_coeffs.tolist(),
-            "assignment": self.assignment,
-            "assignment_coeffs": (
-                None
-                if self.assignment_coeffs is None
-                else self.assignment_coeffs.tolist()
-            ),
-            "feature_dist": list(self.feature_dist),
-            "seed": self.seed,
-        }
+        """The spec as JSON-ready values: arrays and ``feature_dist`` as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key, value in out.items():
+            if isinstance(value, np.ndarray):
+                out[key] = value.tolist()
+        out["feature_dist"] = list(self.feature_dist)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +211,7 @@ def generate(spec: DGPSpec) -> OracleData:
 
 def true_value(oracle: OracleData, actions: np.ndarray) -> float:
     """Finite-population welfare of a policy: mean realised potential outcome."""
-    actions = np.asarray(actions, dtype=np.int64)
-    if actions.shape != (oracle.n_units,):
-        raise ValueError("policy length mismatch")
-    if actions.min() < 0 or actions.max() >= oracle.n_actions:
-        raise ValueError("policy contains invalid arm indices")
+    actions = _policy_actions(actions, oracle.n_units, oracle.n_actions)
     return float(
         np.mean(oracle.potential_outcomes[np.arange(oracle.n_units), actions])
     )

@@ -40,10 +40,9 @@ ESTIMATOR_KINDS = ("RA", "IPW", "DR")
 
 @dataclass(frozen=True)
 class ValueEstimate:
-    """A scalar welfare estimate, labelled by estimator kind and policy."""
+    """A scalar welfare estimate, labelled by its estimator kind."""
 
     estimator: str
-    policy_label: str
     value: float
 
     def __post_init__(self) -> None:
@@ -76,14 +75,6 @@ class PropensityMatrix:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "clip_bounds", (float(low), float(high)))
 
-    @property
-    def n_units(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.p.shape[1]
-
 
 def clip_propensities(
     p: np.ndarray, low: float = 0.01, high: float = 0.99
@@ -106,48 +97,51 @@ def clip_propensities(
     return PropensityMatrix(p=clipped, clip_bounds=(low, high), clipped_count=moved)
 
 
-def _actions_and_label(
-    policy: PolicyAssignment | np.ndarray, label: str | None
-) -> tuple[np.ndarray, str]:
+def _policy_actions(
+    policy: PolicyAssignment | np.ndarray, n_units: int, n_actions: int
+) -> np.ndarray:
+    """The policy's actions, checked to be one arm in 0..n_actions-1 per unit."""
     if isinstance(policy, PolicyAssignment):
-        return policy.actions, label if label is not None else policy.label
+        policy = policy.actions
     actions = np.asarray(policy, dtype=np.int64)
-    if actions.ndim != 1:
-        raise ValueError("policy actions must be a 1-d integer vector")
-    return actions, label if label is not None else "custom"
+    if actions.shape != (n_units,):
+        raise ValueError(f"policy needs one action for each of {n_units} units")
+    if actions.min(initial=0) < 0 or actions.max(initial=0) >= n_actions:
+        raise ValueError(f"policy contains invalid arm indices (expected 0..{n_actions - 1})")
+    return actions
 
 
-def value_ra(
-    q_hat: np.ndarray,
-    policy: PolicyAssignment | np.ndarray,
-    label: str | None = None,
-) -> ValueEstimate:
+def _observed_propensity(dataset: Dataset, propensities: PropensityMatrix) -> np.ndarray:
+    """p_hat[i, A_i], the propensity of each unit's observed action."""
+    if propensities.p.shape != (dataset.n_units, dataset.n_actions):
+        raise ValueError("dataset and propensities disagree on shape")
+    observed_p = propensities.p[np.arange(dataset.n_units), dataset.actions]
+    if (observed_p <= 0).any():  # pragma: no cover - impossible post-clip
+        raise RuntimeError("internal error: zero propensity at an observed action")
+    return observed_p
+
+
+def value_ra(q_hat: np.ndarray, policy: PolicyAssignment | np.ndarray) -> ValueEstimate:
     """Regression-adjustment value: mean of q_hat at the policy's actions."""
     q_hat = np.asarray(q_hat, dtype=np.float64)
-    actions, label = _actions_and_label(policy, label)
-    if q_hat.ndim != 2 or actions.shape != (q_hat.shape[0],):
-        raise ValueError("q_hat and policy disagree on the number of units")
+    if q_hat.ndim != 2:
+        raise ValueError("q_hat must be 2-d")
+    actions = _policy_actions(policy, *q_hat.shape)
     value = float(np.mean(q_hat[np.arange(q_hat.shape[0]), actions]))
-    return ValueEstimate(estimator="RA", policy_label=label, value=value)
+    return ValueEstimate(estimator="RA", value=value)
 
 
 def value_ipw(
     dataset: Dataset,
     policy: PolicyAssignment | np.ndarray,
     propensities: PropensityMatrix,
-    label: str | None = None,
 ) -> ValueEstimate:
     """Horvitz-Thompson value of the policy under the observed assignment."""
-    actions, label = _actions_and_label(policy, label)
-    n = dataset.n_units
-    if actions.shape != (n,) or propensities.p.shape != (n, dataset.n_actions):
-        raise ValueError("dataset, policy, and propensities disagree on shape")
-    observed_p = propensities.p[np.arange(n), dataset.actions]
-    if (observed_p <= 0).any():  # pragma: no cover - impossible post-clip
-        raise RuntimeError("internal error: zero propensity at an observed action")
+    actions = _policy_actions(policy, dataset.n_units, dataset.n_actions)
+    observed_p = _observed_propensity(dataset, propensities)
     match = (dataset.actions == actions).astype(np.float64)
     value = float(np.mean(match * dataset.outcomes / observed_p))
-    return ValueEstimate(estimator="IPW", policy_label=label, value=value)
+    return ValueEstimate(estimator="IPW", value=value)
 
 
 def value_dr(
@@ -155,29 +149,23 @@ def value_dr(
     policy: PolicyAssignment | np.ndarray,
     q_hat: np.ndarray,
     propensities: PropensityMatrix,
-    label: str | None = None,
 ) -> ValueEstimate:
     """Doubly robust value: plug-in plus the weighted residual correction.
 
     The correction residual is taken at the observed action A_i, so a
     q_hat that interpolates the observed outcomes makes DR coincide with RA.
     """
-    actions, label = _actions_and_label(policy, label)
+    actions = _policy_actions(policy, dataset.n_units, dataset.n_actions)
     q_hat = np.asarray(q_hat, dtype=np.float64)
-    n = dataset.n_units
-    if q_hat.shape != (n, dataset.n_actions):
+    if q_hat.shape != (dataset.n_units, dataset.n_actions):
         raise ValueError("q_hat shape mismatch")
-    if actions.shape != (n,) or propensities.p.shape != q_hat.shape:
-        raise ValueError("dataset, policy, and propensities disagree on shape")
-    idx = np.arange(n)
-    observed_p = propensities.p[idx, dataset.actions]
-    if (observed_p <= 0).any():  # pragma: no cover - impossible post-clip
-        raise RuntimeError("internal error: zero propensity at an observed action")
+    observed_p = _observed_propensity(dataset, propensities)
+    idx = np.arange(dataset.n_units)
     match = (dataset.actions == actions).astype(np.float64)
     plug_in = q_hat[idx, actions]
     residual = match * (dataset.outcomes - q_hat[idx, dataset.actions]) / observed_p
     value = float(np.mean(plug_in + residual))
-    return ValueEstimate(estimator="DR", policy_label=label, value=value)
+    return ValueEstimate(estimator="DR", value=value)
 
 
 def regret(v_first_best: ValueEstimate, v_alternative: ValueEstimate) -> float:

@@ -98,9 +98,9 @@ def test_criterion_3_estimator_agreement():
     logit = fit_mnlogit(dataset.features, dataset.actions)
     propensities = clip_propensities(predict_proba(logit, dataset.features))
     values = {
-        "RA": value_ra(q_hat, policy, label="fb").value,
-        "IPW": value_ipw(dataset, policy, propensities, label="fb").value,
-        "DR": value_dr(dataset, policy, q_hat, propensities, label="fb").value,
+        "RA": value_ra(q_hat, policy).value,
+        "IPW": value_ipw(dataset, policy, propensities).value,
+        "DR": value_dr(dataset, policy, q_hat, propensities).value,
     }
     worst_vs_truth = max(abs(v - truth) / abs(truth) for v in values.values())
     pairwise = max(
@@ -125,8 +125,8 @@ def test_criterion_4_dr_robust_to_outcome_misspecification():
         q_hat = estimate_conditional_means(dataset)  # omits the quadratic term
         logit = fit_mnlogit(dataset.features, dataset.actions)
         propensities = clip_propensities(predict_proba(logit, dataset.features))
-        ra = value_ra(q_hat, policy, label="thr").value
-        dr = value_dr(dataset, policy, q_hat, propensities, label="thr").value
+        ra = value_ra(q_hat, policy).value
+        dr = value_dr(dataset, policy, q_hat, propensities).value
         if abs(dr - truth) < abs(ra - truth):
             wins += 1
         dr_rel_errors.append(abs(dr - truth) / abs(truth))
@@ -221,7 +221,7 @@ def test_criterion_8_iterated_expectation_identity():
         q_hat = rng.normal(size=(200, 4)) * rng.uniform(0.5, 5.0)
         neutral = np.argmax(q_hat, axis=1)
         lhs = float(q_hat.max(axis=1).mean())
-        rhs = value_ra(q_hat, neutral, label="neutral").value
+        rhs = value_ra(q_hat, neutral).value
         worst = max(worst, abs(lhs - rhs))
     _criterion(
         8,
@@ -251,7 +251,7 @@ def test_criterion_9_degenerate_handling():
     uniform = PropensityMatrix(
         p=np.full((n, 2), 0.5), clip_bounds=(0.01, 0.99), clipped_count=0
     )
-    ipw_zero = value_ipw(dataset, flipped, uniform, label="flipped").value
+    ipw_zero = value_ipw(dataset, flipped, uniform).value
     _criterion(
         9,
         "constant arm clamps the variance and zero-match IPW is exactly 0",

@@ -240,22 +240,31 @@ class TestConfig:
         assert_fails_with_one_error([*argv, "--variance-floor", "-1"], capsys, fragment)
         assert not (sim_run["tmp"] / "r").exists()
 
-    @pytest.mark.parametrize("floor", [1, 0.5])
-    def test_accepted_variance_floor_is_hashed_as_given(self, tmp_path, sim_run, floor):
-        outdir = tmp_path / "floor"
-        cfg = write_config(
-            tmp_path,
-            name="floor.json",
-            input=str(sim_run["sim"] / "dataset.csv"),
-            outdir=str(outdir),
-            schema=SCHEMA,
-            variance_floor=floor,
-            seed=3,
-        )
-        assert run(["fit", "--config", cfg, "--pref", "neutral"]) == 0
-        written = json.loads((outdir / "config.json").read_text())
+    def test_variance_floor_is_hashed_as_a_float(self, tmp_path, sim_run):
+        # a floor of 1 hashes the same from a config int, a config float or the flag
+        runs = {
+            "config_int": ({"variance_floor": 1}, []),
+            "config_float": ({"variance_floor": 1.0}, []),
+            "flag": ({}, ["--variance-floor", "1"]),
+        }
+        records = []
+        for name, (payload, flags) in runs.items():
+            outdir = tmp_path / name
+            cfg = write_config(
+                tmp_path,
+                name=f"{name}.json",
+                input=str(sim_run["sim"] / "dataset.csv"),
+                outdir=str(outdir),
+                schema=SCHEMA,
+                seed=3,
+                **payload,
+            )
+            assert run(["fit", "--config", cfg, "--pref", "neutral", *flags]) == 0
+            records.append([(outdir / f).read_bytes() for f in ("config.json", "manifest.json")])
+        written = json.loads(records[0][0])
         assert written["seed"] == 3
-        assert repr(written["variance_floor"]) == repr(floor)  # 1 stays 1, not 1.0
+        assert repr(written["variance_floor"]) == "1.0"
+        assert records[0] == records[1] == records[2]
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])
     def test_multi_character_delimiter_fails(self, tmp_path, capsys, command):
@@ -481,6 +490,8 @@ class TestEvaluate:
             ("ragged", "row 3 has 2 fields, expected 13"),
             ("non_numeric", "non-numeric value 'abc' in column 'neutral_action' at row 3"),
             ("fractional", "non-integer id 1.7 in column 'neutral_action' at row 3"),
+            ("minus_one", "id -1 outside 0..2 in column 'neutral_action' at row 3"),
+            ("arm_m", "id 3 outside 0..2 in column 'neutral_action' at row 3"),
         ],
     )
     def test_damaged_assignments_fail(self, tmp_path, sim_run, capsys, damage, fragment):
@@ -490,7 +501,8 @@ class TestEvaluate:
         if damage == "ragged":
             cells = cells[:2]
         else:
-            cells[1] = "abc" if damage == "non_numeric" else "1.7"
+            bad_cells = {"non_numeric": "abc", "fractional": "1.7", "minus_one": "-1", "arm_m": "3"}
+            cells[1] = bad_cells[damage]
         lines[3] = ",".join(cells)
         bad.write_text("\n".join(lines) + "\n")
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
@@ -595,7 +607,7 @@ class TestReport:
         "damage, fragment",
         [
             ("drop_row", "rows for 8000 units"),
-            ("action_out_of_range", "action id outside 0..2"),
+            ("action_out_of_range", "id 3 outside 0..2 in column 'action' at row 1"),
             ("fractional_action", "non-integer id 0.5 in column 'action' at row 1"),
             ("delete", "missing artifact scatter_neutral.csv"),
         ],

@@ -24,7 +24,7 @@ from oplearn import (
     value_ra,
 )
 
-from helpers import make_dataset, make_moments, quadratic_mean_oracle
+from helpers import make_dataset, quadratic_mean_oracle
 
 
 def exact_propensities(p: np.ndarray) -> PropensityMatrix:
@@ -43,15 +43,14 @@ def interpolating_q_hat(dataset) -> np.ndarray:
 class TestValueRA:
     def test_constant_columns(self):
         q = np.tile([1.0, 2.0, 7.5], (10, 1))
-        est = value_ra(q, np.full(10, 2), label="always-2")
+        est = value_ra(q, np.full(10, 2))
         assert est.value == pytest.approx(7.5)
         assert est.estimator == "RA"
-        assert est.policy_label == "always-2"
 
     def test_observed_policy_with_interpolating_q(self):
         d = make_dataset(np.random.default_rng(0), n=40, m=3)
         q = interpolating_q_hat(d)
-        est = value_ra(q, d.actions, label="observed")
+        est = value_ra(q, d.actions)
         assert est.value == pytest.approx(d.outcomes.mean())
 
     def test_matches_double_sum_oracle(self):
@@ -75,12 +74,39 @@ class TestValueRA:
         indicator[np.arange(8), actions] = 1.0
         assert abs(value_ra(q, actions).value - (q * indicator).sum() / 8) < 1e-10
 
-    def test_label_comes_from_assignment(self):
-        m = make_moments([[1.0, 2.0]] * 4, np.ones((4, 2)))
-        from oplearn import assign_policy
 
-        pol = assign_policy(m, RiskPreference.LINEAR)
-        assert value_ra(m.mu, pol).policy_label == "linear"
+class TestPolicyCheck:
+    @pytest.mark.parametrize("scorer", ["RA", "IPW", "DR", "true"])
+    @pytest.mark.parametrize("damage", ["minus_one", "arm_m", "short"])
+    def test_bad_policy_rejected(self, scorer, damage):
+        # every scorer rejects a policy that is not one arm in 0..M-1 per unit
+        spec = DGPSpec(
+            n_units=30,
+            n_actions=3,
+            n_features=1,
+            mean_coeffs=np.array([[1.0, 0.5], [2.0, 0.0], [3.0, -0.5]]),
+            noise_scale_coeffs=np.zeros((3, 2)),
+            seed=4,
+        )
+        oracle = generate(spec)
+        d = oracle.dataset
+        q = interpolating_q_hat(d)
+        props = exact_propensities(np.full((30, 3), 1.0 / 3.0))
+        score = {
+            "RA": lambda a: value_ra(q, a),
+            "IPW": lambda a: value_ipw(d, a, props),
+            "DR": lambda a: value_dr(d, a, q, props),
+            "true": lambda a: true_value(oracle, a),
+        }[scorer]
+        policy = np.zeros(30, dtype=np.int64)
+        fragment = r"invalid arm indices \(expected 0\.\.2\)"
+        if damage == "short":
+            policy = policy[:-1]
+            fragment = "needs one action for each of 30 units"
+        else:
+            policy[7] = -1 if damage == "minus_one" else 3
+        with pytest.raises(ValueError, match=fragment):
+            score(policy)
 
 
 class TestValueIPW:
@@ -109,7 +135,7 @@ class TestValueIPW:
         oracle = generate(spec)
         policy = oracle_policy(oracle, RiskPreference.NEUTRAL)
         props = exact_propensities(oracle.true_propensity)
-        est = value_ipw(oracle.dataset, policy, props, label="fb")
+        est = value_ipw(oracle.dataset, policy, props)
         truth = true_value(oracle, policy)
         assert abs(est.value - truth) / abs(truth) < 0.02
 
@@ -152,7 +178,7 @@ class TestValueDR:
         truth = true_value(oracle, policy)
         q_hat = estimate_conditional_means(d)  # linear learner omits the x^2 term
         props = exact_propensities(oracle.true_propensity)
-        dr = value_dr(d, policy, q_hat, props, label="threshold")
+        dr = value_dr(d, policy, q_hat, props)
         assert abs(dr.value - truth) / abs(truth) < 0.03
 
 
@@ -193,26 +219,26 @@ class TestClipPropensities:
 
 class TestRegret:
     def test_identical_policies_zero(self):
-        a = ValueEstimate("RA", "neutral", 3.2)
-        b = ValueEstimate("RA", "neutral", 3.2)
+        a = ValueEstimate("RA", 3.2)
+        b = ValueEstimate("RA", 3.2)
         assert regret(a, b) == 0.0
 
     def test_unknown_estimator_kind_rejected(self):
         with pytest.raises(ValueError, match="estimator must be one of"):
-            ValueEstimate("TRUE", "x", 1.0)
+            ValueEstimate("TRUE", 1.0)
 
     def test_estimator_kind_mismatch(self):
         with pytest.raises(ValueError, match="same estimator"):
-            regret(ValueEstimate("RA", "fb", 1.0), ValueEstimate("IPW", "alt", 0.5))
+            regret(ValueEstimate("RA", 1.0), ValueEstimate("IPW", 0.5))
 
     def test_first_best_dominates_random_policies_under_ra(self):
         rng = np.random.default_rng(11)
         q = rng.normal(size=(60, 4))
         fb_actions = np.argmax(q, axis=1)
-        v_fb = value_ra(q, fb_actions, label="fb")
+        v_fb = value_ra(q, fb_actions)
         for _ in range(200):
             other = rng.integers(0, 4, 60)
-            assert regret(v_fb, value_ra(q, other, label="rnd")) >= 0.0
+            assert regret(v_fb, value_ra(q, other)) >= 0.0
 
     def test_true_regret_positive_on_tradeoff(self):
         # one arm has the higher mean, the other far lower risk
@@ -260,9 +286,9 @@ class TestEstimatorAgreement:
         logit = fit_mnlogit(d.features, d.actions)
         props = clip_propensities(predict_proba(logit, d.features))
         values = [
-            value_ra(q_hat, policy, label="fb").value,
-            value_ipw(d, policy, props, label="fb").value,
-            value_dr(d, policy, q_hat, props, label="fb").value,
+            value_ra(q_hat, policy).value,
+            value_ipw(d, policy, props).value,
+            value_dr(d, policy, q_hat, props).value,
         ]
         spread = (max(values) - min(values)) / abs(np.mean(values))
         assert spread < 0.03
@@ -273,5 +299,5 @@ class TestEstimatorAgreement:
             q = rng.normal(size=(50, 3))
             neutral = np.argmax(q, axis=1)
             lhs = q.max(axis=1).mean()
-            rhs = value_ra(q, neutral, label="neutral").value
+            rhs = value_ra(q, neutral).value
             assert abs(lhs - rhs) < 1e-12

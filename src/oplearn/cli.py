@@ -10,8 +10,10 @@ welfare estimators plus regret against the first-best (neutral) column.
 fit run's ``report.json`` and ``scatter_<pref>`` tables.
 
 Options come from a JSON config file and/or command flags; flags win.
-Every command writes a manifest with config, input, and artifact hashes,
-and identical inputs reproduce identical artifact bytes.
+Every command prints a JSON run record of what it computed; ``simulate``,
+``fit`` and ``evaluate`` also write it as ``report.json`` under a manifest
+of config, input and artifact hashes, and identical inputs reproduce
+identical artifact bytes.
 """
 
 from __future__ import annotations
@@ -85,34 +87,6 @@ class RunConfig:
 
 _LEARNER_KEYS = tuple(f.name for f in fields(RunConfig) if f.metadata.get("learner"))
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - set(_LEARNER_KEYS) | {"learner"}
-
-
-@dataclass
-class RunReport:
-    """Summary of one command: shares, value/regret tables, diagnostics."""
-
-    command: str
-    action_shares: dict[str, list[float]] = field(default_factory=dict)
-    value_table: list[dict] = field(default_factory=list)
-    regret_table: list[dict] = field(default_factory=list)
-    clamp_count: int = 0
-    clip_count: int = 0
-    diagnostics: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        for label, shares in self.action_shares.items():
-            if abs(sum(shares) - 1.0) > 1e-9:
-                raise ValueError(f"action shares for {label!r} do not sum to 1")
-
-    @property
-    def all_converged(self) -> bool:
-        return all(
-            bool(v) for k, v in self.diagnostics.items() if k.endswith("converged")
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -289,19 +263,21 @@ def _shares_columns(assignments: Mapping[str, PolicyAssignment]) -> list[object]
 
 
 def _write_record(
-    outdir: Path, report: RunReport, payload: dict, input_path: Path | None, artifacts: list[str]
-) -> None:
-    """Write ``report.json`` and ``config.json``, then the manifest that
-    hashes them with the command's other ``artifacts``."""
-    reporting.write_json(outdir / "report.json", report.to_dict())
+    outdir: Path, record: dict, payload: dict, input_path: Path | None, artifacts: list[str]
+) -> dict:
+    """Write the run ``record`` as ``report.json`` and the config as
+    ``config.json``, then the manifest that hashes them with the command's
+    other ``artifacts``; returns the record."""
+    reporting.write_json(outdir / "report.json", record)
     reporting.write_json(outdir / "config.json", payload)
     names = [*artifacts, "report.json", "config.json"]
     reporting.write_manifest(
         outdir, config_payload=payload, input_path=input_path, artifact_names=names
     )
+    return record
 
 
-def cmd_fit(config: RunConfig) -> RunReport:
+def cmd_fit(config: RunConfig) -> dict:
     """Load, validate, estimate moments, assign policies, write artifacts."""
     dataset, warnings = _load_valid_dataset(config)
     outdir = Path(config.outdir)
@@ -311,12 +287,12 @@ def cmd_fit(config: RunConfig) -> RunReport:
     assignments = {
         pref.value: assign_policy(moments, pref) for pref in config.preferences
     }
-    for label, pol in assignments.items():
-        if pol.n_negative_mu:
-            warnings.append(
-                f"{label}: {pol.n_negative_mu} unit(s) with negative mean estimates; "
-                "risk-adjusted ranking is fragile there"
-            )
+    negative = int((moments.mu < 0).any(axis=1).sum())
+    if negative and set(config.preferences) - {RiskPreference.NEUTRAL}:
+        warnings.append(
+            f"{negative} unit(s) with negative mean estimates; "
+            "risk-averse ranking is fragile there"
+        )
 
     n, m = dataset.n_units, dataset.n_actions
     idx = np.arange(n)
@@ -351,13 +327,13 @@ def cmd_fit(config: RunConfig) -> RunReport:
         write(outdir / f"{stem}.{config.format}", header, columns)
     artifacts = [f"{stem}.{config.format}" for stem in tables]
 
-    report = RunReport(
-        command="fit",
-        action_shares={
+    record = {
+        "command": "fit",
+        "action_shares": {
             label: pol.action_shares().tolist() for label, pol in assignments.items()
         },
-        clamp_count=moments.n_clamped,
-        diagnostics={
+        "clamp_count": moments.n_clamped,
+        "diagnostics": {
             "n_units": dataset.n_units,
             "n_actions": dataset.n_actions,
             "variance_floor": moments.variance_floor,
@@ -365,10 +341,9 @@ def cmd_fit(config: RunConfig) -> RunReport:
                 label: pol.ties_broken for label, pol in assignments.items()
             },
         },
-        warnings=warnings,
-    )
-    _write_record(outdir, report, config.hash_payload(), Path(config.input), artifacts)
-    return report
+        "warnings": warnings,
+    }
+    return _write_record(outdir, record, config.hash_payload(), Path(config.input), artifacts)
 
 
 def _read_assignments(path: Path, n_units: int, n_actions: int) -> dict[str, np.ndarray]:
@@ -388,7 +363,7 @@ def _read_assignments(path: Path, n_units: int, n_actions: int) -> dict[str, np.
     }
 
 
-def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
+def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
     """Score saved policy columns with the configured welfare estimators."""
     dataset, warnings = _load_valid_dataset(config)
     outdir = Path(config.outdir)
@@ -429,41 +404,34 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> RunReport:
     first_best = estimates.get("neutral")
     if first_best is None:
         warnings.append("no 'neutral' policy column; regret left unreported")
-    value_table: list[dict] = []
-    regret_table: list[dict] = []
-    for label, per_kind in estimates.items():
-        for kind, estimate in per_kind.items():
-            gap = None if first_best is None else regret(first_best[kind], estimate)
-            value_table.append(
-                {
-                    "policy_label": label,
-                    "estimator": kind,
-                    "value": estimate.value,
-                    "regret_vs_fb": gap,
-                }
-            )
-            if gap is not None and label != "neutral":
-                regret_table.append({"policy_label": label, "estimator": kind, "regret": gap})
+    value_table = [
+        {
+            "policy_label": label,
+            "estimator": kind,
+            "value": estimate.value,
+            "regret_vs_fb": None if first_best is None else regret(first_best[kind], estimate),
+        }
+        for label, per_kind in estimates.items()
+        for kind, estimate in per_kind.items()
+    ]
+    reporting.write_json(outdir / "values.json", value_table)
 
-    report = RunReport(
-        command="evaluate",
-        value_table=value_table,
-        regret_table=regret_table,
-        clip_count=propensities.clipped_count,
-        diagnostics={
+    record = {
+        "command": "evaluate",
+        "value_table": value_table,
+        "clip_count": propensities.clipped_count,
+        "diagnostics": {
             "propensity_converged": logit.converged,
             "propensity_iterations": logit.iterations,
             "propensity_lstsq_steps": logit.lstsq_steps,
             "propensity_gradient_norm": logit.final_gradient_norm,
         },
-        warnings=warnings,
-    )
-    reporting.write_json(outdir / "values.json", value_table)
-    _write_record(outdir, report, config.hash_payload(), Path(config.input), ["values.json"])
-    return report
+        "warnings": warnings,
+    }
+    return _write_record(outdir, record, config.hash_payload(), Path(config.input), ["values.json"])
 
 
-def cmd_simulate(config: RunConfig) -> RunReport:
+def cmd_simulate(config: RunConfig) -> dict:
     """Draw a synthetic dataset and write it with its ground-truth sidecar."""
     _require(config.dgp is not None, "no 'dgp' section configured for simulate")
     dgp = dict(config.dgp)
@@ -489,21 +457,34 @@ def cmd_simulate(config: RunConfig) -> RunReport:
         columns += list(matrix.T)
     reporting.write_csv(outdir / "oracle.csv", header, columns)
 
-    report = RunReport(
-        command="simulate",
-        diagnostics={
+    record = {
+        "command": "simulate",
+        "diagnostics": {
             "seed": spec.seed,
             "n_units": spec.n_units,
             "n_actions": spec.n_actions,
             "arm_counts": oracle.dataset.arm_counts().tolist(),
         },
-    )
+        "warnings": [],
+    }
     payload = {**config.hash_payload(), "dgp": spec.to_dict()}
-    _write_record(outdir, report, payload, None, ["dataset.csv", "oracle.csv"])
-    return report
+    return _write_record(outdir, record, payload, None, ["dataset.csv", "oracle.csv"])
 
 
-def cmd_report(run_dir: str | Path) -> RunReport:
+def _valid_shares(shares: object, n_actions: int) -> bool:
+    """An object mapping preference names to lists of ``n_actions`` shares
+    in [0, 1] that sum to 1."""
+    return isinstance(shares, dict) and all(
+        label in _PREFERENCES
+        and _is(row, list)
+        and len(row) == n_actions
+        and all(_is(s, int, float) and 0 <= s <= 1 for s in row)
+        and abs(sum(row) - 1.0) <= 1e-9
+        for label, row in shares.items()
+    )
+
+
+def cmd_report(run_dir: str | Path) -> dict:
     """Render the scatter SVGs and ``summary.json`` of a completed fit run.
 
     Report renders what ``fit`` recorded: the preference labels, action
@@ -525,8 +506,17 @@ def cmd_report(run_dir: str | Path) -> RunReport:
         n_units, n_actions = diagnostics["n_units"], diagnostics["n_actions"]
     except (KeyError, TypeError):
         raise PipelineError(
-            f"{record_path} lacks action_shares, diagnostics.n_units or diagnostics.n_actions"
+            f"{record_path}: lacks action_shares, diagnostics.n_units or diagnostics.n_actions"
         ) from None
+    _require(
+        _is(n_units, int) and _is(n_actions, int),
+        f"{record_path}: diagnostics.n_units and diagnostics.n_actions must be integers",
+    )
+    _require(
+        _valid_shares(shares, n_actions),
+        f"{record_path}: action_shares must map preference names to lists of "
+        f"{n_actions} shares in [0, 1] that sum to 1",
+    )
 
     arm_labels = [str(a) for a in range(n_actions)]
     artifacts: list[str] = []
@@ -554,11 +544,12 @@ def cmd_report(run_dir: str | Path) -> RunReport:
     reporting.write_json(outdir / "summary.json", summary)
     artifacts.append("summary.json")
 
-    return RunReport(
-        command="report",
-        action_shares=shares,
-        diagnostics={"artifacts": sorted(artifacts)},
-    )
+    return {
+        "command": "report",
+        "action_shares": shares,
+        "diagnostics": {"artifacts": sorted(artifacts)},
+        "warnings": [],
+    }
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -625,22 +616,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     allow_unconverged = False
     try:
         if args.command == "report":
-            run_report = cmd_report(args.run_dir)
+            record = cmd_report(args.run_dir)
         else:
             config = load_config(args.config, _overrides_from_args(args))
             allow_unconverged = config.allow_unconverged
             if args.command == "fit":
-                run_report = cmd_fit(config)
+                record = cmd_fit(config)
             elif args.command == "evaluate":
-                run_report = cmd_evaluate(config, args.assignments)
+                record = cmd_evaluate(config, args.assignments)
             else:
-                run_report = cmd_simulate(config)
+                record = cmd_simulate(config)
     except (PipelineError, DataFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in run_report.warnings:
+    for line in record["warnings"]:
         print(f"warning: {line}", file=sys.stderr)
-    print(json.dumps(run_report.to_dict(), indent=2, sort_keys=True))
-    if not run_report.all_converged and not allow_unconverged:
-        return 1
+    print(json.dumps(record, indent=2, sort_keys=True))
+    if args.command == "evaluate" and not record["diagnostics"]["propensity_converged"]:
+        return 0 if allow_unconverged else 1
     return 0

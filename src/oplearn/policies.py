@@ -9,10 +9,9 @@ outcome uncertainty:
 * ``quadratic``  U = mu / sigma^2  (return per unit of variance)
 
 Ties are broken deterministically toward the smallest arm index and
-counted. Units whose mean estimates go negative are flagged under the
-risk-averse preferences - the ratio ordering is fragile there because the
-utilities assume a generally non-negative reward - but the rule itself is
-never altered.
+counted. The risk-averse ratios assume a generally non-negative reward, so
+their ordering is fragile where mean estimates go negative; the rule is
+never altered there.
 """
 
 from __future__ import annotations
@@ -53,15 +52,13 @@ class PolicyAssignment:
 
     ``actions[i]`` is always the smallest index maximising row i of
     ``utility``; ``ties_broken`` counts rows where the maximum was not
-    unique, and ``n_negative_mu`` counts units flagged for negative mean
-    estimates under a risk-averse preference.
+    unique.
     """
 
     preference: RiskPreference
     actions: np.ndarray
     utility: np.ndarray
     ties_broken: int = 0
-    n_negative_mu: int = 0
 
     def __post_init__(self) -> None:
         actions = np.ascontiguousarray(self.actions, dtype=np.int64)
@@ -96,13 +93,6 @@ def assign_policy(moments: ArmMoments, preference: RiskPreference) -> PolicyAssi
     actions = np.argmax(utility, axis=1)
     n_max = (utility == utility.max(axis=1, keepdims=True)).sum(axis=1)
     ties = int((n_max > 1).sum())
-    negative = 0
-    if preference != RiskPreference.NEUTRAL:
-        negative = int((moments.mu < 0).any(axis=1).sum())
     return PolicyAssignment(
-        preference=preference,
-        actions=actions,
-        utility=utility,
-        ties_broken=ties,
-        n_negative_mu=negative,
+        preference=preference, actions=actions, utility=utility, ties_broken=ties
     )

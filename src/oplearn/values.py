@@ -100,15 +100,16 @@ def clip_propensities(
 def _policy_actions(
     policy: PolicyAssignment | np.ndarray, n_units: int, n_actions: int
 ) -> np.ndarray:
-    """The policy's actions, checked to be one arm in 0..n_actions-1 per unit."""
+    """The policy's actions, checked to be one arm in 0..n_actions-1 per unit;
+    a non-integral or non-finite entry is an invalid arm, not truncated."""
     if isinstance(policy, PolicyAssignment):
         policy = policy.actions
-    actions = np.asarray(policy, dtype=np.int64)
+    actions = np.asarray(policy, dtype=np.float64)
     if actions.shape != (n_units,):
         raise ValueError(f"policy needs one action for each of {n_units} units")
-    if actions.min(initial=0) < 0 or actions.max(initial=0) >= n_actions:
+    if not ((actions >= 0) & (actions < n_actions) & (actions == np.trunc(actions))).all():
         raise ValueError(f"policy contains invalid arm indices (expected 0..{n_actions - 1})")
-    return actions
+    return actions.astype(np.int64)
 
 
 def _observed_propensity(dataset: Dataset, propensities: PropensityMatrix) -> np.ndarray:

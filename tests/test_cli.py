@@ -418,6 +418,20 @@ class TestFit:
         assert (outdir / "assignments.csv").exists()
 
 
+    def test_negative_means_are_warned_once(self, tmp_path, capsys):
+        # the count is one per unit, not per risk-averse preference
+        dgp = dict(README_DGP, mean_coeffs=[[-0.5, 1.0], [0.5, 1.0]])
+        simdir = tmp_path / "sim"
+        assert run(["simulate", "--config", write_config(tmp_path, dgp=dgp, outdir=str(simdir))]) == 0
+        data = str(simdir / "dataset.csv")
+        cfg = write_config(tmp_path, name="fit.json", input=data, schema=ONE_FEATURE)
+        argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]
+        for flags, expected in (([], 1), (["--pref", "neutral"], 0)):
+            capsys.readouterr()
+            assert run([*argv, *flags]) == 0
+            assert capsys.readouterr().err.count("negative mean estimates") == expected
+
+
 class TestEvaluate:
     def test_values_and_regret(self, tmp_path, sim_run):
         outdir = tmp_path / "eval"
@@ -596,12 +610,34 @@ class TestReport:
         (sim_run["run"] / "report.json").unlink()
         assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, "missing run record")
 
-    def test_report_with_incomplete_fit_record_fails(self, sim_run, capsys):
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            ("no_n_actions", "lacks action_shares"),
+            ("string_shares", "action_shares must map preference names"),
+            ("short_shares", "action_shares must map preference names"),
+            ("sum_not_one", "action_shares must map preference names"),
+            ("path_label", "action_shares must map preference names"),
+        ],
+    )
+    def test_report_with_damaged_fit_record_fails(self, sim_run, capsys, damage, fragment):
         path = sim_run["run"] / "report.json"
         record = json.loads(path.read_text())
-        del record["diagnostics"]["n_actions"]
+        shares = record["action_shares"]
+        if damage == "no_n_actions":
+            del record["diagnostics"]["n_actions"]
+        elif damage == "string_shares":
+            shares["neutral"] = "ab"
+        elif damage == "short_shares":
+            shares["neutral"] = [0.5, 0.5]
+        elif damage == "sum_not_one":
+            shares["neutral"] = [0.5, 0.5, 0.5]
+        else:
+            shares["../neutral"] = shares.pop("neutral")
         path.write_text(json.dumps(record))
-        assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, "lacks action_shares")
+        message = f"error: {path}: {fragment}"
+        assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, message)
+        assert not (sim_run["run"] / "summary.json").exists()
 
     @pytest.mark.parametrize(
         "damage, fragment",
@@ -650,6 +686,34 @@ class TestReport:
         assert shares["linear"][0] > shares["neutral"][0]
         sigma_means = summary["mean_chosen_sigma"]
         assert sigma_means["linear"] < sigma_means["neutral"]
+
+
+class TestRunRecord:
+    def test_each_command_records_only_what_it_computed(self, tmp_path, capsys):
+        common = {"command", "diagnostics", "warnings"}
+        keys = {
+            "simulate": common,
+            "fit": common | {"action_shares", "clamp_count"},
+            "evaluate": common | {"value_table", "clip_count"},
+            "report": common | {"action_shares"},
+        }
+        simdir, fitdir, evaldir = tmp_path / "sim", tmp_path / "fit", tmp_path / "eval"
+        data = str(simdir / "dataset.csv")
+        cfg = write_config(tmp_path, name="fit.json", input=data, schema=ONE_FEATURE)
+        argvs = {
+            "simulate": ["simulate", "--config", write_config(tmp_path, dgp=README_DGP)],
+            "fit": ["fit", "--config", cfg],
+            "evaluate": ["evaluate", "--config", cfg, "--assignments", str(fitdir / "assignments.csv")],
+        }
+        outdirs = {"simulate": simdir, "fit": fitdir, "evaluate": evaldir}
+        for command, argv in argvs.items():
+            capsys.readouterr()
+            assert run([*argv, "--outdir", str(outdirs[command])]) == 0
+            printed = capsys.readouterr().out
+            assert printed == (outdirs[command] / "report.json").read_text()
+            assert set(json.loads(printed)) == keys[command], command
+        assert run(["report", str(fitdir)]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == keys["report"]
 
 
 class TestJsonTables:

@@ -88,11 +88,6 @@ class TestAssignPolicy:
         for pref in (RiskPreference.LINEAR, RiskPreference.QUADRATIC):
             assert np.array_equal(assign_policy(m, pref).actions, neutral)
 
-    def test_negative_means_flagged_for_risk_averse(self):
-        m = make_moments([[-1.0, 2.0], [1.0, 2.0]], np.ones((2, 2)))
-        assert assign_policy(m, RiskPreference.NEUTRAL).n_negative_mu == 0
-        assert assign_policy(m, RiskPreference.LINEAR).n_negative_mu == 1
-
     def test_assignment_validates_argmax(self):
         with pytest.raises(ValueError, match="maximise"):
             PolicyAssignment(

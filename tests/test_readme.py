@@ -1,0 +1,30 @@
+"""README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+from oplearn import DGPSpec, generate
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+DGP = {
+    "n_units": 600,
+    "n_actions": 3,
+    "n_features": 2,
+    "mean_coeffs": [[5.0, 1.0, 0.0], [4.0, 0.0, 1.5], [4.5, 0.8, 0.8]],
+    "noise_scale_coeffs": [[-0.5, 0.2, 0.0], [0.0, 0.0, 0.3], [0.3, -0.2, 0.0]],
+    "assignment": "uniform",
+    "feature_dist": "normal",
+    "seed": 31,
+}
+
+
+def test_library_example_runs(tmp_path, monkeypatch, capsys):
+    block = re.search(r"\n## Library\n.*?```python\n(.*?)```", README.read_text(), re.S)
+    d = generate(DGPSpec.from_dict(DGP)).dataset
+    rows = zip(d.outcomes.tolist(), d.actions.tolist(), *d.features.T.tolist())
+    lines = ["y,a,x1,x2", *(f"{y!r},{a},{x1!r},{x2!r}" for y, a, x1, x2 in rows)]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), str(README), "exec"), {})
+    assert "regret:" in capsys.readouterr().out

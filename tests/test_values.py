@@ -77,7 +77,7 @@ class TestValueRA:
 
 class TestPolicyCheck:
     @pytest.mark.parametrize("scorer", ["RA", "IPW", "DR", "true"])
-    @pytest.mark.parametrize("damage", ["minus_one", "arm_m", "short"])
+    @pytest.mark.parametrize("damage", ["minus_one", "arm_m", "fractional", "short"])
     def test_bad_policy_rejected(self, scorer, damage):
         # every scorer rejects a policy that is not one arm in 0..M-1 per unit
         spec = DGPSpec(
@@ -103,6 +103,11 @@ class TestPolicyCheck:
         if damage == "short":
             policy = policy[:-1]
             fragment = "needs one action for each of 30 units"
+        elif damage == "fractional":
+            # integral floats are arms; 1.7 is not truncated to arm 1
+            score(policy.astype(np.float64))
+            policy = policy.astype(np.float64)
+            policy[7] = 1.7
         else:
             policy[7] = -1 if damage == "minus_one" else 3
         with pytest.raises(ValueError, match=fragment):

@@ -422,7 +422,8 @@ class TestFit:
         # the count is one per unit, not per risk-averse preference
         dgp = dict(README_DGP, mean_coeffs=[[-0.5, 1.0], [0.5, 1.0]])
         simdir = tmp_path / "sim"
-        assert run(["simulate", "--config", write_config(tmp_path, dgp=dgp, outdir=str(simdir))]) == 0
+        cfg = write_config(tmp_path, dgp=dgp, outdir=str(simdir))
+        assert run(["simulate", "--config", cfg]) == 0
         data = str(simdir / "dataset.csv")
         cfg = write_config(tmp_path, name="fit.json", input=data, schema=ONE_FEATURE)
         argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]
@@ -703,7 +704,10 @@ class TestRunRecord:
         argvs = {
             "simulate": ["simulate", "--config", write_config(tmp_path, dgp=README_DGP)],
             "fit": ["fit", "--config", cfg],
-            "evaluate": ["evaluate", "--config", cfg, "--assignments", str(fitdir / "assignments.csv")],
+            "evaluate": [
+                "evaluate", "--config", cfg,
+                "--assignments", str(fitdir / "assignments.csv"),
+            ],
         }
         outdirs = {"simulate": simdir, "fit": fitdir, "evaluate": evaldir}
         for command, argv in argvs.items():

@@ -105,8 +105,8 @@ class TestPolicyCheck:
             fragment = "needs one action for each of 30 units"
         elif damage == "fractional":
             # integral floats are arms; 1.7 is not truncated to arm 1
-            score(policy.astype(np.float64))
             policy = policy.astype(np.float64)
+            score(policy)
             policy[7] = 1.7
         else:
             policy[7] = -1 if damage == "minus_one" else 3

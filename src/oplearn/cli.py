@@ -263,7 +263,7 @@ def _shares_columns(assignments: Mapping[str, PolicyAssignment]) -> list[object]
 
 
 def _write_record(
-    outdir: Path, record: dict, payload: dict, input_path: Path | None, artifacts: list[str]
+    outdir: Path, record: dict, payload: dict, input_sha256: str | None, artifacts: list[str]
 ) -> dict:
     """Write the run ``record`` as ``report.json`` and the config as
     ``config.json``, then the manifest that hashes them with the command's
@@ -272,7 +272,7 @@ def _write_record(
     reporting.write_json(outdir / "config.json", payload)
     names = [*artifacts, "report.json", "config.json"]
     reporting.write_manifest(
-        outdir, config_payload=payload, input_path=input_path, artifact_names=names
+        outdir, config_payload=payload, input_sha256=input_sha256, artifact_names=names
     )
     return record
 
@@ -343,7 +343,8 @@ def cmd_fit(config: RunConfig) -> dict:
         },
         "warnings": warnings,
     }
-    return _write_record(outdir, record, config.hash_payload(), Path(config.input), artifacts)
+    input_sha256 = reporting.sha256_file(Path(config.input))
+    return _write_record(outdir, record, config.hash_payload(), input_sha256, artifacts)
 
 
 def _read_assignments(path: Path, n_units: int, n_actions: int) -> dict[str, np.ndarray]:
@@ -363,9 +364,29 @@ def _read_assignments(path: Path, n_units: int, n_actions: int) -> dict[str, np.
     }
 
 
+def _require_same_input(assignments_path: Path, input_path: Path, input_sha256: str) -> None:
+    """If the run that wrote the assignments table left a manifest beside
+    it, that run's input must be the file at ``input_path``."""
+    manifest_path = assignments_path.with_name("manifest.json")
+    if not manifest_path.exists():
+        return
+    manifest = _read_json(
+        manifest_path,
+        lambda v: isinstance(v, dict) and "input_sha256" in v,
+        "not a run manifest (no input_sha256)",
+    )
+    _require(
+        manifest["input_sha256"] == input_sha256,
+        f"{assignments_path} was fitted on another input than {input_path} "
+        f"(input_sha256 in {manifest_path} differs)",
+    )
+
+
 def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
     """Score saved policy columns with the configured welfare estimators."""
     dataset, warnings = _load_valid_dataset(config)
+    input_sha256 = reporting.sha256_file(Path(config.input))
+    _require_same_input(Path(assignments_path), Path(config.input), input_sha256)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     policies = _read_assignments(Path(assignments_path), dataset.n_units, dataset.n_actions)
@@ -428,7 +449,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
         },
         "warnings": warnings,
     }
-    return _write_record(outdir, record, config.hash_payload(), Path(config.input), ["values.json"])
+    return _write_record(outdir, record, config.hash_payload(), input_sha256, ["values.json"])
 
 
 def cmd_simulate(config: RunConfig) -> dict:
@@ -516,6 +537,11 @@ def cmd_report(run_dir: str | Path) -> dict:
         _valid_shares(shares, n_actions),
         f"{record_path}: action_shares must map preference names to lists of "
         f"{n_actions} shares in [0, 1] that sum to 1",
+    )
+    limit = len(reporting.PALETTE)
+    _require(
+        n_actions <= limit,
+        f"{record_path}: {n_actions} arms, but the scatter plots have colours for at most {limit}",
     )
 
     arm_labels = [str(a) for a in range(n_actions)]

@@ -214,24 +214,29 @@ def canonical_schema(dataset: Dataset) -> ColumnSchema:
     return ColumnSchema("outcome", "action", dataset.feature_names)
 
 
+def min_arm_units(n_features: int) -> int:
+    """Fewest observations an arm needs for a per-arm regression fit with
+    intercept on ``n_features`` features to be meaningful: ``p + 2``."""
+    return n_features + 2
+
+
 def validate_dataset(dataset: Dataset) -> ValidationReport:
     """Check empirical overlap and outcome sanity.
 
-    The report fails (``passed=False``) when any arm has fewer than ``p + 2``
-    observations, the minimum for a per-arm regression fit with intercept to
-    be meaningful. Negative outcomes and thin arms are warned about but do
-    not fail validation: risk-adjusted utilities assume a generally
-    non-negative reward, so negative rewards make the ratio ordering fragile
-    without invalidating the estimators.
+    The report fails (``passed=False``) when any arm has fewer than
+    :func:`min_arm_units` observations. Negative outcomes and thin arms are
+    warned about but do not fail validation: risk-adjusted utilities assume
+    a generally non-negative reward, so negative rewards make the ratio
+    ordering fragile without invalidating the estimators.
     """
     counts = dataset.arm_counts()
-    p = dataset.n_features
+    need = min_arm_units(dataset.n_features)
     warnings: list[str] = []
     passed = True
     for a, c in enumerate(counts):
-        if c < p + 2:
+        if c < need:
             passed = False
-        if c < 2 * (p + 2):
+        if c < 2 * need:
             warnings.append(f"arm {a} has only {int(c)} observations")
     if np.any(dataset.outcomes < 0):
         warnings.append("negative outcomes present")

@@ -23,7 +23,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import Dataset, validate_dataset
+from .data import Dataset, min_arm_units
 from .regression import LinearModel, fit_ols, predict_ols
 
 
@@ -112,11 +112,14 @@ def default_variance_floor(outcomes: np.ndarray) -> float:
 
 
 def _require_valid(dataset: Dataset) -> None:
-    report = validate_dataset(dataset)
-    if not report.passed:
+    """The condition of :func:`oplearn.data.validate_dataset`'s ``passed``,
+    checked without building its report, which a caller such as the CLI
+    has already built and shown."""
+    counts = dataset.arm_counts()
+    if counts.min() < min_arm_units(dataset.n_features):
         raise ValueError(
             "dataset fails validation (an arm is too thin for the learner); "
-            f"arm counts: {report.arm_counts.tolist()}"
+            f"arm counts: {counts.tolist()}"
         )
 
 

@@ -18,6 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# One colour per arm; a plot of more arms than colours is refused rather
+# than drawing two arms alike. The first seven are Paul Tol's "bright"
+# scheme, the rest from his "muted" and "light" schemes.
 PALETTE = (
     "#4477aa",
     "#ee6677",
@@ -26,6 +29,11 @@ PALETTE = (
     "#66ccee",
     "#aa3377",
     "#bbbbbb",
+    "#332288",
+    "#882255",
+    "#44aa99",
+    "#999933",
+    "#ee8866",
 )
 
 
@@ -205,15 +213,16 @@ def write_manifest(
     outdir: Path,
     *,
     config_payload: object,
-    input_path: Path | None,
+    input_sha256: str | None,
     artifact_names: Sequence[str],
 ) -> Path:
-    """Record hashes of the run configuration, input, and artifacts."""
+    """Record hashes of the run configuration, input, and artifacts; the
+    caller passes the input's hash, which it may also have checked."""
     manifest = {
         "config_sha256": sha256_bytes(
             json.dumps(config_payload, sort_keys=True).encode()
         ),
-        "input_sha256": sha256_file(input_path) if input_path else None,
+        "input_sha256": input_sha256,
         "artifacts": {
             name: sha256_file(outdir / name) for name in sorted(artifact_names)
         },
@@ -226,6 +235,21 @@ def write_manifest(
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 SVG_XLABEL, SVG_YLABEL = "sigma (risk)", "mu (return)"
 
+_MARK = '<circle cx="%d" cy="%d" r="2.5" fill="%s" fill-opacity="%.3f"/>'
+
+
+def _occupied_cells(
+    cx: np.ndarray, cy: np.ndarray, arm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (cx, cy, arm) triples of the units and the number of
+    units in each, ordered by the first unit in each triple; ``cx`` and
+    ``cy`` are whole pixels inside the canvas."""
+    key = (arm * SVG_HEIGHT + cy) * SVG_WIDTH + cx
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    return cx[first], cy[first], arm[first], counts[order]
+
 
 def scatter_svg(
     x: np.ndarray,
@@ -237,12 +261,25 @@ def scatter_svg(
 ) -> str:
     """Static scatter plot as an SVG document string.
 
-    Points are coloured by ``color_index`` (arm index modulo the palette).
+    Each unit falls in a 1-px cell, its point rounded to whole pixels, and
+    each occupied (cell, arm) pair is drawn as one mark in the arm's
+    ``PALETTE`` colour, with the opacity of k stacked single-unit marks,
+    ``1 - 0.3**k``. Marks follow the order of the first unit in each pair,
+    so the file size is bounded by the canvas and the number of arms, not
+    by the number of units. ``color_index`` holds each unit's arm; an arm
+    index or a legend entry beyond ``PALETTE`` raises ``ValueError``.
     Output is deterministic for identical inputs.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     color_index = np.asarray(color_index, dtype=np.int64)
+    limit = len(PALETTE)
+    if len(legend_labels) > limit or color_index.size and not (
+        0 <= color_index.min() and color_index.max() < limit
+    ):
+        raise ValueError(f"scatter_svg has colours for at most {limit} arms (0..{limit - 1})")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("scatter_svg needs finite coordinates")
     left, right, top, bottom = 62, 18, 34, 48
     plot_w = SVG_WIDTH - left - right
     plot_h = SVG_HEIGHT - top - bottom
@@ -257,10 +294,10 @@ def scatter_svg(
     x_lo, x_hi = span(x)
     y_lo, y_hi = span(y)
 
-    def px(v: float) -> float:
+    def px(v):
         return left + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v):
         return top + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -301,17 +338,17 @@ def scatter_svg(
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">{SVG_YLABEL}</text>'
     )
-    for xi, yi, ci in zip(x, y, color_index):
-        colour = PALETTE[int(ci) % len(PALETTE)]
-        parts.append(
-            f'<circle cx="{px(xi):.2f}" cy="{py(yi):.2f}" r="2.5" '
-            f'fill="{colour}" fill-opacity="0.7"/>'
-        )
+    cx, cy, arm, count = _occupied_cells(
+        np.rint(px(x)).astype(np.int64), np.rint(py(y)).astype(np.int64), color_index
+    )
+    colour = np.array(PALETTE)[arm]
+    # the alpha of k stacked single-unit marks at opacity 0.7
+    opacity = 1.0 - 0.3**count
+    parts += map(_MARK.__mod__, zip(cx.tolist(), cy.tolist(), colour.tolist(), opacity.tolist()))
     for i, name in enumerate(legend_labels):
         ly = top + 12 + 16 * i
-        colour = PALETTE[i % len(PALETTE)]
         parts.append(
-            f'<circle cx="{left + plot_w - 78}" cy="{ly}" r="4" fill="{colour}"/>'
+            f'<circle cx="{left + plot_w - 78}" cy="{ly}" r="4" fill="{PALETTE[i]}"/>'
         )
         parts.append(
             f'<text x="{left + plot_w - 68}" y="{ly + 4}" '

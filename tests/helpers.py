@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,3 +128,44 @@ def logit_hessian_oracle(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
             block = design.T @ (design * w[:, None])
             info[(r - 1) * d : r * d, (c - 1) * d : c * d] = block
     return info
+
+
+# the plot area of oplearn.reporting.scatter_svg's 640 x 480 canvas
+PLOT_LEFT, PLOT_TOP, PLOT_W, PLOT_H = 62, 34, 560, 398
+
+_MARK = re.compile(
+    r'<circle cx="(\d+)" cy="(\d+)" r="2.5" fill="(#[0-9a-f]{6})" fill-opacity="([0-9.]+)"/>'
+)
+
+
+def svg_marks(svg: str) -> list[tuple[int, int, str, str]]:
+    """(cx, cy, fill, fill-opacity text) of each data mark of a scatter SVG, in order."""
+    return [(int(cx), int(cy), fill, alpha) for cx, cy, fill, alpha in _MARK.findall(svg)]
+
+
+def reference_marks(x, y, arms, palette) -> list[tuple[int, int, str, str]]:
+    """The marks ``scatter_svg`` should draw, one unit at a time.
+
+    Each unit's pixel point, rounded half to even, and its arm select a
+    (cell, arm) pair; pairs keep the order of their first unit, and a pair
+    of k units is drawn at opacity ``1 - 0.3**k`` with three decimals.
+    """
+    x, y = [float(v) for v in x], [float(v) for v in y]
+
+    def span(values):
+        lo, hi = min(values), max(values)
+        if hi <= lo:
+            lo, hi = lo - 0.5, hi + 0.5
+        pad = 0.05 * (hi - lo)
+        return lo - pad, hi + pad
+
+    (x_lo, x_hi), (y_lo, y_hi) = span(x), span(y)
+    counts: dict[tuple[int, int, int], int] = {}
+    for xi, yi, arm in zip(x, y, arms):
+        cx = round(PLOT_LEFT + (xi - x_lo) / (x_hi - x_lo) * PLOT_W)
+        cy = round(PLOT_TOP + PLOT_H - (yi - y_lo) / (y_hi - y_lo) * PLOT_H)
+        key = (cx, cy, int(arm))
+        counts[key] = counts.get(key, 0) + 1
+    return [
+        (cx, cy, palette[arm], f"{1 - 0.3**k:.3f}") for (cx, cy, arm), k in counts.items()
+    ]

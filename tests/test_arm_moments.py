@@ -12,7 +12,6 @@ from oplearn import (
     default_variance_floor,
     estimate_conditional_means,
 )
-from oplearn import moments as moments_module
 
 from helpers import InterceptOnlyLearner, make_dataset
 
@@ -138,7 +137,7 @@ class TestBuildArmMoments:
         m = build_arm_moments(d, LinearLearner(), 1e-8)
         assert np.array_equal(m.mu, estimate_conditional_means(d, LinearLearner()))
 
-    def test_each_moment_fitted_once_per_arm(self, monkeypatch):
+    def test_each_moment_fitted_once_per_arm(self):
         fits = []
 
         class CountingLearner:
@@ -146,18 +145,18 @@ class TestBuildArmMoments:
                 fits.append(len(targets))
                 return LinearLearner().fit(features, targets)
 
-        validations = []
-        validate = moments_module.validate_dataset
-
-        def counting_validate(dataset):
-            validations.append(dataset)
-            return validate(dataset)
-
-        monkeypatch.setattr(moments_module, "validate_dataset", counting_validate)
         d = make_dataset(np.random.default_rng(7), n=80, m=3, p=2)
         build_arm_moments(d, CountingLearner())
         assert len(fits) == 2 * d.n_actions
-        assert len(validations) == 1
+
+    @pytest.mark.parametrize("estimate", [build_arm_moments, estimate_conditional_means])
+    def test_thin_arm_is_refused(self, estimate):
+        # p = 2 features need 4 units per arm; arm 1 has 3
+        d = make_dataset(np.random.default_rng(7), n=40, m=2, p=2)
+        message = r"too thin for the learner\); arm counts: \[37, 3\]$"
+        with pytest.raises(ValueError, match=message):
+            estimate(replace(d, actions=np.repeat([0, 1], [37, 3])))
+        estimate(replace(d, actions=np.repeat([0, 1], [36, 4])))
 
     def test_invariants_on_random_instances(self):
         for seed in range(5):

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -14,8 +15,12 @@ from oplearn import (
     oracle_policy,
     predict_proba,
     true_value,
+    validate_dataset,
 )
 from oplearn.cli import _CONFIG_KEYS, PipelineError, RunConfig, load_config, main
+from oplearn.reporting import PALETTE, read_csv
+
+from helpers import reference_marks, svg_marks
 
 TRADEOFF_DGP = {
     "n_units": 3000,
@@ -525,6 +530,34 @@ class TestEvaluate:
         assert_fails_with_one_error([*argv, "--assignments", str(bad)], capsys, message)
 
 
+    @pytest.mark.parametrize("case", ["matching", "mismatched", "no_manifest"])
+    def test_fit_manifest_must_hash_the_input(self, tmp_path, sim_run, capsys, case):
+        data = sim_run["sim"] / "dataset.csv"
+        other = tmp_path / "other.csv"
+        header, first, *rest = data.read_text().splitlines()
+        # the same units with one outcome changed: same N, another input
+        other.write_text("\n".join([header, "0.0" + first[first.index(",") :], *rest]) + "\n")
+        assignments = sim_run["run"] / "assignments.csv"
+        if case == "no_manifest":
+            assignments = tmp_path / "assignments.csv"
+            shutil.copy(sim_run["run"] / "assignments.csv", assignments)
+        argv = [
+            "evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e"),
+            "--assignments", str(assignments),
+            "--input", str(data if case == "matching" else other),
+        ]
+        if case == "mismatched":
+            message = (
+                f"error: {assignments} was fitted on another input than {other} "
+                f"(input_sha256 in {sim_run['run'] / 'manifest.json'} differs)"
+            )
+            assert_fails_with_one_error(argv, capsys, message)
+            assert not (tmp_path / "e").exists()
+        else:
+            # without a manifest the unit count is all that is checked
+            assert run(argv) == 0
+
+
 class TestReport:
     def test_scatter_svg_and_share_artifacts(self, tmp_path, sim_run):
         # a 2-preference fit writes 2 scatter tables and 1 share table;
@@ -561,8 +594,43 @@ class TestReport:
             "summary.json",
         ]
         assert all(after[name] == before[name] for name in before)
+        # one mark per occupied (pixel cell, arm) pair of the n units, at the
+        # opacity of k stacked marks, then one legend circle per arm
         svg = (outdir / "scatter_neutral.svg").read_text()
-        assert svg.startswith("<svg") and svg.count("<circle") >= n
+        names, values = read_csv(outdir / "scatter_neutral.csv")
+        column = dict(zip(names, values.T))
+        marks = svg_marks(svg)
+        arms = column["action"].astype(int)
+        assert marks == reference_marks(column["sigma"], column["mu"], arms, PALETTE)
+        assert svg.startswith("<svg") and svg.count("<circle") == len(marks) + 3
+
+    @pytest.mark.parametrize("n_actions", [12, 13])
+    def test_arms_beyond_the_palette_fail_before_any_svg(self, tmp_path, capsys, n_actions):
+        dgp = dict(
+            README_DGP,
+            n_units=100 * n_actions,
+            n_actions=n_actions,
+            mean_coeffs=[[2.0 + 0.1 * a, 0.2] for a in range(n_actions)],
+            noise_scale_coeffs=[[0.0, 0.0]] * n_actions,
+        )
+        simdir, fitdir = tmp_path / "sim", tmp_path / "fit"
+        cfg = write_config(tmp_path, dgp=dgp, outdir=str(simdir))
+        assert run(["simulate", "--config", cfg]) == 0
+        data = str(simdir / "dataset.csv")
+        cfg = write_config(tmp_path, name="fit.json", input=data, schema=ONE_FEATURE)
+        assert run(["fit", "--config", cfg, "--outdir", str(fitdir), "--pref", "neutral"]) == 0
+        if n_actions == 12:
+            assert run(["report", str(fitdir)]) == 0
+            svg = (fitdir / "scatter_neutral.svg").read_text()
+            legend = [line for line in svg.splitlines() if 'r="4"' in line]
+            assert len({line.split('fill="')[1] for line in legend}) == 12
+            return
+        message = (
+            f"error: {fitdir / 'report.json'}: 13 arms, "
+            "but the scatter plots have colours for at most 12"
+        )
+        assert_fails_with_one_error(["report", str(fitdir)], capsys, message)
+        assert list(fitdir.glob("*.svg")) == []
 
     def test_report_after_json_fit_writes_no_csv(self, tmp_path, sim_run):
         outdir = tmp_path / "jsonfit"
@@ -718,6 +786,25 @@ class TestRunRecord:
             assert set(json.loads(printed)) == keys[command], command
         assert run(["report", str(fitdir)]) == 0
         assert set(json.loads(capsys.readouterr().out)) == keys["report"]
+
+
+    def test_fit_and_evaluate_validate_the_dataset_once_each(self, tmp_path, sim_run, monkeypatch):
+        calls = []
+
+        def counting(dataset):
+            calls.append(dataset)
+            return validate_dataset(dataset)
+
+        # every module attribute that refers to the function, as a tracer wraps it
+        for name, module in list(sys.modules.items()):
+            refers = getattr(module, "validate_dataset", None) is validate_dataset
+            if name.split(".")[0] == "oplearn" and refers:
+                monkeypatch.setattr(module, "validate_dataset", counting)
+        assert run(["fit", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "f")]) == 0
+        assert len(calls) == 1
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
+        assert run([*argv, "--assignments", str(tmp_path / "f" / "assignments.csv")]) == 0
+        assert len(calls) == 2
 
 
 class TestJsonTables:

@@ -1,4 +1,5 @@
-"""Column-wise table writers and reader, checked against csv.writer and json.dumps."""
+"""Column-wise table writers and reader, checked against csv.writer and
+json.dumps, and the binned scatter SVG, checked against a per-unit reference."""
 
 import csv
 import io
@@ -7,7 +8,17 @@ import json
 import numpy as np
 import pytest
 
-from oplearn.reporting import ROW_BLOCK, read_csv, write_csv, write_json_table
+from oplearn.reporting import (
+    PALETTE,
+    ROW_BLOCK,
+    _occupied_cells,
+    read_csv,
+    scatter_svg,
+    write_csv,
+    write_json_table,
+)
+
+from helpers import PLOT_H, PLOT_W, reference_marks, svg_marks
 
 rng = np.random.default_rng(5)
 FLOATS = np.concatenate(
@@ -128,3 +139,70 @@ def test_read_csv_skips_unkept_columns_and_strips_header(tmp_path):
     path.write_text(" unit ;note; mu\n0;a b;1.5\n1;;2\n")
     names, values = read_csv(path, {"unit", "mu"}.__contains__, delimiter=";")
     assert names == ["unit", "mu"] and values.tolist() == [[0.0, 1.5], [1.0, 2.0]]
+
+
+def test_occupied_cells_group_every_unit_once():
+    rng = np.random.default_rng(3)
+    cx, cy, arm = rng.integers(62, 70, 5000), rng.integers(34, 40, 5000), rng.integers(0, 3, 5000)
+    cells = _occupied_cells(cx, cy, arm)
+    triples = list(zip(*(c.tolist() for c in cells[:3])))
+    assert cells[3].sum() == 5000 and (cells[3] >= 1).all()
+    assert len(set(triples)) == len(triples)
+    units = list(zip(cx.tolist(), cy.tolist(), arm.tolist()))
+    assert sorted(triples) == sorted(set(units))
+    # ordered by the first unit in each triple
+    assert triples == list(dict.fromkeys(units))
+
+
+def on_one_axes(n, m=3):
+    """``n`` units near a line, the first two fixing the same axes for every ``n``."""
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0.0, 1.0, n)
+    y = 2.0 * x + 0.01 * rng.standard_normal(n)
+    x[:2], y[:2] = (0.0, 1.0), (-0.5, 2.5)
+    return x, y, rng.integers(0, m, n)
+
+
+@pytest.mark.parametrize("n", [2_000, 50_000])
+def test_scatter_marks_are_bounded_by_the_canvas(n):
+    x, y, arms = on_one_axes(n)
+    labels = ["0", "1", "2"]
+    svg = scatter_svg(x, y, arms, title="t", legend_labels=labels)
+    marks = svg_marks(svg)
+    assert marks == reference_marks(x, y, arms, PALETTE)
+    assert len(marks) <= PLOT_W * PLOT_H * 3
+    assert svg.count("<circle") == len(marks) + len(labels)
+    assert scatter_svg(x, y, arms, title="t", legend_labels=labels) == svg
+    if n == 50_000:
+        # most units share a cell and arm with an earlier one
+        assert len(marks) < n // 4
+
+
+def test_eight_arms_get_eight_colours():
+    x, y, arms = on_one_axes(400, m=8)
+    svg = scatter_svg(x, y, arms, title="t", legend_labels=[str(a) for a in range(8)])
+    legend = [line.split('fill="')[1][:7] for line in svg.splitlines() if 'r="4"' in line]
+    assert len(set(legend)) == 8
+    assert {fill for _, _, fill, _ in svg_marks(svg)} == set(legend)
+
+
+@pytest.mark.parametrize(
+    "arms, labels",
+    [
+        (np.arange(13) % 13, []),
+        (np.arange(13) % 12, [str(a) for a in range(13)]),
+        (np.arange(13) - 1, []),
+    ],
+    ids=["arm_12", "thirteen_labels", "arm_minus_one"],
+)
+def test_arms_beyond_the_palette_are_refused(arms, labels):
+    x, y, _ = on_one_axes(13)
+    with pytest.raises(ValueError, match="colours for at most 12 arms"):
+        scatter_svg(x, y, arms, title="t", legend_labels=labels)
+
+
+def test_non_finite_coordinates_are_refused():
+    x, y, arms = on_one_axes(10)
+    x[3] = np.nan
+    with pytest.raises(ValueError, match="finite coordinates"):
+        scatter_svg(x, y, arms, title="t")

@@ -267,8 +267,9 @@ def scatter_svg(
     ``1 - 0.3**k``. Marks follow the order of the first unit in each pair,
     so the file size is bounded by the canvas and the number of arms, not
     by the number of units. ``color_index`` holds each unit's arm; an arm
-    index or a legend entry beyond ``PALETTE`` raises ``ValueError``.
-    Output is deterministic for identical inputs.
+    index or a legend entry beyond ``PALETTE``, a non-finite coordinate or
+    inputs of unequal length raise ``ValueError``. Output is deterministic
+    for identical inputs.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -280,6 +281,8 @@ def scatter_svg(
         raise ValueError(f"scatter_svg has colours for at most {limit} arms (0..{limit - 1})")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("scatter_svg needs finite coordinates")
+    if not x.shape == y.shape == color_index.shape == (len(x),):
+        raise ValueError("scatter_svg needs x, y and color_index of one length")
     left, right, top, bottom = 62, 18, 34, 48
     plot_w = SVG_WIDTH - left - right
     plot_h = SVG_HEIGHT - top - bottom

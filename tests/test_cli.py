@@ -529,7 +529,6 @@ class TestEvaluate:
         message = f"error: table {bad}: {fragment}"
         assert_fails_with_one_error([*argv, "--assignments", str(bad)], capsys, message)
 
-
     @pytest.mark.parametrize("case", ["matching", "mismatched", "no_manifest"])
     def test_fit_manifest_must_hash_the_input(self, tmp_path, sim_run, capsys, case):
         data = sim_run["sim"] / "dataset.csv"
@@ -786,7 +785,6 @@ class TestRunRecord:
             assert set(json.loads(printed)) == keys[command], command
         assert run(["report", str(fitdir)]) == 0
         assert set(json.loads(capsys.readouterr().out)) == keys["report"]
-
 
     def test_fit_and_evaluate_validate_the_dataset_once_each(self, tmp_path, sim_run, monkeypatch):
         calls = []

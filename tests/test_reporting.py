@@ -206,3 +206,10 @@ def test_non_finite_coordinates_are_refused():
     x[3] = np.nan
     with pytest.raises(ValueError, match="finite coordinates"):
         scatter_svg(x, y, arms, title="t")
+
+
+@pytest.mark.parametrize("arms", [np.zeros(1, dtype=int), np.zeros(9, dtype=int)])
+def test_unequal_lengths_are_refused(arms):
+    x, y, _ = on_one_axes(10)
+    with pytest.raises(ValueError, match="of one length"):
+        scatter_svg(x, y, arms, title="t")

@@ -262,6 +262,21 @@ def _shares_columns(assignments: Mapping[str, PolicyAssignment]) -> list[object]
     ]
 
 
+def _own_outdir(config: RunConfig, command: str) -> Path:
+    """The configured output directory, created if need be; one that holds
+    another command's run record is refused, so that no run overwrites it."""
+    outdir, found = Path(config.outdir), command
+    if (outdir / "report.json").exists():
+        record = _read_json(outdir / "report.json", lambda v: _is(v, dict), "not a run record")
+        found = record.get("command")
+    _require(
+        found == command,
+        f"{outdir} holds the run record of {found!r}; {command} would overwrite it",
+    )
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _write_record(
     outdir: Path, record: dict, payload: dict, input_sha256: str | None, artifacts: list[str]
 ) -> dict:
@@ -280,13 +295,10 @@ def _write_record(
 def cmd_fit(config: RunConfig) -> dict:
     """Load, validate, estimate moments, assign policies, write artifacts."""
     dataset, warnings = _load_valid_dataset(config)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _own_outdir(config, "fit")
 
     moments = build_arm_moments(dataset, variance_floor=config.variance_floor)
-    assignments = {
-        pref.value: assign_policy(moments, pref) for pref in config.preferences
-    }
+    assignments = {pref.value: assign_policy(moments, pref) for pref in config.preferences}
     negative = int((moments.mu < 0).any(axis=1).sum())
     if negative and set(config.preferences) - {RiskPreference.NEUTRAL}:
         warnings.append(
@@ -296,15 +308,11 @@ def cmd_fit(config: RunConfig) -> dict:
 
     n, m = dataset.n_units, dataset.n_actions
     idx = np.arange(n)
-    header = ["unit"]
-    columns: list[object] = [idx]
-    header += [f"{label}_action" for label in assignments]
-    columns += [pol.actions for pol in assignments.values()]
-    for label, pol in assignments.items():
-        header += [f"{label}_utility_{a}" for a in range(m)]
-        columns += list(pol.utility.T)
     tables = {
-        "assignments": (header, columns),
+        "assignments": (
+            ["unit", *(f"{label}_action" for label in assignments)],
+            [idx, *(pol.actions for pol in assignments.values())],
+        ),
         "moments": (
             ["unit", "arm", "mu", "sigma"],
             [
@@ -387,8 +395,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
     dataset, warnings = _load_valid_dataset(config)
     input_sha256 = reporting.sha256_file(Path(config.input))
     _require_same_input(Path(assignments_path), Path(config.input), input_sha256)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _own_outdir(config, "evaluate")
     policies = _read_assignments(Path(assignments_path), dataset.n_units, dataset.n_actions)
 
     q_hat = estimate_conditional_means(dataset)
@@ -404,9 +411,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
             f"propensity model did not converge in {logit.iterations} iterations "
             f"(gradient norm {logit.final_gradient_norm:.3g})"
         )
-    propensities = clip_propensities(
-        predict_proba(logit, dataset.features), *config.clip
-    )
+    propensities = clip_propensities(predict_proba(logit, dataset.features), *config.clip)
 
     scorers = {
         "RA": lambda actions: value_ra(q_hat, actions),
@@ -460,22 +465,17 @@ def cmd_simulate(config: RunConfig) -> dict:
         dgp["seed"] = config.seed
     spec = DGPSpec.from_dict(dgp)
     oracle = generate(spec)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _own_outdir(config, "simulate")
 
     save_dataset(oracle.dataset, outdir / "dataset.csv", delimiter=config.delimiter)
-    m = oracle.n_actions
-    header = ["unit"]
-    for stem in ("po", "mu", "sigma", "propensity"):
-        header += [f"{stem}_{a}" for a in range(m)]
-    columns = [np.arange(oracle.n_units)]
-    for matrix in (
-        oracle.potential_outcomes,
-        oracle.true_mu,
-        oracle.true_sigma,
-        oracle.true_propensity,
-    ):
-        columns += list(matrix.T)
+    matrices = {
+        "po": oracle.potential_outcomes,
+        "mu": oracle.true_mu,
+        "sigma": oracle.true_sigma,
+        "propensity": oracle.true_propensity,
+    }
+    header = ["unit", *(f"{stem}_{a}" for stem in matrices for a in range(oracle.n_actions))]
+    columns = [np.arange(oracle.n_units), *(c for matrix in matrices.values() for c in matrix.T)]
     reporting.write_csv(outdir / "oracle.csv", header, columns)
 
     record = {

@@ -231,13 +231,10 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     """
     counts = dataset.arm_counts()
     need = min_arm_units(dataset.n_features)
-    warnings: list[str] = []
-    passed = True
-    for a, c in enumerate(counts):
-        if c < need:
-            passed = False
-        if c < 2 * need:
-            warnings.append(f"arm {a} has only {int(c)} observations")
+    warnings = [
+        f"arm {a} has only {int(c)} observations" for a, c in enumerate(counts) if c < 2 * need
+    ]
     if np.any(dataset.outcomes < 0):
         warnings.append("negative outcomes present")
+    passed = bool(counts.min() >= need)
     return ValidationReport(arm_counts=counts, warnings=warnings, passed=passed)

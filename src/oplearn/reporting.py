@@ -215,9 +215,9 @@ def write_manifest(
     config_payload: object,
     input_sha256: str | None,
     artifact_names: Sequence[str],
-) -> Path:
-    """Record hashes of the run configuration, input, and artifacts; the
-    caller passes the input's hash, which it may also have checked."""
+) -> None:
+    """Write ``manifest.json``, the hashes of the run configuration, input and
+    artifacts; the caller passes the input's hash, which it may have checked."""
     manifest = {
         "config_sha256": sha256_bytes(
             json.dumps(config_payload, sort_keys=True).encode()
@@ -227,9 +227,7 @@ def write_manifest(
             name: sha256_file(outdir / name) for name in sorted(artifact_names)
         },
     }
-    path = outdir / "manifest.json"
-    write_json(path, manifest)
-    return path
+    write_json(outdir / "manifest.json", manifest)
 
 
 SVG_WIDTH, SVG_HEIGHT = 640, 480

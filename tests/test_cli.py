@@ -4,11 +4,14 @@ import json
 import shutil
 import sys
 
+import numpy as np
 import pytest
 
 from oplearn import (
     DGPSpec,
     RiskPreference,
+    assign_policy,
+    build_arm_moments,
     fit_mnlogit,
     generate,
     load_dataset,
@@ -18,7 +21,7 @@ from oplearn import (
     validate_dataset,
 )
 from oplearn.cli import _CONFIG_KEYS, PipelineError, RunConfig, load_config, main
-from oplearn.reporting import PALETTE, read_csv
+from oplearn.reporting import PALETTE, read_csv, write_csv, write_json_table
 
 from helpers import reference_marks, svg_marks
 
@@ -340,11 +343,12 @@ class TestSimulate:
 
 
 class TestFit:
-    def test_assignment_file_contract(self, sim_run):
+    def test_assignment_file_contract(self, tmp_path, sim_run):
+        # unit and one action column per preference, in preference order;
+        # the utilities are not written (they follow from the moments table)
         rundir = sim_run["run"]
         lines = (rundir / "assignments.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        assert header[:4] == [
+        assert lines[0].split(",") == [
             "unit",
             "neutral_action",
             "linear_action",
@@ -354,6 +358,15 @@ class TestFit:
         report = json.loads((rundir / "report.json").read_text())
         for shares in report["action_shares"].values():
             assert abs(sum(shares) - 1.0) < 1e-9
+        argv = ["fit", "--config", sim_run["fit_cfg"]]
+        assert run([*argv, "--outdir", str(tmp_path / "n"), "--pref", "neutral"]) == 0
+        header = (tmp_path / "n" / "assignments.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["unit", "neutral_action"]
+        assert run([*argv, "--outdir", str(tmp_path / "j"), "--format", "json"]) == 0
+        records = json.loads((tmp_path / "j" / "assignments.json").read_text())
+        assert len(records) == LINEAR_DGP["n_units"]
+        names = {"unit", "neutral_action", "linear_action", "quadratic_action"}
+        assert all(record.keys() == names for record in records)
 
     def test_single_preference_run(self, tmp_path, sim_run):
         outdir = tmp_path / "neutral_only"
@@ -507,7 +520,7 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "damage, fragment",
         [
-            ("ragged", "row 3 has 2 fields, expected 13"),
+            ("ragged", "row 3 has 2 fields, expected 4"),
             ("non_numeric", "non-numeric value 'abc' in column 'neutral_action' at row 3"),
             ("fractional", "non-integer id 1.7 in column 'neutral_action' at row 3"),
             ("minus_one", "id -1 outside 0..2 in column 'neutral_action' at row 3"),
@@ -528,6 +541,30 @@ class TestEvaluate:
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
         message = f"error: table {bad}: {fragment}"
         assert_fails_with_one_error([*argv, "--assignments", str(bad)], capsys, message)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_with_utility_columns_scores_the_same(self, tmp_path, sim_run, fmt):
+        # the layout fit wrote before: after the action columns, one
+        # <pref>_utility_<arm> column per preference and arm
+        fitdir, olddir = tmp_path / "fit", tmp_path / "old"
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(fitdir), "--format", fmt]
+        assert run(argv) == 0
+        dataset = load_dataset(sim_run["sim"] / "dataset.csv", SCHEMA)
+        moments = build_arm_moments(dataset)
+        policies = {p.value: assign_policy(moments, p) for p in RiskPreference}
+        header = ["unit", *(f"{label}_action" for label in policies)]
+        columns = [np.arange(dataset.n_units), *(pol.actions for pol in policies.values())]
+        for label, pol in policies.items():
+            header += [f"{label}_utility_{a}" for a in range(dataset.n_actions)]
+            columns += list(pol.utility.T)
+        olddir.mkdir()
+        write = write_json_table if fmt == "json" else write_csv
+        write(olddir / f"assignments.{fmt}", header, columns)
+        for table, outdir in ((fitdir, "slim"), (olddir, "wide")):
+            argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / outdir)]
+            assert run([*argv, "--assignments", str(table / f"assignments.{fmt}")]) == 0
+        slim = (tmp_path / "slim" / "values.json").read_bytes()
+        assert slim == (tmp_path / "wide" / "values.json").read_bytes()
 
     @pytest.mark.parametrize("case", ["matching", "mismatched", "no_manifest"])
     def test_fit_manifest_must_hash_the_input(self, tmp_path, sim_run, capsys, case):
@@ -657,13 +694,14 @@ class TestReport:
             assert (bare / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_summary_ignores_values_of_an_earlier_evaluate(self, tmp_path, sim_run):
-        # an evaluate run and a later fit share one directory: the values
+        # a fit directory holding an evaluate run's values.json: the values
         # scored another fit's policies, so the summary must not list them
-        mixdir = tmp_path / "mix"
-        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(mixdir)]
+        evaldir, mixdir = tmp_path / "eval", tmp_path / "mix"
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(evaldir)]
         assert run([*argv, "--assignments", str(sim_run["run"] / "assignments.csv")]) == 0
         argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(mixdir)]
         assert run([*argv, "--pref", "neutral"]) == 0
+        shutil.copy(evaldir / "values.json", mixdir)
         assert run(["report", str(mixdir)]) == 0
         summary = json.loads((mixdir / "summary.json").read_text())
         assert sorted(summary) == ["action_shares", "mean_chosen_sigma"]
@@ -785,6 +823,45 @@ class TestRunRecord:
             assert set(json.loads(printed)) == keys[command], command
         assert run(["report", str(fitdir)]) == 0
         assert set(json.loads(capsys.readouterr().out)) == keys["report"]
+
+    @pytest.mark.parametrize(
+        "command, into", [("evaluate", "fit"), ("simulate", "fit"), ("fit", "sim"), ("fit", "eval")]
+    )
+    def test_a_command_refuses_the_directory_of_another(self, tmp_path, capsys, command, into):
+        # README's sequence, then one command pointed at another's directory
+        dirs = {name: tmp_path / name for name in ("sim", "fit", "eval")}
+        data = str(dirs["sim"] / "dataset.csv")
+        cfg = write_config(tmp_path, name="fit.json", input=data, schema=ONE_FEATURE)
+        argvs = {
+            "simulate": ["simulate", "--config", write_config(tmp_path, dgp=README_DGP)],
+            "fit": ["fit", "--config", cfg],
+            "evaluate": [
+                "evaluate", "--config", cfg,
+                "--assignments", str(dirs["fit"] / "assignments.csv"),
+            ],
+        }
+        for name, argv in zip(dirs, argvs.values()):
+            assert run([*argv, "--outdir", str(dirs[name])]) == 0
+        files = {path: path.read_bytes() for path in dirs[into].iterdir()}
+        found = {"sim": "simulate", "fit": "fit", "eval": "evaluate"}[into]
+        message = f"error: {dirs[into]} holds the run record of {found!r}; {command} would"
+        assert_fails_with_one_error([*argvs[command], "--outdir", str(dirs[into])], capsys, message)
+        assert {path: path.read_bytes() for path in dirs[into].iterdir()} == files
+        if into == "fit":
+            assert run(["report", str(dirs["fit"])]) == 0
+
+    def test_a_command_reruns_into_its_own_directory(self, tmp_path, sim_run):
+        manifests = {d: (sim_run[d] / "manifest.json").read_bytes() for d in ("sim", "run")}
+        sim_cfg = write_config(tmp_path, name="sim.json", dgp=LINEAR_DGP)
+        assert run(["simulate", "--config", sim_cfg, "--outdir", str(sim_run["sim"])]) == 0
+        assert run(["fit", "--config", sim_run["fit_cfg"]]) == 0
+        assert {d: (sim_run[d] / "manifest.json").read_bytes() for d in manifests} == manifests
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
+        argv += ["--assignments", str(sim_run["run"] / "assignments.csv")]
+        assert run(argv) == 0
+        values = (tmp_path / "e" / "values.json").read_bytes()
+        assert run(argv) == 0
+        assert (tmp_path / "e" / "values.json").read_bytes() == values
 
     def test_fit_and_evaluate_validate_the_dataset_once_each(self, tmp_path, sim_run, monkeypatch):
         calls = []

@@ -298,7 +298,9 @@ def cmd_fit(config: RunConfig) -> dict:
     outdir = _own_outdir(config, "fit")
 
     moments = build_arm_moments(dataset, variance_floor=config.variance_floor)
-    assignments = {pref.value: assign_policy(moments, pref) for pref in config.preferences}
+    assignments = {
+        pref.value: assign_policy(moments, pref) for pref in config.preferences
+    }
     negative = int((moments.mu < 0).any(axis=1).sum())
     if negative and set(config.preferences) - {RiskPreference.NEUTRAL}:
         warnings.append(
@@ -411,7 +413,9 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
             f"propensity model did not converge in {logit.iterations} iterations "
             f"(gradient norm {logit.final_gradient_norm:.3g})"
         )
-    propensities = clip_propensities(predict_proba(logit, dataset.features), *config.clip)
+    propensities = clip_propensities(
+        predict_proba(logit, dataset.features), *config.clip
+    )
 
     scorers = {
         "RA": lambda actions: value_ra(q_hat, actions),

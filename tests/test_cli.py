@@ -343,7 +343,7 @@ class TestSimulate:
 
 
 class TestFit:
-    def test_assignment_file_contract(self, tmp_path, sim_run):
+    def test_assignment_file_contract(self, sim_run):
         # unit and one action column per preference, in preference order;
         # the utilities are not written (they follow from the moments table)
         rundir = sim_run["run"]
@@ -358,15 +358,6 @@ class TestFit:
         report = json.loads((rundir / "report.json").read_text())
         for shares in report["action_shares"].values():
             assert abs(sum(shares) - 1.0) < 1e-9
-        argv = ["fit", "--config", sim_run["fit_cfg"]]
-        assert run([*argv, "--outdir", str(tmp_path / "n"), "--pref", "neutral"]) == 0
-        header = (tmp_path / "n" / "assignments.csv").read_text().splitlines()[0]
-        assert header.split(",") == ["unit", "neutral_action"]
-        assert run([*argv, "--outdir", str(tmp_path / "j"), "--format", "json"]) == 0
-        records = json.loads((tmp_path / "j" / "assignments.json").read_text())
-        assert len(records) == LINEAR_DGP["n_units"]
-        names = {"unit", "neutral_action", "linear_action", "quadratic_action"}
-        assert all(record.keys() == names for record in records)
 
     def test_single_preference_run(self, tmp_path, sim_run):
         outdir = tmp_path / "neutral_only"
@@ -385,8 +376,7 @@ class TestFit:
             == 0
         )
         header = (outdir / "assignments.csv").read_text().splitlines()[0]
-        assert "linear_action" not in header
-        assert "neutral_action" in header
+        assert header.split(",") == ["unit", "neutral_action"]
 
     def test_rerun_reproduces_identical_bytes(self, tmp_path, sim_run):
         other = tmp_path / "run2"
@@ -902,7 +892,8 @@ class TestJsonTables:
         assert (outdir / "assignments.json").exists()
         records = json.loads((outdir / "assignments.json").read_text())
         assert len(records) == LINEAR_DGP["n_units"]
-        assert "neutral_action" in records[0]
+        names = {"unit", "neutral_action", "linear_action", "quadratic_action"}
+        assert all(record.keys() == names for record in records)
         evaldir = tmp_path / "jsoneval"
         assert (
             run(

@@ -4,7 +4,7 @@ Simulates a two-arm setting where one arm pays more on average but with far
 larger outcome uncertainty, then runs the full pipeline: moment estimation,
 action assignment under all three risk preferences, welfare estimation with
 RA / IPW / DR, and regret against the first-best rule. Writes the fit
-artifacts (assignments, scatter SVGs, shares) into --outdir.
+artifacts (assignments, moments, scatter SVGs) into --outdir.
 
 Usage: python scripts/risk_tradeoff_demo.py [--n 4000] [--seed 7] [--outdir runs/tradeoff]
 """

@@ -2,12 +2,12 @@
 
 ``fit`` loads a dataset, estimates per-arm conditional moments, assigns an
 optimal action to every unit under each requested risk preference, and
-writes the assignments, moment matrices, and plot data. ``evaluate`` fits a
+writes the assignments and each unit's per-arm moments. ``evaluate`` fits a
 propensity model and scores saved policy columns with the RA, IPW, and DR
 welfare estimators plus regret against the first-best (neutral) column.
 ``simulate`` draws a synthetic dataset with a ground-truth sidecar, and
 ``report`` renders one scatter SVG per preference and a summary from a
-fit run's ``report.json`` and ``scatter_<pref>`` tables.
+fit run's ``report.json`` and the two tables its manifest lists.
 
 Options come from a JSON config file and/or command flags; flags win.
 Every command prints a JSON run record of what it computed; ``simulate``,
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -38,7 +39,7 @@ from .data import (
     validate_dataset,
 )
 from .moments import build_arm_moments, estimate_conditional_means
-from .policies import PolicyAssignment, RiskPreference, assign_policy
+from .policies import RiskPreference, assign_policy
 from .regression import fit_mnlogit, predict_proba
 from .simulate import DGPSpec, generate
 from .values import ESTIMATOR_KINDS, clip_propensities, regret, value_dr, value_ipw, value_ra
@@ -142,6 +143,7 @@ def _clip(value: Any) -> tuple[float, float]:
 
 _PREFERENCES = [p.value for p in RiskPreference]
 _FORMATS = ["csv", "json"]
+_MOMENTS = ("mu", "sigma")
 
 # one converter per config key and per key under "learner"
 _CONVERTERS: dict[str, Callable[[Any], object]] = {
@@ -200,8 +202,11 @@ def _load_valid_dataset(config: RunConfig) -> tuple[Dataset, list[str]]:
     return dataset, list(report.warnings)
 
 
-def _read_table(path: Path, usecols: Callable[[str], bool]) -> tuple[list[str], np.ndarray]:
-    """Names and float values of the kept columns of a CSV or JSON table."""
+def _read_table(
+    path: Path, usecols: Callable[[str], bool], n_units: int
+) -> tuple[list[str], np.ndarray]:
+    """Names and float values of the kept columns of a CSV or JSON table
+    that has one row per unit: its kept ``unit`` ids run 0..n_units-1."""
     if path.suffix == ".json":
         records = _read_json(
             path,
@@ -219,11 +224,17 @@ def _read_table(path: Path, usecols: Callable[[str], bool]) -> tuple[list[str], 
                 raise PipelineError(f"table {path}: a record has no {name!r} key") from None
             except (TypeError, ValueError):
                 raise PipelineError(f"table {path}: non-numeric {name!r} value") from None
-        return names, np.array(columns).T.reshape(len(records), len(names))
-    try:
-        return reporting.read_csv(path, usecols)
-    except ValueError as exc:
-        raise PipelineError(f"table {path}: {exc}") from None
+        values = np.array(columns).T.reshape(len(records), len(names))
+    else:
+        try:
+            names, values = reporting.read_csv(path, usecols)
+        except ValueError as exc:
+            raise PipelineError(f"table {path}: {exc}") from None
+    _require("unit" in names, f"table {path} has no 'unit' column")
+    units = _ids(path, names, values, "unit", n_units)
+    message = f"unit ids do not run 0..{n_units - 1} in order ({len(units)} rows)"
+    _require(np.array_equal(units, np.arange(n_units)), f"table {path}: {message}")
+    return names, values
 
 
 def _ids(path: Path, names: list[str], values: np.ndarray, column: str, bound: int) -> np.ndarray:
@@ -240,26 +251,6 @@ def _ids(path: Path, names: list[str], values: np.ndarray, column: str, bound: i
             what = f"non-integer id {float(ids[i])!r}"
         raise PipelineError(f"table {path}: {what} in column '{column}' at row {i + 1}")
     return ids.astype(np.int64)
-
-
-def _find_table(outdir: Path, stem: str) -> Path:
-    for suffix in (".csv", ".json"):
-        candidate = outdir / f"{stem}{suffix}"
-        if candidate.exists():
-            return candidate
-    raise PipelineError(f"missing artifact {stem}.csv (or .json) in {outdir}")
-
-
-def _shares_columns(assignments: Mapping[str, PolicyAssignment]) -> list[object]:
-    """preference, action, count, share: one row per (preference, arm)."""
-    pols = list(assignments.values())
-    m = pols[0].n_actions
-    return [
-        np.repeat(list(assignments), m),
-        np.tile(np.arange(m), len(pols)),
-        np.concatenate([np.bincount(p.actions, minlength=m) for p in pols]),
-        np.concatenate([p.action_shares() for p in pols]),
-    ]
 
 
 def _own_outdir(config: RunConfig, command: str) -> Path:
@@ -293,7 +284,8 @@ def _write_record(
 
 
 def cmd_fit(config: RunConfig) -> dict:
-    """Load, validate, estimate moments, assign policies, write artifacts."""
+    """Estimate moments and assign policies; write ``assignments`` (per unit,
+    each ``<pref>_action``) and ``moments`` (per unit, ``mu_<a>`` then ``sigma_<a>``)."""
     dataset, warnings = _load_valid_dataset(config)
     outdir = _own_outdir(config, "fit")
 
@@ -308,30 +300,17 @@ def cmd_fit(config: RunConfig) -> dict:
             "risk-averse ranking is fragile there"
         )
 
-    n, m = dataset.n_units, dataset.n_actions
-    idx = np.arange(n)
+    idx = np.arange(dataset.n_units)
     tables = {
         "assignments": (
             ["unit", *(f"{label}_action" for label in assignments)],
             [idx, *(pol.actions for pol in assignments.values())],
         ),
         "moments": (
-            ["unit", "arm", "mu", "sigma"],
-            [
-                np.repeat(idx, m),
-                np.tile(np.arange(m), n),
-                moments.mu.ravel(),
-                moments.sigma.ravel(),
-            ],
+            ["unit", *(f"{stem}_{a}" for stem in _MOMENTS for a in range(dataset.n_actions))],
+            [idx, *moments.mu.T, *moments.sigma.T],
         ),
     }
-    for label, pol in assignments.items():
-        chosen = pol.actions
-        tables[f"scatter_{label}"] = (
-            ["unit", "action", "mu", "sigma"],
-            [idx, chosen, moments.mu[idx, chosen], moments.sigma[idx, chosen]],
-        )
-    tables["shares"] = (["preference", "action", "count", "share"], _shares_columns(assignments))
     write = reporting.write_json_table if config.format == "json" else reporting.write_csv
     for stem, (header, columns) in tables.items():
         write(outdir / f"{stem}.{config.format}", header, columns)
@@ -358,20 +337,23 @@ def cmd_fit(config: RunConfig) -> dict:
 
 
 def _read_assignments(path: Path, n_units: int, n_actions: int) -> dict[str, np.ndarray]:
-    names, values = _read_table(path, lambda h: h == "unit" or h.endswith("_action"))
-    _require("unit" in names, f"assignments file {path} has no 'unit' column")
+    """Each ``<pref>_action`` column of an assignments table as arm ids."""
+    names, values = _read_table(path, lambda h: h == "unit" or h.endswith("_action"), n_units)
     policy_cols = [h for h in names if h.endswith("_action")]
     _require(bool(policy_cols), f"assignments file {path} has no '*_action' column")
-    units = _ids(path, names, values, "unit", n_units)
-    if len(units) != n_units or not np.array_equal(units, np.arange(n_units)):
-        raise PipelineError(
-            "assignments do not align with the dataset by unit id "
-            f"({len(units)} rows vs {n_units} units)"
-        )
     return {
         col[: -len("_action")]: _ids(path, names, values, col, n_actions)
         for col in policy_cols
     }
+
+
+def _read_manifest(path: Path) -> dict:
+    """A run's ``manifest.json``: the hashes of its input and artifacts."""
+    return _read_json(
+        path,
+        lambda v: isinstance(v, dict) and "input_sha256" in v and _is(v.get("artifacts"), dict),
+        "not a run manifest (no input_sha256 or artifacts)",
+    )
 
 
 def _require_same_input(assignments_path: Path, input_path: Path, input_sha256: str) -> None:
@@ -380,11 +362,7 @@ def _require_same_input(assignments_path: Path, input_path: Path, input_sha256: 
     manifest_path = assignments_path.with_name("manifest.json")
     if not manifest_path.exists():
         return
-    manifest = _read_json(
-        manifest_path,
-        lambda v: isinstance(v, dict) and "input_sha256" in v,
-        "not a run manifest (no input_sha256)",
-    )
+    manifest = _read_manifest(manifest_path)
     _require(
         manifest["input_sha256"] == input_sha256,
         f"{assignments_path} was fitted on another input than {input_path} "
@@ -509,13 +487,22 @@ def _valid_shares(shares: object, n_actions: int) -> bool:
     )
 
 
+def _read_moments(path: Path, n_units: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, M) ``mu`` and ``sigma`` matrices of a moments table."""
+    expected = ["unit", *(f"{stem}_{a}" for stem in _MOMENTS for a in range(n_actions))]
+    names, cells = _read_table(path, lambda h: h == "unit" or h.startswith(_MOMENTS), n_units)
+    _require(sorted(names) == sorted(expected), f"table {path}: columns {names}, not {expected}")
+    cells = cells[:, [names.index(name) for name in expected[1:]]]
+    _require(np.isfinite(cells).all(), f"table {path} has a non-finite mu or sigma")
+    return tuple(np.split(cells, 2, axis=1))
+
+
 def cmd_report(run_dir: str | Path) -> dict:
     """Render the scatter SVGs and ``summary.json`` of a completed fit run.
 
-    Report renders what ``fit`` recorded: the preference labels, action
-    shares and sizes come from fit's ``report.json``, and each chosen arm's
-    mu and sigma from its ``scatter_<pref>`` table. The moments and
-    assignments tables are not read.
+    Labels, shares and sizes come from fit's ``report.json``. Each plot
+    takes a unit's ``mu_<a>`` and ``sigma_<a>`` at its ``<pref>_action``, from
+    the tables fit's ``manifest.json`` lists; both are checked before any SVG.
     """
     outdir = Path(run_dir)
     _require(outdir.is_dir(), f"run directory {outdir} does not exist")
@@ -548,20 +535,29 @@ def cmd_report(run_dir: str | Path) -> dict:
         f"{record_path}: {n_actions} arms, but the scatter plots have colours for at most {limit}",
     )
 
+    manifest_path = outdir / "manifest.json"
+    listed, tables = _read_manifest(manifest_path)["artifacts"], {}
+    for stem in ("moments", "assignments"):
+        names = [f"{stem}.{fmt}" for fmt in _FORMATS if f"{stem}.{fmt}" in listed]
+        _require(len(names) == 1, f"{manifest_path}: lists no {stem} table")
+        tables[stem] = outdir / names[0]
+        _require(tables[stem].exists(), f"missing artifact {names[0]} listed in {manifest_path}")
+    mu, sigma = _read_moments(tables["moments"], n_units, n_actions)
+    policies = _read_assignments(tables["assignments"], n_units, n_actions)
+    missing = [f"{label}_action" for label in shares if label not in policies]
+    _require(not missing, f"table {tables['assignments']} has no column {missing}")
+
+    idx = np.arange(n_units)
     arm_labels = [str(a) for a in range(n_actions)]
     artifacts: list[str] = []
     scatter_stats: dict[str, float] = {}
     for label in shares:
         name = f"scatter_{label}"
-        path = _find_table(outdir, name)
-        names, values = _read_table(path, {"action", "mu", "sigma"}.__contains__)
-        _require(len(names) == 3, f"{path} needs action, mu and sigma columns")
-        _require(len(values) == n_units, f"{path} has {len(values)} rows for {n_units} units")
-        actions = _ids(path, names, values, "action", n_actions)
-        chosen_sigma = values[:, names.index("sigma")]
+        actions = policies[label]
+        chosen_sigma = sigma[idx, actions]
         svg = reporting.scatter_svg(
             chosen_sigma,
-            values[:, names.index("mu")],
+            mu[idx, actions],
             actions,
             title=f"optimal policy ({label}): chosen-arm return vs risk",
             legend_labels=arm_labels,
@@ -661,7 +657,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     for line in record["warnings"]:
         print(f"warning: {line}", file=sys.stderr)
-    print(json.dumps(record, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(record, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:  # the reader left early; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.command == "evaluate" and not record["diagnostics"]["propensity_converged"]:
         return 0 if allow_unconverged else 1
     return 0

@@ -1,12 +1,16 @@
 """End-to-end command-line pipeline: simulate, fit, evaluate, report."""
 
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oplearn
 from oplearn import (
     DGPSpec,
     RiskPreference,
@@ -378,6 +382,31 @@ class TestFit:
         header = (outdir / "assignments.csv").read_text().splitlines()[0]
         assert header.split(",") == ["unit", "neutral_action"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fit_writes_assignments_and_wide_moments(self, tmp_path, sim_run, fmt):
+        # moments has oracle.csv's layout: unit, mu_0..mu_{M-1}, sigma_0..sigma_{M-1}
+        outdir = tmp_path / fmt
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(outdir), "--format", fmt]
+        assert run(argv) == 0
+        tables = [f"assignments.{fmt}", f"moments.{fmt}"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == sorted([*tables, "report.json", "config.json"])
+        written = sorted(p.name for p in outdir.iterdir())
+        assert written == sorted([*manifest["artifacts"], "manifest.json"])
+        moments = build_arm_moments(load_dataset(sim_run["sim"] / "dataset.csv", SCHEMA))
+        m = LINEAR_DGP["n_actions"]
+        header = ["unit", *(f"mu_{a}" for a in range(m)), *(f"sigma_{a}" for a in range(m))]
+        if fmt == "csv":
+            names, values = read_csv(outdir / tables[1])
+        else:
+            records = json.loads((outdir / tables[1]).read_text())
+            names, values = header, np.array([[r[k] for k in header] for r in records])
+            assert all(sorted(r) == sorted(header) for r in records)
+        assert names == header
+        assert np.array_equal(values[:, 0], np.arange(LINEAR_DGP["n_units"]))
+        assert np.array_equal(values[:, 1 : 1 + m], moments.mu)
+        assert np.array_equal(values[:, 1 + m :], moments.sigma)
+
     def test_rerun_reproduces_identical_bytes(self, tmp_path, sim_run):
         other = tmp_path / "run2"
         assert (
@@ -586,8 +615,8 @@ class TestEvaluate:
 
 class TestReport:
     def test_scatter_svg_and_share_artifacts(self, tmp_path, sim_run):
-        # a 2-preference fit writes 2 scatter tables and 1 share table;
-        # report adds 2 SVGs and summary.json and leaves fit's files alone
+        # report adds 2 SVGs and summary.json to a 2-preference fit and
+        # leaves fit's files alone
         outdir = tmp_path / "two_pref"
         assert (
             run(
@@ -605,12 +634,6 @@ class TestReport:
             )
             == 0
         )
-        scatters = sorted(p.name for p in outdir.glob("scatter_*.csv"))
-        assert scatters == ["scatter_linear.csv", "scatter_neutral.csv"]
-        assert (outdir / "shares.csv").exists()
-        n = LINEAR_DGP["n_units"]
-        for name in scatters:
-            assert len((outdir / name).read_text().splitlines()) - 1 == n
         before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in outdir.iterdir()}
         assert run(["report", str(outdir)]) == 0
         after = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in outdir.iterdir()}
@@ -622,12 +645,16 @@ class TestReport:
         assert all(after[name] == before[name] for name in before)
         # one mark per occupied (pixel cell, arm) pair of the n units, at the
         # opacity of k stacked marks, then one legend circle per arm
+        # the chosen arm's mu_<a> and sigma_<a>, picked unit by unit
         svg = (outdir / "scatter_neutral.svg").read_text()
-        names, values = read_csv(outdir / "scatter_neutral.csv")
-        column = dict(zip(names, values.T))
+        names, values = read_csv(outdir / "moments.csv")
+        moments = dict(zip(names, values.T))
+        names, values = read_csv(outdir / "assignments.csv")
+        arms = values[:, names.index("neutral_action")].astype(int).tolist()
+        mu = [moments[f"mu_{a}"][i] for i, a in enumerate(arms)]
+        sigma = [moments[f"sigma_{a}"][i] for i, a in enumerate(arms)]
         marks = svg_marks(svg)
-        arms = column["action"].astype(int)
-        assert marks == reference_marks(column["sigma"], column["mu"], arms, PALETTE)
+        assert marks == reference_marks(sigma, mu, arms, PALETTE)
         assert svg.startswith("<svg") and svg.count("<circle") == len(marks) + 3
 
     @pytest.mark.parametrize("n_actions", [12, 13])
@@ -669,19 +696,19 @@ class TestReport:
     def test_missing_run_dir_fails(self, tmp_path):
         assert run(["report", str(tmp_path / "nothing")]) == 1
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_report_needs_neither_moments_nor_assignments(self, tmp_path, sim_run, fmt):
-        full, bare = tmp_path / f"full_{fmt}", tmp_path / f"bare_{fmt}"
-        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(full), "--format", fmt]
-        assert run(argv) == 0
-        shutil.copytree(full, bare)
-        for stem in ("moments", "assignments"):
-            (bare / f"{stem}.{fmt}").unlink()
-        assert run(["report", str(full)]) == 0
-        assert run(["report", str(bare)]) == 0
+    def test_report_reads_the_tables_of_the_last_fit(self, tmp_path, sim_run):
+        # a JSON fit into the directory of a CSV fit leaves the CSV tables
+        # behind; report renders the JSON ones that the manifest lists
+        refit, fresh = sim_run["run"], tmp_path / "fresh"
+        flags = ["--format", "json", "--variance-floor", "5"]
+        for outdir in (refit, fresh):
+            argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(outdir)]
+            assert run([*argv, *flags]) == 0
+            assert run(["report", str(outdir)]) == 0
+        assert (refit / "moments.csv").exists() and (refit / "assignments.csv").exists()
         rendered = ["summary.json"] + [f"scatter_{p.value}.svg" for p in RiskPreference]
         for name in rendered:
-            assert (bare / name).read_bytes() == (full / name).read_bytes(), name
+            assert (refit / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_summary_ignores_values_of_an_earlier_evaluate(self, tmp_path, sim_run):
         # a fit directory holding an evaluate run's values.json: the values
@@ -736,31 +763,46 @@ class TestReport:
         assert not (sim_run["run"] / "summary.json").exists()
 
     @pytest.mark.parametrize(
-        "damage, fragment",
+        "table, damage, fragment",
         [
-            ("drop_row", "rows for 8000 units"),
-            ("action_out_of_range", "id 3 outside 0..2 in column 'action' at row 1"),
-            ("fractional_action", "non-integer id 0.5 in column 'action' at row 1"),
-            ("delete", "missing artifact scatter_neutral.csv"),
+            ("moments", "drop_row", "moments.csv: unit ids do not run 0..7999 in order (7999"),
+            ("moments", "swap_units", "moments.csv: unit ids do not run 0..7999 in order (8000"),
+            ("moments", "drop_sigma_2", "moments.csv: columns ['unit', 'mu_0', 'mu_1', 'mu_2', "),
+            ("moments", "nan", "moments.csv has a non-finite mu or sigma"),
+            ("assignments", "arm_3", "id 3 outside 0..2 in column 'neutral_action' at row 1"),
+            ("assignments", "arm_0.5", "non-integer id 0.5 in column 'neutral_action' at row 1"),
+            ("assignments", "drop_linear", "assignments.csv has no column ['linear_action']"),
+            ("moments", "delete", "missing artifact moments.csv listed in "),
+            ("moments", "unlist", "manifest.json: lists no moments table"),
         ],
     )
-    def test_damaged_scatter_table_fails(self, sim_run, capsys, damage, fragment):
-        path = sim_run["run"] / "scatter_neutral.csv"
-        lines = path.read_text().splitlines()
+    def test_damaged_report_input_fails(self, sim_run, capsys, table, damage, fragment):
+        # each damage stops report with one error line, before any SVG
+        rundir = sim_run["run"]
+        path = rundir / f"{table}.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
         if damage == "drop_row":
-            lines.pop()
-        elif damage == "action_out_of_range":
-            cells = lines[1].split(",")
-            cells[1] = str(LINEAR_DGP["n_actions"])
-            lines[1] = ",".join(cells)
-        elif damage == "fractional_action":
-            cells = lines[1].split(",")
-            cells[1] = "0.5"
-            lines[1] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+            rows.pop()
+        elif damage == "swap_units":
+            rows[1], rows[2] = rows[2], rows[1]
+        elif damage == "drop_sigma_2":
+            rows = [row[:-1] for row in rows]
+        elif damage == "nan":
+            rows[5][2] = "nan"
+        elif damage.startswith("arm_"):
+            rows[1][1] = damage[len("arm_") :]
+        elif damage == "drop_linear":
+            rows = [row[:2] + row[3:] for row in rows]
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
         if damage == "delete":
             path.unlink()
-        assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, fragment)
+        elif damage == "unlist":
+            manifest = json.loads((rundir / "manifest.json").read_text())
+            del manifest["artifacts"]["moments.csv"]
+            (rundir / "manifest.json").write_text(json.dumps(manifest))
+        assert_fails_with_one_error(["report", str(rundir)], capsys, fragment)
+        assert list(rundir.glob("*.svg")) == []
+        assert not (rundir / "summary.json").exists()
 
     def test_tradeoff_linear_preference_prefers_low_risk_arm(self, tmp_path):
         simdir = tmp_path / "sim"
@@ -852,6 +894,21 @@ class TestRunRecord:
         values = (tmp_path / "e" / "values.json").read_bytes()
         assert run(argv) == 0
         assert (tmp_path / "e" / "values.json").read_bytes() == values
+
+    def test_closed_stdout_ends_quietly(self, sim_run):
+        # stdout is a pipe whose reader has gone: no traceback, report's own code
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(oplearn.__file__).parents[1]))
+        argv = [sys.executable, "-m", "oplearn", "report", str(sim_run["run"])]
+        try:
+            proc = subprocess.run(
+                argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (sim_run["run"] / "summary.json").exists()
 
     def test_fit_and_evaluate_validate_the_dataset_once_each(self, tmp_path, sim_run, monkeypatch):
         calls = []

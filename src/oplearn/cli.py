@@ -206,7 +206,7 @@ def _read_table(
     path: Path, usecols: Callable[[str], bool], n_units: int
 ) -> tuple[list[str], np.ndarray]:
     """Names and float values of the kept columns of a CSV or JSON table
-    that has one row per unit: its kept ``unit`` ids run 0..n_units-1."""
+    that holds one row per unit: its ``unit`` column runs 0..n_units-1."""
     if path.suffix == ".json":
         records = _read_json(
             path,
@@ -232,8 +232,8 @@ def _read_table(
             raise PipelineError(f"table {path}: {exc}") from None
     _require("unit" in names, f"table {path} has no 'unit' column")
     units = _ids(path, names, values, "unit", n_units)
-    message = f"unit ids do not run 0..{n_units - 1} in order ({len(units)} rows)"
-    _require(np.array_equal(units, np.arange(n_units)), f"table {path}: {message}")
+    ok = len(units) == n_units and np.array_equal(units, np.arange(n_units))
+    _require(ok, f"table {path}: unit ids are not 0..{n_units - 1} in order ({len(units)} rows)")
     return names, values
 
 

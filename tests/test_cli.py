@@ -765,8 +765,10 @@ class TestReport:
     @pytest.mark.parametrize(
         "table, damage, fragment",
         [
-            ("moments", "drop_row", "moments.csv: unit ids do not run 0..7999 in order (7999"),
-            ("moments", "swap_units", "moments.csv: unit ids do not run 0..7999 in order (8000"),
+            ("moments", "drop_row", "moments.csv: unit ids are not 0..7999 in order (7999"),
+            ("moments", "swap_units", "moments.csv: unit ids are not 0..7999 in order (8000"),
+            # fit's record claims more units than the table has rows
+            ("moments", "n_units", "moments.csv: unit ids are not 0..999999999999 in order"),
             ("moments", "drop_sigma_2", "moments.csv: columns ['unit', 'mu_0', 'mu_1', 'mu_2', "),
             ("moments", "nan", "moments.csv has a non-finite mu or sigma"),
             ("assignments", "arm_3", "id 3 outside 0..2 in column 'neutral_action' at row 1"),
@@ -796,6 +798,10 @@ class TestReport:
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         if damage == "delete":
             path.unlink()
+        elif damage == "n_units":
+            record = json.loads((rundir / "report.json").read_text())
+            record["diagnostics"]["n_units"] = 10**12
+            (rundir / "report.json").write_text(json.dumps(record))
         elif damage == "unlist":
             manifest = json.loads((rundir / "manifest.json").read_text())
             del manifest["artifacts"]["moments.csv"]

@@ -15,17 +15,34 @@ naming the collinear columns.
 
 The multinomial logit maximises the log-likelihood by Newton ascent with
 step halving, softmax probabilities with class 0 as the zero-score baseline,
-and an optional ridge penalty on the non-intercept coefficients. The
-(penalised) log-likelihood is non-decreasing across accepted iterations.
-Its gradient is a sum over all N units, so the default convergence
-tolerance, ``LOGIT_TOL_PER_UNIT * N``, grows with N. The Hessian is
-symmetric in its class pairs and in its feature pairs, so it is built from
-blocks of ``HESSIAN_BLOCK`` rows with one matrix product per block, between
-the weights of the unique class pairs and the products of the unique
-feature pairs, and then mirrored. Each step-halving candidate is scored
-once, and the accepted candidate's softmax probabilities feed the next
-Newton step. A step whose Hessian ``np.linalg.solve`` rejects as singular
-falls back to least squares and is counted in ``lstsq_steps``.
+and an optional ridge penalty on the non-intercept coefficients. Its arrays
+are held class-major: the design is built once as a (d, N) array, with one
+row per design column, and scores and probabilities are (M, N) arrays, so
+the max, exp and sum over classes run element-wise across M contiguous
+rows of one buffer. ``predict_proba`` scores through the same softmax and
+returns its transpose. Each unit's observed score is read with one flat
+index, and each class's design-row sums, the constant part of the
+gradient, are formed once per fit.
+
+The Hessian is symmetric in its class pairs and in its feature pairs, so it
+is built from blocks of ``HESSIAN_BLOCK`` units with one matrix product per
+block, between the weights of the unique class pairs and the products of
+the unique design-row pairs, both taken as contiguous row slices, and then
+mirrored. Each step-halving candidate is scored once, and the accepted
+candidate's probabilities feed the next Newton step.
+
+The (penalised) log-likelihood is non-decreasing across accepted iterations
+with one bounded exception: a step whose Newton decrement ``g'H^-1 g / 2``
+is at most ``FLAT_STEP * |loglik|`` predicts a gain below the rounding of
+the summed log-likelihood, and a step that lands at most that much lower
+is accepted. Without it, step halving near the optimum can reject
+a full step over a rounding step and crawl for many iterations. The
+gradient is a sum over all N units, so the default convergence tolerance,
+``LOGIT_TOL_PER_UNIT * N``, grows with N. The Newton system is solved by
+Cholesky; a Hessian whose factor fails, or whose squared ratio of smallest
+to largest factor diagonal falls below ``SINGULAR_RATIO`` times its size,
+counts as singular, and that step comes from least squares and is counted
+in ``lstsq_steps``.
 """
 
 from __future__ import annotations
@@ -43,6 +60,16 @@ LOGIT_TOL_PER_UNIT = 1e-10
 # Rows per block of the logit Hessian: the block's weight and column-product
 # temporaries stay at a few MB whatever N is.
 HESSIAN_BLOCK = 4096
+
+# A Newton step counts as flat when its decrement, the ascent 0.5 g'H^-1 g
+# its quadratic model predicts, is at most FLAT_STEP * |loglik|: within a
+# few rounding steps of the summed log-likelihood.
+FLAT_STEP = 64 * np.finfo(np.float64).eps
+
+# The Hessian counts as singular when the squared ratio of its Cholesky
+# factor's smallest to largest diagonal entry, about its inverse condition
+# number, is below SINGULAR_RATIO times its size.
+SINGULAR_RATIO = np.finfo(np.float64).eps
 
 
 class RankDeficiencyError(ValueError):
@@ -78,8 +105,8 @@ class MultinomialLogitModel:
     ``coefficients`` has shape (M-1, p+1), intercept first in each row;
     class ``m >= 1`` gets the linear score ``coefficients[m-1] @ [1, x]``
     while class 0 is pinned at score zero. ``lstsq_steps`` counts the Newton
-    steps whose Hessian was singular, so that the step came from
-    ``np.linalg.lstsq`` instead of ``np.linalg.solve``.
+    steps whose Hessian was numerically singular, so that the step came from
+    ``np.linalg.lstsq`` instead of a Cholesky solve.
     """
 
     coefficients: np.ndarray
@@ -202,45 +229,92 @@ def predict_ols(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return model.coefficients[0] + X @ model.coefficients[1:]
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+def _design_rows(X: np.ndarray) -> np.ndarray:
+    """The logit design as (d, N): one row per design column, the intercept first."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("feature matrix must be 2-d")
+    design = np.empty((X.shape[1] + 1, X.shape[0]))
+    design[0] = 1.0
+    design[1:] = X.T
+    return design
 
 
-def _class_scores(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    scores = np.zeros((design.shape[0], coef.shape[0] + 1))
-    scores[:, 1:] = design @ coef.T
-    return scores
+def _softmax(
+    design: np.ndarray, coef: np.ndarray, observed: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Class-major softmax probabilities, shape (M, N), at ``coef``.
+
+    Class 0 is the zero-score baseline. The scores are built in the returned
+    buffer, and the max, exp and sum over classes run element-wise across
+    its M rows. Given ``observed``, the flat indices ``a_i * N + i`` of each
+    unit's observed class, the second value is the summed log-probability
+    of those cells; without it, 0.0.
+    """
+    probs = np.empty((coef.shape[0] + 1, design.shape[1]))
+    probs[0] = 0.0
+    np.matmul(coef, design, out=probs[1:])
+    probs -= probs.max(axis=0)
+    shifted = None if observed is None else probs.take(observed)
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=0)
+    probs /= total
+    if shifted is None:
+        return probs, 0.0
+    return probs, float((shifted - np.log(total)).sum())
 
 
 def _logit_information(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Negated log-likelihood Hessian of the multinomial logit, unpenalised.
 
-    Entry ``((r, j), (c, l))``, for classes ``r, c >= 1`` and design columns
-    ``j, l``, is ``sum_i p_ir (delta_rc - p_ic) x_ij x_il``. Both index pairs
-    are symmetric, so each block of ``HESSIAN_BLOCK`` rows forms the weights
-    of the unique class pairs ``r <= c`` and the products of the unique
-    column pairs ``j <= l``, and adds their cross product with one GEMM;
-    the sums are mirrored into the full (M-1)d x (M-1)d matrix at the end.
+    ``design`` is the (d, N) class-major design and ``probs`` the (M, N)
+    class-major probabilities. Entry ``((r, j), (c, l))``, for classes
+    ``r, c >= 1`` and design rows ``j, l``, is
+    ``sum_i p_ri (delta_rc - p_ci) x_ji x_li``. Both index pairs are
+    symmetric, so each block of ``HESSIAN_BLOCK`` units takes the weights
+    ``W`` of the unique class pairs ``r <= c`` and the products ``XX`` of
+    the unique design-row pairs ``j <= l`` from contiguous row slices, and
+    adds ``W @ XX.T`` with one GEMM; the sums are mirrored into the full
+    (M-1)d x (M-1)d matrix at the end.
     """
-    n, d = design.shape
-    k = probs.shape[1] - 1
+    d, n = design.shape
+    k = probs.shape[0] - 1
     rows, cols = np.triu_indices(k)
     left, right = np.triu_indices(d)
-    delta = (rows == cols).astype(np.float64)
+    delta = (rows == cols).astype(np.float64)[:, None]
     sums = np.zeros((rows.size, left.size))
     for start in range(0, n, HESSIAN_BLOCK):
-        p = probs[start : start + HESSIAN_BLOCK, 1:]
-        x = design[start : start + HESSIAN_BLOCK]
-        weights = p[:, rows] * (delta - p[:, cols])
-        sums += weights.T @ (x[:, left] * x[:, right])
+        p = probs[1:, start : start + HESSIAN_BLOCK]
+        x = design[:, start : start + HESSIAN_BLOCK]
+        weights = p[rows] * (delta - p[cols])
+        sums += weights @ (x[left] * x[right]).T
     class_pair = np.zeros((k, k), dtype=np.intp)
     class_pair[rows, cols] = class_pair[cols, rows] = np.arange(rows.size)
     column_pair = np.zeros((d, d), dtype=np.intp)
     column_pair[left, right] = column_pair[right, left] = np.arange(left.size)
     full = sums[class_pair[:, None, :, None], column_pair[None, :, None, :]]
     return full.reshape(k * d, k * d)
+
+
+def _newton_direction(
+    neg_hess: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Solve ``neg_hess @ direction = grad``; True with a least-squares solve.
+
+    ``neg_hess`` is factored as ``L L'``. It counts as singular, and the
+    direction comes from ``np.linalg.lstsq``, when the factorisation fails
+    or ``(min diag L / max diag L)**2`` is below ``SINGULAR_RATIO`` times
+    its size.
+    """
+    try:
+        chol = np.linalg.cholesky(neg_hess)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is not None:
+        diag = np.diagonal(chol)
+        if (diag.min() / diag.max()) ** 2 >= SINGULAR_RATIO * neg_hess.shape[0]:
+            return np.linalg.solve(chol.T, np.linalg.solve(chol, grad)), False
+    return np.linalg.lstsq(neg_hess, grad, rcond=None)[0], True
 
 
 def fit_mnlogit(
@@ -256,14 +330,15 @@ def fit_mnlogit(
     Every class in ``0..M-1`` must be present. Convergence is declared when
     the max-norm of the (penalised) gradient drops below ``tol``, by default
     ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); an explicit ``tol`` is
-    absolute. Step halving guarantees the objective never decreases.
-    Coefficients beyond ``1e6`` in absolute value abort with
-    :class:`QuasiSeparationError`, which usually means the classes are
-    separable and a stronger ``ridge`` is needed.
+    absolute. Step halving keeps the objective from decreasing, except that
+    a step whose Newton decrement is within ``FLAT_STEP * |loglik|`` may
+    lower it by at most that much. Coefficients beyond ``1e6`` in absolute
+    value abort with :class:`QuasiSeparationError`, which usually means the
+    classes are separable and a stronger ``ridge`` is needed.
     """
-    design = _design(X)
+    design = _design_rows(X)
     a = np.asarray(actions, dtype=np.int64)
-    n, d = design.shape
+    d, n = design.shape
     if a.shape != (n,):
         raise ValueError("actions length mismatch")
     if a.min() < 0:
@@ -280,26 +355,24 @@ def fit_mnlogit(
     if tol is None:
         tol = LOGIT_TOL_PER_UNIT * n
 
-    onehot = np.zeros((n, m))
-    onehot[np.arange(n), a] = 1.0
+    observed = a * n + np.arange(n)
+    # design-row sums over each class's units: the gradient's constant part
+    class_sums = np.stack(
+        [np.bincount(a, weights=row, minlength=m)[1:] for row in design], axis=1
+    )
     penalty = np.ones(d)
     penalty[0] = 0.0  # intercepts unpenalised
+    ridge_diag = ridge * np.tile(penalty, m - 1)
     coef = np.zeros((m - 1, d))
 
     def penalised_loglik(b: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective at ``b`` and the softmax probabilities it was scored on."""
-        scores = _class_scores(design, b)
-        shift = scores.max(axis=1)
-        expd = np.exp(scores - shift[:, None])
-        total = expd.sum(axis=1)
-        lse = shift + np.log(total)
-        ll = float((scores[np.arange(n), a] - lse).sum())
-        expd /= total[:, None]
-        return ll - 0.5 * ridge * float((b**2 * penalty).sum()), expd
+        probs, loglik = _softmax(design, b, observed)
+        return loglik - 0.5 * ridge * float((b**2 * penalty).sum()), probs
 
     def gradient(b: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        g = design.T @ (onehot[:, 1:] - probs[:, 1:])  # (d, M-1)
-        g = g.T - ridge * b * penalty
+        g = class_sums - probs[1:] @ design.T  # (M-1, d)
+        g -= ridge * b * penalty
         return g.reshape(-1)
 
     value, probs = penalised_loglik(coef)
@@ -311,19 +384,21 @@ def fit_mnlogit(
         if float(np.abs(grad).max()) < tol:
             break
         neg_hess = _logit_information(design, probs)
-        neg_hess += ridge * np.diag(np.tile(penalty, m - 1))
-        try:
-            direction = np.linalg.solve(neg_hess, grad)
-        except np.linalg.LinAlgError:
-            direction = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
-            lstsq_steps += 1
+        neg_hess[np.diag_indices_from(neg_hess)] += ridge_diag
+        direction, singular = _newton_direction(neg_hess, grad)
+        lstsq_steps += singular
         current = loglik_path[-1]
+        # A decrement this small predicts a gain the summed log-likelihood
+        # cannot resolve, so a step that lands up to ``slack`` lower is
+        # taken rather than halved until it barely moves.
+        slack = FLAT_STEP * abs(current)
+        floor = current - slack if 0.5 * float(grad @ direction) <= slack else current
         step = 1.0
         improved = False
         for _ in range(40):
             candidate = coef + step * direction.reshape(m - 1, d)
             value, candidate_probs = penalised_loglik(candidate)
-            if np.isfinite(value) and value >= current:
+            if np.isfinite(value) and value >= floor:
                 coef, probs = candidate, candidate_probs
                 loglik_path.append(value)
                 improved = True
@@ -351,10 +426,10 @@ def fit_mnlogit(
 
 def predict_proba(model: MultinomialLogitModel, X: np.ndarray) -> np.ndarray:
     """Class probabilities, shape (K, M); rows are strictly positive and sum to 1."""
-    design = _design(X)
-    if design.shape[1] != model.coefficients.shape[1]:
+    design = _design_rows(X)
+    if design.shape[0] != model.coefficients.shape[1]:
         raise ValueError(
             f"model was fit with {model.n_features} features, "
-            f"got {design.shape[1] - 1}"
+            f"got {design.shape[0] - 1}"
         )
-    return _softmax_rows(_class_scores(design, model.coefficients))
+    return np.ascontiguousarray(_softmax(design, model.coefficients)[0].T)

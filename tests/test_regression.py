@@ -18,13 +18,13 @@ from oplearn import (
     predict_ols,
     predict_proba,
 )
+from oplearn import regression
 from oplearn.regression import (
     HESSIAN_BLOCK,
     LOGIT_TOL_PER_UNIT,
-    _class_scores,
-    _design,
+    _design_rows,
     _logit_information,
-    _softmax_rows,
+    _softmax,
 )
 
 from helpers import logit_hessian_oracle, ols_oracle
@@ -57,6 +57,27 @@ STALL_DGP = {
     "feature_dist": "normal",
     "seed": 18,
 }
+
+
+
+def wide_dgp(seed: int) -> dict:
+    """20,000 units, 8 arms x 10 normal features, logit assignment: the
+    benchmark's wide DGP (coefficient seed 810) at a fifth of its size."""
+    rng = np.random.default_rng(810)
+    mean = np.column_stack([rng.uniform(3.0, 5.0, 8), rng.normal(0.0, 0.4, (8, 10))])
+    noise = np.column_stack([rng.uniform(-0.5, 1.0, 8), rng.normal(0.0, 0.3, (8, 10))])
+    assign = np.column_stack([np.zeros(8), rng.normal(0.0, 0.25, (8, 10))])
+    return {
+        "n_units": 20_000,
+        "n_actions": 8,
+        "n_features": 10,
+        "mean_coeffs": np.round(mean, 4).tolist(),
+        "noise_scale_coeffs": np.round(noise, 4).tolist(),
+        "assignment": "logit",
+        "assignment_coeffs": np.round(assign, 4).tolist(),
+        "feature_dist": "normal",
+        "seed": seed,
+    }
 
 
 class TestOls:
@@ -230,6 +251,17 @@ class TestMnlogit:
         longer = fit_mnlogit(d.features, d.actions, tol=1e-8, max_iter=12)
         assert longer.loglik_path[-1] - model.loglik_path[-1] < 1e-6
 
+    @pytest.mark.parametrize("seed", [28, 29, 30])
+    def test_float_flat_full_step_accepted(self, seed):
+        # at seed 29 the full 5th step lands one rounding step below the
+        # summed log-likelihood; rejecting it halved the step over and over,
+        # and Newton took 20 or more steps where seeds 28 and 30 take 5
+        d = generate(DGPSpec.from_dict(wide_dgp(seed))).dataset
+        model = fit_mnlogit(d.features, d.actions)
+        assert model.converged and model.iterations == 5
+        path = np.array(model.loglik_path)
+        assert np.all(np.diff(path) >= -regression.FLAT_STEP * np.abs(path[:-1]))
+
     def test_lstsq_fallback_counted_on_singular_hessian(self):
         # an all-zero feature column gives the unpenalised Hessian an exactly
         # zero row and column, so np.linalg.solve raises on every Newton step
@@ -242,6 +274,42 @@ class TestMnlogit:
         assert model.converged and model.iterations > 0
         assert model.lstsq_steps == model.iterations
         assert fit_mnlogit(X, a).lstsq_steps == 0
+
+    def test_lstsq_fallback_counted_on_near_singular_hessian(self):
+        # twin feature columns make the unpenalised Hessian singular in exact
+        # arithmetic, but in float its twin rows differ in the last bits, so
+        # a solver that fails only on an exactly singular matrix misses it
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(300)
+        X = np.column_stack([x, x])
+        scores = np.column_stack([np.zeros(300), x, -0.5 * x])
+        a = np.argmax(scores + rng.gumbel(size=(300, 3)), axis=1)
+        model = fit_mnlogit(X, a, ridge=0.0)
+        assert model.converged and model.iterations > 0
+        assert model.lstsq_steps == model.iterations
+
+    def test_predict_proba_is_the_fit_softmax(self, monkeypatch):
+        # at the fitted coefficients predict_proba returns, bit for bit, the
+        # probabilities the fit's last accepted step was scored on
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((2000, 3))
+        scores = np.column_stack([np.zeros(2000), X @ [1.0, -0.5, 0.2], X @ [0.3, 0.4, -1.0]])
+        a = np.argmax(scores + rng.gumbel(size=(2000, 3)), axis=1)
+        scored = []
+
+        def recording(design, coef, observed=None):
+            probs, loglik = _softmax(design, coef, observed)
+            scored.append((coef.copy(), probs.copy()))
+            return probs, loglik
+
+        monkeypatch.setattr(regression, "_softmax", recording)
+        model = fit_mnlogit(X, a)
+        monkeypatch.undo()
+        accepted = [p for coef, p in scored if np.array_equal(coef, model.coefficients)]
+        probs = predict_proba(model, X)
+        assert model.iterations > 0 and accepted
+        assert probs.shape == (2000, 3) and probs.flags.c_contiguous
+        assert np.array_equal(probs, accepted[-1].T)
 
     def test_quasi_separation_raises_without_ridge(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])
@@ -272,11 +340,11 @@ class TestLogitHessian:
     )
     def test_matches_per_pair_oracle(self, n, m, p):
         rng = np.random.default_rng(n + m + p)
-        design = _design(rng.standard_normal((n, p)))
+        design = _design_rows(rng.standard_normal((n, p)))
         coef = rng.normal(scale=0.5, size=(m - 1, p + 1))
-        probs = _softmax_rows(_class_scores(design, coef))
+        probs, _ = _softmax(design, coef)
         blocked = _logit_information(design, probs)
-        oracle = logit_hessian_oracle(design, probs)
+        oracle = logit_hessian_oracle(design.T, probs.T)
         assert blocked.shape == ((m - 1) * (p + 1),) * 2
         assert np.abs(blocked - oracle).max() <= 1e-12 * np.abs(oracle).max()
         assert np.array_equal(blocked, blocked.T)

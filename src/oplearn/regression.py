@@ -362,7 +362,6 @@ def fit_mnlogit(
     )
     penalty = np.ones(d)
     penalty[0] = 0.0  # intercepts unpenalised
-    ridge_diag = ridge * np.tile(penalty, m - 1)
     coef = np.zeros((m - 1, d))
 
     def penalised_loglik(b: np.ndarray) -> tuple[float, np.ndarray]:
@@ -384,7 +383,7 @@ def fit_mnlogit(
         if float(np.abs(grad).max()) < tol:
             break
         neg_hess = _logit_information(design, probs)
-        neg_hess[np.diag_indices_from(neg_hess)] += ridge_diag
+        neg_hess += ridge * np.diag(np.tile(penalty, m - 1))
         direction, singular = _newton_direction(neg_hess, grad)
         lstsq_steps += singular
         current = loglik_path[-1]

@@ -59,7 +59,6 @@ STALL_DGP = {
 }
 
 
-
 def wide_dgp(seed: int) -> dict:
     """20,000 units, 8 arms x 10 normal features, logit assignment: the
     benchmark's wide DGP (coefficient seed 810) at a fifth of its size."""

@@ -14,6 +14,11 @@ fit with the same learner. Flexible learners can make the plug-in
 difference non-positive, and sigma appears in utility denominators, so
 sigma2 is clamped below at a strictly positive floor; the clamp mask is kept
 so that reports can surface how often it fired.
+
+Each arm's subsample is cut once and serves both moment fits. Every unit x
+arm matrix is (N, M) in arm-major (Fortran) order, so each arm's column is
+contiguous and a reduction across arms runs element-wise over M columns;
+C-ordered inputs are accepted and copied once.
 """
 
 from __future__ import annotations
@@ -59,7 +64,9 @@ class ArmMoments:
     """Estimated (mu, sigma) pair for every unit x arm cell.
 
     Invariants, checked at construction: ``sigma2 >= variance_floor > 0``
-    everywhere and all entries are finite. ``sigma``, the elementwise square
+    everywhere, the floor is finite and all entries are finite. The
+    matrices are held arm-major (Fortran order); a C-ordered input is
+    copied once. ``sigma``, the elementwise square
     root of ``sigma2``, is computed at construction. ``clamped`` marks the
     cells where the raw plug-in variance fell below the floor.
     """
@@ -71,14 +78,14 @@ class ArmMoments:
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        sigma2 = np.ascontiguousarray(self.sigma2, dtype=np.float64)
-        clamped = np.ascontiguousarray(self.clamped, dtype=bool)
+        mu = np.asfortranarray(self.mu, dtype=np.float64)
+        sigma2 = np.asfortranarray(self.sigma2, dtype=np.float64)
+        clamped = np.asfortranarray(self.clamped, dtype=bool)
         if not (mu.shape == sigma2.shape == clamped.shape):
             raise ValueError("moment matrices disagree on shape")
         if mu.ndim != 2:
             raise ValueError("moment matrices must be 2-d (units x arms)")
-        if self.variance_floor <= 0:
+        if not 0 < self.variance_floor < np.inf:
             raise ValueError("variance_floor must be strictly positive")
         if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
             raise ValueError("moments contain non-finite entries")
@@ -123,22 +130,28 @@ def _require_valid(dataset: Dataset) -> None:
         )
 
 
-def _fit_per_arm(dataset: Dataset, learner: MomentLearner, targets: np.ndarray) -> np.ndarray:
-    """Fit on each arm subsample, predict the target for all units."""
-    out = np.empty((dataset.n_units, dataset.n_actions))
+def _fit_per_arm(
+    dataset: Dataset, learner: MomentLearner, *targets: np.ndarray
+) -> list[np.ndarray]:
+    """For each target, an arm-major N x M matrix of predictions for all
+    units; each arm's subsample is cut once and fitted for every target."""
+    outs = [np.empty((dataset.n_units, dataset.n_actions), order="F") for _ in targets]
     for a in range(dataset.n_actions):
-        rows = dataset.actions == a
-        fitted = learner.fit(dataset.features[rows], targets[rows])
-        out[:, a] = fitted.predict(dataset.features)
-    return out
+        rows = np.flatnonzero(dataset.actions == a)
+        features = dataset.features.take(rows, axis=0)
+        for out, target in zip(outs, targets):
+            out[:, a] = learner.fit(features, target.take(rows)).predict(dataset.features)
+    return outs
 
 
 def estimate_conditional_means(
     dataset: Dataset, learner: MomentLearner = LinearLearner()
 ) -> np.ndarray:
-    """N x M matrix of imputed conditional mean outcomes, one column per arm."""
+    """N x M matrix of imputed conditional mean outcomes, one column per arm,
+    in arm-major order."""
     _require_valid(dataset)
-    return _fit_per_arm(dataset, learner, dataset.outcomes)
+    (mu,) = _fit_per_arm(dataset, learner, dataset.outcomes)
+    return mu
 
 
 def build_arm_moments(
@@ -148,15 +161,16 @@ def build_arm_moments(
 ) -> ArmMoments:
     """Conditional mean and clamped plug-in variance for all arms.
 
-    Per arm, the learner is fit twice on the arm subsample - once with
-    target Y, once with target Y^2 - and both fits predict for all units;
-    the variance is E[Y^2] - mu^2, clamped below at ``variance_floor``.
+    Per arm, the subsample is cut once and the learner is fit on it twice -
+    once with target Y, once with target Y^2 - and both fits predict for all
+    units; the variance is E[Y^2] - mu^2, clamped below at
+    ``variance_floor``.
     """
     _require_valid(dataset)
     if variance_floor is None:
         variance_floor = default_variance_floor(dataset.outcomes)
-    mu = _fit_per_arm(dataset, learner, dataset.outcomes)
-    raw = _fit_per_arm(dataset, learner, dataset.outcomes**2) - mu**2
+    mu, second = _fit_per_arm(dataset, learner, dataset.outcomes, dataset.outcomes**2)
+    raw = second - mu**2
     clamped = raw < variance_floor
     sigma2 = np.where(clamped, variance_floor, raw)
     return ArmMoments(

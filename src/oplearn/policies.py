@@ -9,7 +9,10 @@ outcome uncertainty:
 * ``quadratic``  U = mu / sigma^2  (return per unit of variance)
 
 Ties are broken deterministically toward the smallest arm index and
-counted. The risk-averse ratios assume a generally non-negative reward, so
+counted. The utility matrix is (N, M) in arm-major (Fortran) order, like the
+moments it comes from, and the arm choice takes one pass over its M
+contiguous columns after the row maximum; C-ordered inputs are accepted and
+copied once. The risk-averse ratios assume a generally non-negative reward, so
 their ordering is fragile where mean estimates go negative; the rule is
 never altered there.
 """
@@ -52,7 +55,8 @@ class PolicyAssignment:
 
     ``actions[i]`` is always the smallest index maximising row i of
     ``utility``; ``ties_broken`` counts rows where the maximum was not
-    unique.
+    unique. ``utility`` is held arm-major (Fortran order); a C-ordered input
+    is copied once.
     """
 
     preference: RiskPreference
@@ -62,12 +66,12 @@ class PolicyAssignment:
 
     def __post_init__(self) -> None:
         actions = np.ascontiguousarray(self.actions, dtype=np.int64)
-        utility = np.ascontiguousarray(self.utility, dtype=np.float64)
+        utility = np.asfortranarray(self.utility, dtype=np.float64)
         if utility.ndim != 2 or actions.shape != (utility.shape[0],):
             raise ValueError("actions and utility disagree on shape")
         if not np.isfinite(utility).all():
             raise ValueError("utility contains non-finite entries")
-        if not np.array_equal(np.argmax(utility, axis=1), actions):
+        if not np.array_equal(_smallest_maximisers(utility)[0], actions):
             raise ValueError("actions do not maximise the utility rows")
         actions.setflags(write=False)
         utility.setflags(write=False)
@@ -86,13 +90,31 @@ class PolicyAssignment:
         return np.bincount(self.actions, minlength=self.n_actions) / self.n_units
 
 
+def _smallest_maximisers(utility: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a finite ``utility``, the smallest index of the maximum and
+    whether the maximum is tied. One pass over the columns after the row
+    maximum, so each column is read contiguously when ``utility`` is
+    arm-major; ``np.argmax(axis=1)`` would first copy such a matrix to put
+    the arm axis last. The index counts the columns before the first one
+    holding the maximum."""
+    best = utility.max(axis=1)
+    first = np.zeros(utility.shape[0], dtype=np.int64)
+    seen = np.zeros(utility.shape[0], dtype=bool)
+    tied = np.zeros(utility.shape[0], dtype=bool)
+    for a in range(utility.shape[1]):
+        hit = utility[:, a] == best
+        tied |= seen & hit
+        seen |= hit
+        first += ~seen
+    return first, tied
+
+
 def assign_policy(moments: ArmMoments, preference: RiskPreference) -> PolicyAssignment:
     """Per-unit argmax of the utility matrix, smallest index on ties. The
     utilities are finite by construction thanks to the variance floor."""
     utility = risk_utility(moments.mu, moments.sigma, moments.sigma2, preference)
-    actions = np.argmax(utility, axis=1)
-    n_max = (utility == utility.max(axis=1, keepdims=True)).sum(axis=1)
-    ties = int((n_max > 1).sum())
+    actions, tied = _smallest_maximisers(utility)
+    ties = int(np.count_nonzero(tied))
     return PolicyAssignment(
         preference=preference, actions=actions, utility=utility, ties_broken=ties
     )

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from oplearn import (
+    ArmMoments,
     Dataset,
     LinearLearner,
+    RiskPreference,
+    assign_policy,
     build_arm_moments,
     default_variance_floor,
     estimate_conditional_means,
@@ -125,10 +128,20 @@ class TestConditionalVariance:
             estimate = m.sigma2[x == 1.0, a][0]
             assert abs(estimate - oracle) / oracle < 0.05
 
-    def test_floor_must_be_positive(self):
+    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
+    def test_floor_must_be_positive(self, floor):
         d = make_dataset(np.random.default_rng(6), n=50)
-        with pytest.raises(ValueError, match="variance_floor"):
-            build_arm_moments(d, LinearLearner(), 0.0)
+        with pytest.raises(ValueError, match="variance_floor must be strictly positive"):
+            build_arm_moments(d, LinearLearner(), floor)
+
+    def test_nan_floor_does_not_admit_negative_variance(self):
+        with pytest.raises(ValueError, match="variance_floor must be strictly positive"):
+            ArmMoments(
+                mu=np.zeros((2, 2)),
+                sigma2=np.array([[1.0, -1.0], [1.0, 1.0]]),
+                variance_floor=float("nan"),
+                clamped=np.zeros((2, 2), dtype=bool),
+            )
 
 
 class TestBuildArmMoments:
@@ -142,12 +155,47 @@ class TestBuildArmMoments:
 
         class CountingLearner:
             def fit(self, features, targets):
-                fits.append(len(targets))
+                fits.append((features, targets))
                 return LinearLearner().fit(features, targets)
 
         d = make_dataset(np.random.default_rng(7), n=80, m=3, p=2)
         build_arm_moments(d, CountingLearner())
         assert len(fits) == 2 * d.n_actions
+        # per arm, the Y fit then the Y^2 fit, both on the one subsample cut
+        for a in range(d.n_actions):
+            (x_mean, y_mean), (x_square, y_square) = fits[2 * a : 2 * a + 2]
+            assert x_square is x_mean
+            rows = d.actions == a
+            assert np.array_equal(x_mean, d.features[rows])
+            assert np.array_equal(y_mean, d.outcomes[rows])
+            assert np.array_equal(y_square, d.outcomes[rows] ** 2)
+
+    def test_unit_by_arm_matrices_are_arm_major(self):
+        d = make_dataset(np.random.default_rng(10), n=90, m=3, p=2)
+        m = build_arm_moments(d)
+        for arr in (m.mu, m.sigma2, m.sigma, m.clamped):
+            assert arr.flags.f_contiguous and arr.shape == (90, 3)
+        assert estimate_conditional_means(d).flags.f_contiguous
+        for pref in RiskPreference:
+            assert assign_policy(m, pref).utility.flags.f_contiguous
+
+    def test_c_ordered_inputs_are_accepted(self):
+        d = make_dataset(np.random.default_rng(11), n=90, m=3, p=2, noise=1.0)
+        m = build_arm_moments(d)
+        c = ArmMoments(
+            mu=np.ascontiguousarray(m.mu),
+            sigma2=np.ascontiguousarray(m.sigma2),
+            variance_floor=m.variance_floor,
+            clamped=np.ascontiguousarray(m.clamped),
+        )
+        for name in ("mu", "sigma2", "sigma", "clamped"):
+            held = getattr(c, name)
+            assert held.flags.f_contiguous and not held.flags.writeable
+            assert np.array_equal(held, getattr(m, name))
+        for pref in RiskPreference:
+            expected, got = assign_policy(m, pref), assign_policy(c, pref)
+            assert np.array_equal(got.actions, expected.actions)
+            assert got.ties_broken == expected.ties_broken
 
     @pytest.mark.parametrize("estimate", [build_arm_moments, estimate_conditional_means])
     def test_thin_arm_is_refused(self, estimate):

@@ -88,6 +88,34 @@ class TestAssignPolicy:
         for pref in (RiskPreference.LINEAR, RiskPreference.QUADRATIC):
             assert np.array_equal(assign_policy(m, pref).actions, neutral)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        u=st.integers(2, 12).flatmap(
+            lambda m: hnp.arrays(
+                np.float64, st.tuples(st.integers(1, 30), st.just(m)),
+                elements=st.integers(-2, 2).map(float),
+            )
+        ),
+        order=st.sampled_from("CF"),
+    )
+    def test_one_pass_choice_matches_argmax(self, u, order):
+        # few distinct values, so most rows hold ties
+        u = np.array(u, order=order)
+        expected_ties = int(((u == u.max(1, keepdims=True)).sum(1) > 1).sum())
+        pol = assign_policy(make_moments(u, np.ones(u.shape)), RiskPreference.NEUTRAL)
+        assert np.array_equal(pol.actions, np.argmax(u, axis=1))
+        assert pol.ties_broken == expected_ties
+        held = PolicyAssignment(RiskPreference.NEUTRAL, np.argmax(u, axis=1), u)
+        assert held.utility.flags.f_contiguous and np.array_equal(held.utility, u)
+
+    def test_assignment_rejects_later_maximiser_of_tie(self):
+        with pytest.raises(ValueError, match="maximise"):
+            PolicyAssignment(
+                preference=RiskPreference.NEUTRAL,
+                actions=np.array([1]),
+                utility=np.array([[5.0, 5.0]]),
+            )
+
     def test_assignment_validates_argmax(self):
         with pytest.raises(ValueError, match="maximise"):
             PolicyAssignment(

@@ -79,9 +79,9 @@ class Dataset:
     action_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        outcomes = np.ascontiguousarray(self.outcomes, dtype=np.float64)
-        actions = np.ascontiguousarray(self.actions, dtype=np.int64)
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        outcomes = np.ascontiguousarray(self.outcomes, dtype=np.float64).view()
+        actions = np.ascontiguousarray(self.actions, dtype=np.int64).view()
+        features = np.ascontiguousarray(self.features, dtype=np.float64).view()
         if features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         n = outcomes.shape[0]

@@ -66,7 +66,8 @@ class ArmMoments:
     Invariants, checked at construction: ``sigma2 >= variance_floor > 0``
     everywhere, the floor is finite and all entries are finite. The
     matrices are held arm-major (Fortran order); a C-ordered input is
-    copied once. ``sigma``, the elementwise square
+    copied once, and an F-ordered one is held as a read-only view, so the
+    caller's array stays writeable. ``sigma``, the elementwise square
     root of ``sigma2``, is computed at construction. ``clamped`` marks the
     cells where the raw plug-in variance fell below the floor.
     """
@@ -78,9 +79,9 @@ class ArmMoments:
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        mu = np.asfortranarray(self.mu, dtype=np.float64)
-        sigma2 = np.asfortranarray(self.sigma2, dtype=np.float64)
-        clamped = np.asfortranarray(self.clamped, dtype=bool)
+        mu = np.asfortranarray(self.mu, dtype=np.float64).view()
+        sigma2 = np.asfortranarray(self.sigma2, dtype=np.float64).view()
+        clamped = np.asfortranarray(self.clamped, dtype=bool).view()
         if not (mu.shape == sigma2.shape == clamped.shape):
             raise ValueError("moment matrices disagree on shape")
         if mu.ndim != 2:

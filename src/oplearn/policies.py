@@ -56,7 +56,8 @@ class PolicyAssignment:
     ``actions[i]`` is always the smallest index maximising row i of
     ``utility``; ``ties_broken`` counts rows where the maximum was not
     unique. ``utility`` is held arm-major (Fortran order); a C-ordered input
-    is copied once.
+    is copied once, and an F-ordered one is held as a read-only view, so the
+    caller's array stays writeable.
     """
 
     preference: RiskPreference
@@ -65,8 +66,8 @@ class PolicyAssignment:
     ties_broken: int = 0
 
     def __post_init__(self) -> None:
-        actions = np.ascontiguousarray(self.actions, dtype=np.int64)
-        utility = np.asfortranarray(self.utility, dtype=np.float64)
+        actions = np.ascontiguousarray(self.actions, dtype=np.int64).view()
+        utility = np.asfortranarray(self.utility, dtype=np.float64).view()
         if utility.ndim != 2 or actions.shape != (utility.shape[0],):
             raise ValueError("actions and utility disagree on shape")
         if not np.isfinite(utility).all():

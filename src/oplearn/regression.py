@@ -27,9 +27,13 @@ gradient, are formed once per fit.
 The Hessian is symmetric in its class pairs and in its feature pairs, so it
 is built from blocks of ``HESSIAN_BLOCK`` units with one matrix product per
 block, between the weights of the unique class pairs and the products of
-the unique design-row pairs, both taken as contiguous row slices, and then
-mirrored. Each step-halving candidate is scored once, and the accepted
-candidate's probabilities feed the next Newton step.
+the unique design-row pairs, and then mirrored. Each block writes both
+operands straight into C-contiguous buffers, one run per class or design
+row: class ``r``'s weights come from the row slice ``p[r:]``, and design
+row ``j``'s products from ``x[j:]``, with no index gather. Each
+step-halving candidate is scored once, and the accepted candidate's
+probabilities feed the next Newton step, whose gradient is also the final
+one reported when the loop stops.
 
 The (penalised) log-likelihood is non-decreasing across accepted iterations
 with one bounded exception: a step whose Newton decrement ``g'H^-1 g / 2``
@@ -87,7 +91,7 @@ class LinearModel:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        coef = np.ascontiguousarray(self.coefficients, dtype=np.float64)
+        coef = np.ascontiguousarray(self.coefficients, dtype=np.float64).view()
         if not np.isfinite(coef).all():
             raise ValueError("coefficients must be finite")
         coef.setflags(write=False)
@@ -117,7 +121,7 @@ class MultinomialLogitModel:
     lstsq_steps: int = 0
 
     def __post_init__(self) -> None:
-        coef = np.ascontiguousarray(self.coefficients, dtype=np.float64)
+        coef = np.ascontiguousarray(self.coefficients, dtype=np.float64).view()
         if coef.ndim != 2:
             raise ValueError("coefficients must be (M-1, p+1)")
         if not np.isfinite(coef).all():
@@ -271,23 +275,37 @@ def _logit_information(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
     class-major probabilities. Entry ``((r, j), (c, l))``, for classes
     ``r, c >= 1`` and design rows ``j, l``, is
     ``sum_i p_ri (delta_rc - p_ci) x_ji x_li``. Both index pairs are
-    symmetric, so each block of ``HESSIAN_BLOCK`` units takes the weights
-    ``W`` of the unique class pairs ``r <= c`` and the products ``XX`` of
-    the unique design-row pairs ``j <= l`` from contiguous row slices, and
-    adds ``W @ XX.T`` with one GEMM; the sums are mirrored into the full
-    (M-1)d x (M-1)d matrix at the end.
+    symmetric, so each block of ``HESSIAN_BLOCK`` units fills two
+    C-contiguous buffers, pair-major in ``np.triu_indices`` order: the
+    weights ``W`` of the unique class pairs ``r <= c``, class ``r``'s run
+    being ``p_r * (delta - p[r:])``, and the products ``XX`` of the unique
+    design-row pairs ``j <= l``, row ``j``'s run being ``x_j * x[j:]``.
+    Each run is written with whole-row ufuncs on slices of the block, and
+    the block adds ``W @ XX.T`` with one GEMM; the sums are mirrored into
+    the full (M-1)d x (M-1)d matrix at the end.
     """
     d, n = design.shape
     k = probs.shape[0] - 1
     rows, cols = np.triu_indices(k)
     left, right = np.triu_indices(d)
-    delta = (rows == cols).astype(np.float64)[:, None]
     sums = np.zeros((rows.size, left.size))
     for start in range(0, n, HESSIAN_BLOCK):
         p = probs[1:, start : start + HESSIAN_BLOCK]
         x = design[:, start : start + HESSIAN_BLOCK]
-        weights = p[rows] * (delta - p[cols])
-        sums += weights @ (x[left] * x[right]).T
+        weights = np.empty((rows.size, p.shape[1]))
+        products = np.empty((left.size, x.shape[1]))
+        at = 0
+        for r in range(k):
+            run = weights[at : at + k - r]
+            np.negative(p[r:], out=run)
+            run[0] += 1.0
+            run *= p[r]
+            at += k - r
+        at = 0
+        for j in range(d):
+            np.multiply(x[j], x[j:], out=products[at : at + d - j])
+            at += d - j
+        sums += weights @ products.T
     class_pair = np.zeros((k, k), dtype=np.intp)
     class_pair[rows, cols] = class_pair[cols, rows] = np.arange(rows.size)
     column_pair = np.zeros((d, d), dtype=np.intp)
@@ -411,8 +429,11 @@ def fit_mnlogit(
                 "logit coefficients exceeded 1e6 without converging; the "
                 "classes look separable - increase the ridge penalty"
             )
+    else:
+        # max_iter ran out right after an accepted step, or was 0
+        grad = gradient(coef, probs)
 
-    grad_norm = float(np.abs(gradient(coef, probs)).max())
+    grad_norm = float(np.abs(grad).max())
     return MultinomialLogitModel(
         coefficients=coef,
         converged=grad_norm < tol,

@@ -51,7 +51,9 @@ class DGPSpec:
     ``"logit"``; the logit rule draws actions with probabilities
     ``softmax([1, x] @ assignment_coeffs.T)``. ``feature_dist`` is a single
     distribution name or one per feature column, from ``"normal"``
-    (standard normal) and ``"uniform"`` (uniform on [0, 1]).
+    (standard normal) and ``"uniform"`` (uniform on [0, 1]). Given
+    ``assignment_coeffs`` must be (M, p+1) under either rule; the uniform
+    rule ignores them.
     """
 
     n_units: int
@@ -68,17 +70,17 @@ class DGPSpec:
         if self.n_units < 1 or self.n_actions < 2 or self.n_features < 1:
             raise ValueError("need n_units >= 1, n_actions >= 2, n_features >= 1")
         shape = (self.n_actions, self.n_features + 1)
-        mean = np.ascontiguousarray(self.mean_coeffs, dtype=np.float64)
-        noise = np.ascontiguousarray(self.noise_scale_coeffs, dtype=np.float64)
+        mean = np.ascontiguousarray(self.mean_coeffs, dtype=np.float64).view()
+        noise = np.ascontiguousarray(self.noise_scale_coeffs, dtype=np.float64).view()
         if mean.shape != shape or noise.shape != shape:
             raise ValueError(f"coefficient matrices must have shape {shape}")
         if self.assignment not in ("uniform", "logit"):
             raise ValueError(f"unknown assignment mechanism {self.assignment!r}")
         coeffs = self.assignment_coeffs
-        if self.assignment == "logit":
-            if coeffs is None:
-                raise ValueError("logit assignment needs assignment_coeffs")
-            coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+        if self.assignment == "logit" and coeffs is None:
+            raise ValueError("logit assignment needs assignment_coeffs")
+        if coeffs is not None:
+            coeffs = np.ascontiguousarray(coeffs, dtype=np.float64).view()
             if coeffs.shape != shape:
                 raise ValueError(f"assignment_coeffs must have shape {shape}")
         dists = self.feature_dist
@@ -138,7 +140,7 @@ class OracleData:
         shape = (self.dataset.n_units, self.dataset.n_actions)
         arrays = {}
         for name in ("potential_outcomes", "true_mu", "true_sigma", "true_propensity"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64).view()
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             arr.setflags(write=False)

@@ -63,7 +63,7 @@ class PropensityMatrix:
     clipped_count: int
 
     def __post_init__(self) -> None:
-        p = np.ascontiguousarray(self.p, dtype=np.float64)
+        p = np.ascontiguousarray(self.p, dtype=np.float64).view()
         low, high = self.clip_bounds
         if p.ndim != 2:
             raise ValueError("propensity matrix must be 2-d")

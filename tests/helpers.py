@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from oplearn import ArmMoments, Dataset, OracleData
+from oplearn.regression import HESSIAN_BLOCK
 
 
 def gauss_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -128,6 +129,33 @@ def logit_hessian_oracle(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
             block = design.T @ (design * w[:, None])
             info[(r - 1) * d : r * d, (c - 1) * d : c * d] = block
     return info
+
+
+def gathered_logit_information(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The blocked Hessian with its operands built by index gathers.
+
+    ``design`` is (d, N) and ``probs`` (M, N), both class-major. Each block
+    gathers its class-pair weights and design-row-pair products through
+    ``np.triu_indices`` and adds one GEMM of them. The library must match it
+    bit for bit, so that a kernel edit which moves the Hessian's bits fails
+    here before it moves a golden hash.
+    """
+    d, n = design.shape
+    k = probs.shape[0] - 1
+    rows, cols = np.triu_indices(k)
+    left, right = np.triu_indices(d)
+    delta = (rows == cols).astype(np.float64)[:, None]
+    sums = np.zeros((rows.size, left.size))
+    for start in range(0, n, HESSIAN_BLOCK):
+        p = probs[1:, start : start + HESSIAN_BLOCK]
+        x = design[:, start : start + HESSIAN_BLOCK]
+        sums += (p[rows] * (delta - p[cols])) @ (x[left] * x[right]).T
+    class_pair = np.zeros((k, k), dtype=np.intp)
+    class_pair[rows, cols] = class_pair[cols, rows] = np.arange(rows.size)
+    column_pair = np.zeros((d, d), dtype=np.intp)
+    column_pair[left, right] = column_pair[right, left] = np.arange(left.size)
+    full = sums[class_pair[:, None, :, None], column_pair[None, :, None, :]]
+    return full.reshape(k * d, k * d)
 
 
 # the plot area of oplearn.reporting.scatter_svg's 640 x 480 canvas

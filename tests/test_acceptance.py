@@ -117,6 +117,7 @@ def test_criterion_3_estimator_agreement():
 def test_criterion_4_dr_robust_to_outcome_misspecification():
     wins = 0
     dr_rel_errors = []
+    errors = {"RA": [], "IPW": [], "DR": []}
     for seed in range(50):
         oracle = quadratic_mean_oracle(seed, n=5000)
         dataset = oracle.dataset
@@ -126,16 +127,23 @@ def test_criterion_4_dr_robust_to_outcome_misspecification():
         logit = fit_mnlogit(dataset.features, dataset.actions)
         propensities = clip_propensities(predict_proba(logit, dataset.features))
         ra = value_ra(q_hat, policy).value
+        ipw = value_ipw(dataset, policy, propensities).value
         dr = value_dr(dataset, policy, q_hat, propensities).value
+        for kind, value in (("RA", ra), ("IPW", ipw), ("DR", dr)):
+            errors[kind].append(value - truth)
         if abs(dr - truth) < abs(ra - truth):
             wins += 1
         dr_rel_errors.append(abs(dr - truth) / abs(truth))
     mean_err = float(np.mean(dr_rel_errors))
+    spread = ", ".join(
+        f"{kind} mean err={np.mean(errs):.4f} rmse={np.sqrt(np.mean(np.square(errs))):.4f}"
+        for kind, errs in errors.items()
+    )
     _criterion(
         4,
         "DR beats the misspecified plug-in and stays near the truth",
         wins >= 45 and mean_err < 0.03,
-        f"DR closer in {wins}/50 (>=45), mean DR rel err={mean_err:.4%} (<3%)",
+        f"DR closer in {wins}/50 (>=45), mean DR rel err={mean_err:.4%} (<3%); {spread}",
     )
 
 

@@ -10,9 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplearn import (
+    ArmMoments,
     ColumnSchema,
     DataFormatError,
     Dataset,
+    DGPSpec,
+    LinearModel,
+    MultinomialLogitModel,
+    OracleData,
+    PolicyAssignment,
+    PropensityMatrix,
+    RiskPreference,
     canonical_schema,
     load_dataset,
     save_dataset,
@@ -254,6 +262,93 @@ class TestDatasetInvariants:
         d = make_dataset(np.random.default_rng(0), n=20)
         with pytest.raises(ValueError):
             d.outcomes[0] = 99.0
+
+
+# Per frozen class: its caller-owned arrays, each already in the dtype and
+# memory order the class holds (so no conversion copies it), and the rest of
+# its constructor arguments.
+FROZEN_INPUTS = {
+    Dataset: (
+        lambda: {
+            "outcomes": np.array([1.0, 2.0, 3.0]),
+            "actions": np.array([0, 1, 1]),
+            "features": np.ones((3, 2)),
+        },
+        {"n_actions": 2},
+    ),
+    ArmMoments: (
+        lambda: {
+            "mu": np.ones((3, 2), order="F"),
+            "sigma2": np.ones((3, 2), order="F"),
+            "clamped": np.zeros((3, 2), dtype=bool, order="F"),
+        },
+        {"variance_floor": 0.5},
+    ),
+    PolicyAssignment: (
+        lambda: {
+            "actions": np.array([1, 0]),
+            "utility": np.array([[0.0, 1.0], [1.0, 0.0]], order="F"),
+        },
+        {"preference": RiskPreference.NEUTRAL},
+    ),
+    PropensityMatrix: (
+        lambda: {"p": np.full((2, 2), 0.5)},
+        {"clip_bounds": (0.01, 0.99), "clipped_count": 0},
+    ),
+    LinearModel: (lambda: {"coefficients": np.array([1.0, 2.0])}, {}),
+    MultinomialLogitModel: (
+        lambda: {"coefficients": np.zeros((1, 2))},
+        {"converged": True, "iterations": 1, "final_gradient_norm": 0.0},
+    ),
+    DGPSpec: (
+        lambda: {
+            "mean_coeffs": np.ones((2, 2)),
+            "noise_scale_coeffs": np.zeros((2, 2)),
+            "assignment_coeffs": np.zeros((2, 2)),
+        },
+        {"n_units": 5, "n_actions": 2, "n_features": 1, "assignment": "logit"},
+    ),
+    OracleData: (
+        lambda: {
+            "potential_outcomes": np.array([[1.0, 5.0], [3.0, 2.0]]),
+            "true_mu": np.zeros((2, 2)),
+            "true_sigma": np.ones((2, 2)),
+            "true_propensity": np.full((2, 2), 0.5),
+        },
+        {
+            "dataset": Dataset(
+                outcomes=np.array([1.0, 2.0]),
+                actions=np.array([0, 1]),
+                features=np.ones((2, 1)),
+                n_actions=2,
+            )
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", FROZEN_INPUTS, ids=lambda cls: cls.__name__)
+def test_freezes_a_view_not_the_callers_array(cls):
+    arrays, others = FROZEN_INPUTS[cls]
+    given = arrays()
+    held = cls(**given, **others)
+    for name, array in given.items():
+        kept = getattr(held, name)
+        assert array.flags.writeable, f"{cls.__name__}.{name} froze the caller's array"
+        assert not kept.flags.writeable, f"{cls.__name__}.{name} is writeable"
+        assert np.shares_memory(kept, array), f"{cls.__name__}.{name} was copied"
+
+
+def test_uniform_dgp_accepts_listed_assignment_coeffs():
+    spec = DGPSpec(
+        n_units=5,
+        n_actions=2,
+        n_features=1,
+        mean_coeffs=np.ones((2, 2)),
+        noise_scale_coeffs=np.zeros((2, 2)),
+        assignment_coeffs=[[0.0, 0.0], [0.0, 0.0]],
+    )
+    assert not spec.assignment_coeffs.flags.writeable
 
 
 class TestValidate:

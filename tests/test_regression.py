@@ -27,7 +27,7 @@ from oplearn.regression import (
     _softmax,
 )
 
-from helpers import logit_hessian_oracle, ols_oracle
+from helpers import gathered_logit_information, logit_hessian_oracle, ols_oracle
 
 # A 4-arm, 5-feature logit-assignment draw on which an absolute gradient
 # tolerance of 1e-8 stalls (the sample the benchmark's stall probe uses).
@@ -238,6 +238,23 @@ class TestMnlogit:
         assert model.converged
         assert model.final_gradient_norm < 1e-8
 
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 100])
+    def test_final_gradient_is_taken_at_returned_coefficients(self, max_iter):
+        # 0, 1 and 2 run out of max_iter (0 before any step, 1 and 2 right
+        # after an accepted one); 100 stops on the tolerance
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((400, 2))
+        a = rng.integers(0, 3, 400)
+        ridge = 1e-3
+        model = fit_mnlogit(X, a, max_iter=max_iter, ridge=ridge)
+        assert model.converged == (max_iter == 100)
+        design = _design_rows(X)
+        probs, _ = _softmax(design, model.coefficients)
+        observed = (a == np.arange(1, 3)[:, None]).astype(float)
+        grad = (observed - probs[1:]) @ design.T
+        grad[:, 1:] -= ridge * model.coefficients[:, 1:]
+        assert np.isclose(np.abs(grad).max(), model.final_gradient_norm, rtol=1e-9, atol=1e-9)
+
     def test_default_tolerance_scales_with_n_on_stalling_sample(self):
         # 15,000 units where, with NumPy 2.4 on x86-64, the summed gradient's
         # rounding floor (1.84e-8) sits above an absolute 1e-8, so Newton
@@ -335,15 +352,36 @@ class TestLogitHessian:
             (2 * HESSIAN_BLOCK + 1, 3, 2),  # whole blocks plus one row
             (500, 2, 4),  # two classes, one class pair
             (3000, 8, 10),  # the benchmark's 8 arms x 10 features
+            (700, 3, 0),  # intercept-only design, d = 1
+            (2 * HESSIAN_BLOCK, 4, 2),  # whole blocks, no partial one
         ],
     )
     def test_matches_per_pair_oracle(self, n, m, p):
-        rng = np.random.default_rng(n + m + p)
-        design = _design_rows(rng.standard_normal((n, p)))
-        coef = rng.normal(scale=0.5, size=(m - 1, p + 1))
-        probs, _ = _softmax(design, coef)
+        design, probs = self.draw(n, m, p)
         blocked = _logit_information(design, probs)
         oracle = logit_hessian_oracle(design.T, probs.T)
         assert blocked.shape == ((m - 1) * (p + 1),) * 2
         assert np.abs(blocked - oracle).max() <= 1e-12 * np.abs(oracle).max()
         assert np.array_equal(blocked, blocked.T)
+
+    @pytest.mark.parametrize(
+        "n, m, p",
+        [(2 * HESSIAN_BLOCK + 1, 8, 10), (HESSIAN_BLOCK, 3, 0), (1, 2, 1)],
+    )
+    def test_bit_equal_to_gathered_build(self, n, m, p):
+        design, probs = self.draw(n, m, p)
+        built = _logit_information(design, probs)
+        gathered = gathered_logit_information(design, probs)
+        moved = int(np.count_nonzero(built != gathered))
+        assert moved == 0, (
+            f"{moved} of {built.size} Hessian entries differ from the gathered "
+            "build; the fit's coefficients and the golden hashes would move"
+        )
+
+    @staticmethod
+    def draw(n, m, p):
+        rng = np.random.default_rng(n + m + p)
+        design = _design_rows(rng.standard_normal((n, p)))
+        coef = rng.normal(scale=0.5, size=(m - 1, p + 1))
+        probs, _ = _softmax(design, coef)
+        return design, probs

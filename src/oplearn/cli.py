@@ -153,14 +153,15 @@ _CONVERTERS: dict[str, Callable[[Any], object]] = {
     "preferences": lambda v: tuple(map(RiskPreference, _need(_list_of(v, _PREFERENCES), v))),
     "variance_floor": lambda v: None if v is None else float(_need(_positive(v), v)),
     "clip": _clip,
-    "ridge": lambda v: float(_need(_is(v, int, float) and v >= 0, v)),
+    "ridge": lambda v: float(_need(_is(v, int, float) and 0 <= v < math.inf, v)),
     "max_iter": lambda v: _need(_is(v, int) and v > 0, v),
     "tol": lambda v: None if v is None else float(_need(_positive(v), v)),
     "estimators": lambda v: tuple(_need(_list_of(v, ESTIMATOR_KINDS), v)),
     "seed": lambda v: _need(v is None or _is(v, int), v),
     "format": lambda v: _need(v in _FORMATS, v),
     "delimiter": lambda v: _need(
-        _is(v, str) and len(v) == 1, v, "a delimiter must be one character"
+        _is(v, str) and len(v) == 1 and v not in "\r\n", v,
+        "a delimiter must be one character other than a line break",
     ),
     "allow_unconverged": lambda v: _need(_is(v, bool), v),
     "dgp": lambda v: _need(v is None or _is(v, dict), v),

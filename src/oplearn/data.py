@@ -24,6 +24,18 @@ class DataFormatError(ValueError):
     """An input file could not be parsed into a valid dataset."""
 
 
+def _freeze(obj: object, name: str, dtype: type, order: str = "C") -> np.ndarray:
+    """Hold field ``name`` of the frozen dataclass ``obj`` as a read-only view
+    in ``dtype`` and ``order`` (``"C"``, or ``"F"`` for arm-major), and return
+    it. An input already in that dtype and order is not copied, and the
+    caller's own array stays writeable."""
+    convert = np.asfortranarray if order == "F" else np.ascontiguousarray
+    arr = convert(getattr(obj, name), dtype=dtype).view()
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     """Maps file columns onto the outcome, action, and feature roles."""
@@ -79,9 +91,9 @@ class Dataset:
     action_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        outcomes = np.ascontiguousarray(self.outcomes, dtype=np.float64).view()
-        actions = np.ascontiguousarray(self.actions, dtype=np.int64).view()
-        features = np.ascontiguousarray(self.features, dtype=np.float64).view()
+        outcomes = _freeze(self, "outcomes", np.float64)
+        actions = _freeze(self, "actions", np.int64)
+        features = _freeze(self, "features", np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         n = outcomes.shape[0]
@@ -109,11 +121,6 @@ class Dataset:
             raise ValueError("feature_names length mismatch")
         if len(action_labels) != self.n_actions:
             raise ValueError("action_labels length mismatch")
-        for arr in (outcomes, actions, features):
-            arr.setflags(write=False)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "features", features)
         object.__setattr__(self, "feature_names", feature_names)
         object.__setattr__(self, "action_labels", action_labels)
 
@@ -151,7 +158,7 @@ def load_dataset(
     ``action_labels``. :func:`oplearn.reporting.read_csv` parses the schema's
     columns and its errors (ragged row, blank or non-numeric cell, rows
     numbered from 1) are raised as :class:`DataFormatError`, before those
-    for a missing column or a non-integer action.
+    for a missing or repeated schema column or a non-integer action.
     """
     # imported here, like in save_dataset, so that importing the package
     # does not load the artifact writers
@@ -166,8 +173,9 @@ def load_dataset(
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
     for name in names:
-        if name not in header:
-            raise DataFormatError(f"missing column '{name}' in {path}")
+        if header.count(name) != 1:
+            problem = "duplicate" if name in header else "missing"
+            raise DataFormatError(f"{problem} column '{name}' in {path}")
     if not len(table):
         raise DataFormatError(f"no data rows in {path}")
     cols = [header.index(name) for name in names]

@@ -28,7 +28,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import Dataset, min_arm_units
+from .data import Dataset, _freeze, min_arm_units
 from .regression import LinearModel, fit_ols, predict_ols
 
 
@@ -79,9 +79,9 @@ class ArmMoments:
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        mu = np.asfortranarray(self.mu, dtype=np.float64).view()
-        sigma2 = np.asfortranarray(self.sigma2, dtype=np.float64).view()
-        clamped = np.asfortranarray(self.clamped, dtype=bool).view()
+        mu = _freeze(self, "mu", np.float64, "F")
+        sigma2 = _freeze(self, "sigma2", np.float64, "F")
+        clamped = _freeze(self, "clamped", bool, "F")
         if not (mu.shape == sigma2.shape == clamped.shape):
             raise ValueError("moment matrices disagree on shape")
         if mu.ndim != 2:
@@ -92,13 +92,8 @@ class ArmMoments:
             raise ValueError("moments contain non-finite entries")
         if sigma2.min() < self.variance_floor:
             raise ValueError("sigma2 below the variance floor")
-        sigma = np.sqrt(sigma2)
-        for arr in (mu, sigma2, sigma, clamped):
-            arr.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "clamped", clamped)
+        object.__setattr__(self, "sigma", np.sqrt(sigma2))
+        _freeze(self, "sigma", np.float64, "F")
 
     @property
     def n_units(self) -> int:

@@ -11,8 +11,9 @@ outcome uncertainty:
 Ties are broken deterministically toward the smallest arm index and
 counted. The utility matrix is (N, M) in arm-major (Fortran) order, like the
 moments it comes from, and the arm choice takes one pass over its M
-contiguous columns after the row maximum; C-ordered inputs are accepted and
-copied once. The risk-averse ratios assume a generally non-negative reward, so
+contiguous columns after the row maximum. A :class:`PolicyAssignment` holds
+the chosen arms only; :func:`risk_utility` gives the utilities behind them
+from the moments. The risk-averse ratios assume a generally non-negative reward, so
 their ordering is fragile where mean estimates go negative; the rule is
 never altered there.
 """
@@ -24,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import _freeze
 from .moments import ArmMoments
 
 
@@ -51,41 +53,29 @@ def risk_utility(
 
 @dataclass(frozen=True, eq=False)
 class PolicyAssignment:
-    """Chosen action per unit plus the utility matrix that produced it.
+    """Chosen arm per unit among ``n_actions`` arms.
 
-    ``actions[i]`` is always the smallest index maximising row i of
-    ``utility``; ``ties_broken`` counts rows where the maximum was not
-    unique. ``utility`` is held arm-major (Fortran order); a C-ordered input
-    is copied once, and an F-ordered one is held as a read-only view, so the
-    caller's array stays writeable.
+    ``actions[i]``, checked to lie in ``0..n_actions-1``, is the arm of
+    unit i; from :func:`assign_policy` it is the smallest index maximising
+    the unit's utility, and ``ties_broken`` counts units whose maximum was
+    not unique.
     """
 
     preference: RiskPreference
     actions: np.ndarray
-    utility: np.ndarray
+    n_actions: int
     ties_broken: int = 0
 
     def __post_init__(self) -> None:
-        actions = np.ascontiguousarray(self.actions, dtype=np.int64).view()
-        utility = np.asfortranarray(self.utility, dtype=np.float64).view()
-        if utility.ndim != 2 or actions.shape != (utility.shape[0],):
-            raise ValueError("actions and utility disagree on shape")
-        if not np.isfinite(utility).all():
-            raise ValueError("utility contains non-finite entries")
-        if not np.array_equal(_smallest_maximisers(utility)[0], actions):
-            raise ValueError("actions do not maximise the utility rows")
-        actions.setflags(write=False)
-        utility.setflags(write=False)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "utility", utility)
+        actions = _freeze(self, "actions", np.int64)
+        if actions.ndim != 1:
+            raise ValueError("actions must hold one arm per unit")
+        if actions.min(initial=0) < 0 or actions.max(initial=0) >= self.n_actions:
+            raise ValueError(f"actions outside 0..{self.n_actions - 1}")
 
     @property
     def n_units(self) -> int:
         return self.actions.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.utility.shape[1]
 
     def action_shares(self) -> np.ndarray:
         return np.bincount(self.actions, minlength=self.n_actions) / self.n_units
@@ -115,7 +105,6 @@ def assign_policy(moments: ArmMoments, preference: RiskPreference) -> PolicyAssi
     utilities are finite by construction thanks to the variance floor."""
     utility = risk_utility(moments.mu, moments.sigma, moments.sigma2, preference)
     actions, tied = _smallest_maximisers(utility)
-    ties = int(np.count_nonzero(tied))
     return PolicyAssignment(
-        preference=preference, actions=actions, utility=utility, ties_broken=ties
+        preference, actions, moments.n_actions, int(np.count_nonzero(tied))
     )

@@ -55,6 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _freeze
+
 # Default logit gradient tolerance per unit. The gradient sums N per-unit
 # terms, so its float rounding floor grows with N: an absolute 1e-8 can sit
 # below it (1.84e-8 at 15,000 units), and Newton then runs to max_iter with
@@ -91,11 +93,8 @@ class LinearModel:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        coef = np.ascontiguousarray(self.coefficients, dtype=np.float64).view()
-        if not np.isfinite(coef).all():
+        if not np.isfinite(_freeze(self, "coefficients", np.float64)).all():
             raise ValueError("coefficients must be finite")
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
 
     @property
     def n_features(self) -> int:
@@ -121,13 +120,11 @@ class MultinomialLogitModel:
     lstsq_steps: int = 0
 
     def __post_init__(self) -> None:
-        coef = np.ascontiguousarray(self.coefficients, dtype=np.float64).view()
+        coef = _freeze(self, "coefficients", np.float64)
         if coef.ndim != 2:
             raise ValueError("coefficients must be (M-1, p+1)")
         if not np.isfinite(coef).all():
             raise ValueError("coefficients must be finite")
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
         object.__setattr__(self, "loglik_path", tuple(self.loglik_path))
 
     @property

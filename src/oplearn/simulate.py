@@ -30,8 +30,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset
-from .policies import RiskPreference, risk_utility
+from .data import Dataset, _freeze
+from .policies import RiskPreference, _smallest_maximisers, risk_utility
 from .values import _policy_actions
 
 FEATURE_DISTRIBUTIONS = ("normal", "uniform")
@@ -67,36 +67,35 @@ class DGPSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_units", "n_actions", "n_features", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"DGP option {name!r} must be an integer, got {value!r}")
         if self.n_units < 1 or self.n_actions < 2 or self.n_features < 1:
             raise ValueError("need n_units >= 1, n_actions >= 2, n_features >= 1")
         shape = (self.n_actions, self.n_features + 1)
-        mean = np.ascontiguousarray(self.mean_coeffs, dtype=np.float64).view()
-        noise = np.ascontiguousarray(self.noise_scale_coeffs, dtype=np.float64).view()
+        mean = _freeze(self, "mean_coeffs", np.float64)
+        noise = _freeze(self, "noise_scale_coeffs", np.float64)
         if mean.shape != shape or noise.shape != shape:
             raise ValueError(f"coefficient matrices must have shape {shape}")
         if self.assignment not in ("uniform", "logit"):
             raise ValueError(f"unknown assignment mechanism {self.assignment!r}")
-        coeffs = self.assignment_coeffs
-        if self.assignment == "logit" and coeffs is None:
+        if self.assignment == "logit" and self.assignment_coeffs is None:
             raise ValueError("logit assignment needs assignment_coeffs")
-        if coeffs is not None:
-            coeffs = np.ascontiguousarray(coeffs, dtype=np.float64).view()
-            if coeffs.shape != shape:
+        if self.assignment_coeffs is not None:
+            if _freeze(self, "assignment_coeffs", np.float64).shape != shape:
                 raise ValueError(f"assignment_coeffs must have shape {shape}")
         dists = self.feature_dist
         if isinstance(dists, str):
             dists = (dists,) * self.n_features
+        if not (isinstance(dists, (list, tuple)) and all(isinstance(d, str) for d in dists)):
+            raise ValueError("DGP option 'feature_dist' must be a name or a list of names")
         dists = tuple(dists)
         if len(dists) != self.n_features:
             raise ValueError("feature_dist must name one distribution per column")
         for d in dists:
             if d not in FEATURE_DISTRIBUTIONS:
                 raise ValueError(f"unknown feature distribution {d!r}")
-        for arr in (mean, noise) + ((coeffs,) if coeffs is not None else ()):
-            arr.setflags(write=False)
-        object.__setattr__(self, "mean_coeffs", mean)
-        object.__setattr__(self, "noise_scale_coeffs", noise)
-        object.__setattr__(self, "assignment_coeffs", coeffs)
         object.__setattr__(self, "feature_dist", dists)
 
     @classmethod
@@ -104,13 +103,7 @@ class DGPSpec:
         unknown = set(cfg) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown DGP option(s): {sorted(unknown)}")
-        kwargs = dict(cfg)
-        for key in ("mean_coeffs", "noise_scale_coeffs", "assignment_coeffs"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = np.asarray(kwargs[key], dtype=np.float64)
-        if isinstance(kwargs.get("feature_dist"), list):
-            kwargs["feature_dist"] = tuple(kwargs["feature_dist"])
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return cls(**cfg)  # type: ignore[arg-type]
 
     def to_dict(self) -> dict[str, object]:
         """The spec as JSON-ready values: arrays and ``feature_dist`` as lists."""
@@ -138,23 +131,17 @@ class OracleData:
 
     def __post_init__(self) -> None:
         shape = (self.dataset.n_units, self.dataset.n_actions)
-        arrays = {}
         for name in ("potential_outcomes", "true_mu", "true_sigma", "true_propensity"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64).view()
-            if arr.shape != shape:
+            if _freeze(self, name, np.float64).shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-            arr.setflags(write=False)
-            arrays[name] = arr
         idx = np.arange(self.dataset.n_units)
-        observed = arrays["potential_outcomes"][idx, self.dataset.actions]
+        observed = self.potential_outcomes[idx, self.dataset.actions]
         if not np.array_equal(observed, self.dataset.outcomes):
             raise ValueError("observed outcomes violate the consistency rule")
-        if np.abs(arrays["true_propensity"].sum(axis=1) - 1.0).max() > 1e-10:
+        if np.abs(self.true_propensity.sum(axis=1) - 1.0).max() > 1e-10:
             raise ValueError("true propensity rows must sum to 1")
-        if arrays["true_sigma"].min() <= 0:
+        if self.true_sigma.min() <= 0:
             raise ValueError("true noise scales must be strictly positive")
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
 
     @property
     def n_units(self) -> int:
@@ -220,8 +207,9 @@ def true_value(oracle: OracleData, actions: np.ndarray) -> float:
 
 
 def oracle_policy(oracle: OracleData, preference: RiskPreference) -> np.ndarray:
-    """Per-unit argmax of the *true* utility, smallest index on ties."""
+    """Per-unit argmax of the *true* utility, smallest index on ties, by the
+    rule :func:`oplearn.policies.assign_policy` applies to estimates."""
     utility = risk_utility(
         oracle.true_mu, oracle.true_sigma, oracle.true_sigma**2, preference
     )
-    return np.argmax(utility, axis=1)
+    return _smallest_maximisers(utility)[0]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _freeze
 from .policies import PolicyAssignment
 
 ESTIMATOR_KINDS = ("RA", "IPW", "DR")
@@ -63,7 +63,7 @@ class PropensityMatrix:
     clipped_count: int
 
     def __post_init__(self) -> None:
-        p = np.ascontiguousarray(self.p, dtype=np.float64).view()
+        p = _freeze(self, "p", np.float64)
         low, high = self.clip_bounds
         if p.ndim != 2:
             raise ValueError("propensity matrix must be 2-d")
@@ -71,8 +71,6 @@ class PropensityMatrix:
             raise ValueError("propensities contain non-finite entries")
         if p.min() < low or p.max() > high:
             raise ValueError("propensities outside the clip bounds")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "clip_bounds", (float(low), float(high)))
 
 

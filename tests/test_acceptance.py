@@ -25,6 +25,7 @@ from oplearn import (
     oracle_policy,
     predict_proba,
     regret,
+    risk_utility,
     true_value,
     value_dr,
     value_ipw,
@@ -252,7 +253,7 @@ def test_criterion_9_degenerate_handling():
     )
     moments = build_arm_moments(dataset)
     finite = all(
-        np.isfinite(assign_policy(moments, pref).utility).all()
+        np.isfinite(risk_utility(moments.mu, moments.sigma, moments.sigma2, pref)).all()
         for pref in RiskPreference
     )
     flipped = 1 - dataset.actions

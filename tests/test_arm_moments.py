@@ -14,6 +14,7 @@ from oplearn import (
     build_arm_moments,
     default_variance_floor,
     estimate_conditional_means,
+    risk_utility,
 )
 
 from helpers import InterceptOnlyLearner, make_dataset
@@ -177,7 +178,7 @@ class TestBuildArmMoments:
             assert arr.flags.f_contiguous and arr.shape == (90, 3)
         assert estimate_conditional_means(d).flags.f_contiguous
         for pref in RiskPreference:
-            assert assign_policy(m, pref).utility.flags.f_contiguous
+            assert risk_utility(m.mu, m.sigma, m.sigma2, pref).flags.f_contiguous
 
     def test_c_ordered_inputs_are_accepted(self):
         d = make_dataset(np.random.default_rng(11), n=90, m=3, p=2, noise=1.0)

@@ -21,6 +21,7 @@ from oplearn import (
     load_dataset,
     oracle_policy,
     predict_proba,
+    risk_utility,
     true_value,
     validate_dataset,
 )
@@ -81,11 +82,15 @@ def run(argv):
     return main(argv)
 
 
-def assert_fails_with_one_error(argv, capsys, fragment):
-    """The command exits 1 and prints exactly one ``error:`` line, no traceback."""
-    capsys.readouterr()
+def assert_fails_with_one_error(argv, capfd, fragment):
+    """The command exits 1, prints nothing on stdout and exactly one
+    ``error:`` line on stderr, no traceback. Both streams are read at the
+    file-descriptor level, so output written from C code counts too."""
+    capfd.readouterr()
     assert run(argv) == 1
-    lines = capsys.readouterr().err.splitlines()
+    out, err = capfd.readouterr()
+    assert out == "", out
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert fragment in lines[0]
 
@@ -156,14 +161,14 @@ class TestConfig:
         for key, value in written["learner"].items():
             assert value != default["learner"][key], key
 
-    def test_unknown_learner_key_is_an_error(self, sim_run, capsys):
+    def test_unknown_learner_key_is_an_error(self, sim_run, capfd):
         base = json.loads((sim_run["tmp"] / "fit.json").read_text())
         cfg = write_config(sim_run["tmp"], name="bad.json", **base, learner={"tolerance": 5})
         outdir = sim_run["tmp"] / "bad"
         argv = ["evaluate", "--config", cfg, "--outdir", str(outdir)]
         argv += ["--assignments", str(sim_run["run"] / "assignments.csv")]
         fragment = "unknown config option(s): ['learner.tolerance']"
-        assert_fails_with_one_error(argv, capsys, fragment)
+        assert_fails_with_one_error(argv, capfd, fragment)
         assert not outdir.exists()
 
     def test_clip_flag_sets_the_propensity_clip_bounds(self, tmp_path):
@@ -176,10 +181,10 @@ class TestConfig:
         assert expected > 0
         assert json.loads((evaldir / "report.json").read_text())["clip_count"] == expected
 
-    def test_clip_flag_value_is_checked_like_the_key(self, sim_run, capsys):
+    def test_clip_flag_value_is_checked_like_the_key(self, sim_run, capfd):
         argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
         fragment = "invalid value for config option 'clip': 'a,b'"
-        assert_fails_with_one_error([*argv, "--clip", "a,b"], capsys, fragment)
+        assert_fails_with_one_error([*argv, "--clip", "a,b"], capfd, fragment)
 
     @pytest.mark.parametrize("allow, code", [(False, 1), (True, 0)])
     def test_unconverged_propensity_fit(self, tmp_path, capsys, allow, code):
@@ -224,14 +229,17 @@ class TestConfig:
             ({"preferences": ["linear", "linear"]}, "preferences"),
             ({"schema": dict(SCHEMA, features="x1")}, "schema"),
             ({"schema": dict(SCHEMA, outcome=5)}, "schema"),
+            ({"learner": {"ridge": float("inf")}}, "ridge"),
+            ({"delimiter": "\n"}, "delimiter"),
+            ({"delimiter": "\r"}, "delimiter"),
         ],
     )
-    def test_wrongly_shaped_value_names_the_option(self, tmp_path, capsys, payload, option):
+    def test_wrongly_shaped_value_names_the_option(self, tmp_path, capfd, payload, option):
         cfg = write_config(tmp_path, **payload)
         with pytest.raises(PipelineError, match=f"config option '{option}'"):
             load_config(cfg, {})
         argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "r")]
-        assert_fails_with_one_error(argv, capsys, f"config option '{option}'")
+        assert_fails_with_one_error(argv, capfd, f"config option '{option}'")
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -240,16 +248,16 @@ class TestConfig:
             ('{"outdir":\n', "Expecting value: line 2 column 1"),
         ],
     )
-    def test_unusable_config_file_names_the_file(self, tmp_path, capsys, text, fragment):
+    def test_unusable_config_file_names_the_file(self, tmp_path, capfd, text, fragment):
         cfg = tmp_path / "config.json"
         cfg.write_text(text)
         argv = ["fit", "--config", str(cfg), "--outdir", str(tmp_path / "r")]
-        assert_fails_with_one_error(argv, capsys, f"error: {cfg}: {fragment}")
+        assert_fails_with_one_error(argv, capfd, f"error: {cfg}: {fragment}")
 
-    def test_negative_variance_floor_flag_fails_before_fitting(self, sim_run, capsys):
+    def test_negative_variance_floor_flag_fails_before_fitting(self, sim_run, capfd):
         argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
         fragment = "invalid value for config option 'variance_floor': -1.0"
-        assert_fails_with_one_error([*argv, "--variance-floor", "-1"], capsys, fragment)
+        assert_fails_with_one_error([*argv, "--variance-floor", "-1"], capfd, fragment)
         assert not (sim_run["tmp"] / "r").exists()
 
     def test_variance_floor_is_hashed_as_a_float(self, tmp_path, sim_run):
@@ -279,7 +287,7 @@ class TestConfig:
         assert records[0] == records[1] == records[2]
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])
-    def test_multi_character_delimiter_fails(self, tmp_path, capsys, command):
+    def test_multi_character_delimiter_fails(self, tmp_path, capfd, command):
         cfg = write_config(
             tmp_path,
             dgp=LINEAR_DGP,
@@ -288,7 +296,7 @@ class TestConfig:
             schema=SCHEMA,
         )
         argv = [command, "--config", cfg, "--delimiter", ";;"]
-        assert_fails_with_one_error(argv, capsys, "delimiter must be one character")
+        assert_fails_with_one_error(argv, capfd, "delimiter must be one character")
         assert not (tmp_path / "r").exists()
 
 
@@ -344,6 +352,23 @@ class TestSimulate:
     def test_missing_dgp_fails(self, tmp_path):
         cfg = write_config(tmp_path, outdir=str(tmp_path / "s"))
         assert run(["simulate", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_units", "5"),
+            ("n_units", 5.5),
+            ("n_actions", True),
+            ("n_features", 1.0),
+            ("seed", "x"),
+            ("feature_dist", 5),
+            ("feature_dist", ["normal", 5]),
+        ],
+    )
+    def test_badly_typed_dgp_value_names_the_option(self, tmp_path, capfd, key, value):
+        cfg = write_config(tmp_path, dgp={**LINEAR_DGP, key: value}, outdir=str(tmp_path / "s"))
+        assert_fails_with_one_error(["simulate", "--config", cfg], capfd, f"DGP option '{key}'")
+        assert not (tmp_path / "s").exists()
 
 
 class TestFit:
@@ -546,7 +571,7 @@ class TestEvaluate:
             ("arm_m", "id 3 outside 0..2 in column 'neutral_action' at row 3"),
         ],
     )
-    def test_damaged_assignments_fail(self, tmp_path, sim_run, capsys, damage, fragment):
+    def test_damaged_assignments_fail(self, tmp_path, sim_run, capfd, damage, fragment):
         bad = tmp_path / "assignments.csv"
         lines = (sim_run["run"] / "assignments.csv").read_text().splitlines()
         cells = lines[3].split(",")
@@ -559,7 +584,7 @@ class TestEvaluate:
         bad.write_text("\n".join(lines) + "\n")
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
         message = f"error: table {bad}: {fragment}"
-        assert_fails_with_one_error([*argv, "--assignments", str(bad)], capsys, message)
+        assert_fails_with_one_error([*argv, "--assignments", str(bad)], capfd, message)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_table_with_utility_columns_scores_the_same(self, tmp_path, sim_run, fmt):
@@ -575,7 +600,8 @@ class TestEvaluate:
         columns = [np.arange(dataset.n_units), *(pol.actions for pol in policies.values())]
         for label, pol in policies.items():
             header += [f"{label}_utility_{a}" for a in range(dataset.n_actions)]
-            columns += list(pol.utility.T)
+            utility = risk_utility(moments.mu, moments.sigma, moments.sigma2, pol.preference)
+            columns += list(utility.T)
         olddir.mkdir()
         write = write_json_table if fmt == "json" else write_csv
         write(olddir / f"assignments.{fmt}", header, columns)
@@ -586,7 +612,7 @@ class TestEvaluate:
         assert slim == (tmp_path / "wide" / "values.json").read_bytes()
 
     @pytest.mark.parametrize("case", ["matching", "mismatched", "no_manifest"])
-    def test_fit_manifest_must_hash_the_input(self, tmp_path, sim_run, capsys, case):
+    def test_fit_manifest_must_hash_the_input(self, tmp_path, sim_run, capfd, case):
         data = sim_run["sim"] / "dataset.csv"
         other = tmp_path / "other.csv"
         header, first, *rest = data.read_text().splitlines()
@@ -606,7 +632,7 @@ class TestEvaluate:
                 f"error: {assignments} was fitted on another input than {other} "
                 f"(input_sha256 in {sim_run['run'] / 'manifest.json'} differs)"
             )
-            assert_fails_with_one_error(argv, capsys, message)
+            assert_fails_with_one_error(argv, capfd, message)
             assert not (tmp_path / "e").exists()
         else:
             # without a manifest the unit count is all that is checked
@@ -658,7 +684,7 @@ class TestReport:
         assert svg.startswith("<svg") and svg.count("<circle") == len(marks) + 3
 
     @pytest.mark.parametrize("n_actions", [12, 13])
-    def test_arms_beyond_the_palette_fail_before_any_svg(self, tmp_path, capsys, n_actions):
+    def test_arms_beyond_the_palette_fail_before_any_svg(self, tmp_path, capfd, n_actions):
         dgp = dict(
             README_DGP,
             n_units=100 * n_actions,
@@ -682,7 +708,7 @@ class TestReport:
             f"error: {fitdir / 'report.json'}: 13 arms, "
             "but the scatter plots have colours for at most 12"
         )
-        assert_fails_with_one_error(["report", str(fitdir)], capsys, message)
+        assert_fails_with_one_error(["report", str(fitdir)], capfd, message)
         assert list(fitdir.glob("*.svg")) == []
 
     def test_report_after_json_fit_writes_no_csv(self, tmp_path, sim_run):
@@ -723,15 +749,15 @@ class TestReport:
         summary = json.loads((mixdir / "summary.json").read_text())
         assert sorted(summary) == ["action_shares", "mean_chosen_sigma"]
 
-    def test_report_on_evaluate_run_fails(self, tmp_path, sim_run, capsys):
+    def test_report_on_evaluate_run_fails(self, tmp_path, sim_run, capfd):
         evaldir = tmp_path / "eval"
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(evaldir)]
         assert run([*argv, "--assignments", str(sim_run["run"] / "assignments.csv")]) == 0
-        assert_fails_with_one_error(["report", str(evaldir)], capsys, "not the record of a fit run")
+        assert_fails_with_one_error(["report", str(evaldir)], capfd, "not the record of a fit run")
 
-    def test_report_without_fit_record_fails(self, sim_run, capsys):
+    def test_report_without_fit_record_fails(self, sim_run, capfd):
         (sim_run["run"] / "report.json").unlink()
-        assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, "missing run record")
+        assert_fails_with_one_error(["report", str(sim_run["run"])], capfd, "missing run record")
 
     @pytest.mark.parametrize(
         "damage, fragment",
@@ -743,7 +769,7 @@ class TestReport:
             ("path_label", "action_shares must map preference names"),
         ],
     )
-    def test_report_with_damaged_fit_record_fails(self, sim_run, capsys, damage, fragment):
+    def test_report_with_damaged_fit_record_fails(self, sim_run, capfd, damage, fragment):
         path = sim_run["run"] / "report.json"
         record = json.loads(path.read_text())
         shares = record["action_shares"]
@@ -759,7 +785,7 @@ class TestReport:
             shares["../neutral"] = shares.pop("neutral")
         path.write_text(json.dumps(record))
         message = f"error: {path}: {fragment}"
-        assert_fails_with_one_error(["report", str(sim_run["run"])], capsys, message)
+        assert_fails_with_one_error(["report", str(sim_run["run"])], capfd, message)
         assert not (sim_run["run"] / "summary.json").exists()
 
     @pytest.mark.parametrize(
@@ -778,7 +804,7 @@ class TestReport:
             ("moments", "unlist", "manifest.json: lists no moments table"),
         ],
     )
-    def test_damaged_report_input_fails(self, sim_run, capsys, table, damage, fragment):
+    def test_damaged_report_input_fails(self, sim_run, capfd, table, damage, fragment):
         # each damage stops report with one error line, before any SVG
         rundir = sim_run["run"]
         path = rundir / f"{table}.csv"
@@ -806,7 +832,7 @@ class TestReport:
             manifest = json.loads((rundir / "manifest.json").read_text())
             del manifest["artifacts"]["moments.csv"]
             (rundir / "manifest.json").write_text(json.dumps(manifest))
-        assert_fails_with_one_error(["report", str(rundir)], capsys, fragment)
+        assert_fails_with_one_error(["report", str(rundir)], capfd, fragment)
         assert list(rundir.glob("*.svg")) == []
         assert not (rundir / "summary.json").exists()
 
@@ -865,7 +891,7 @@ class TestRunRecord:
     @pytest.mark.parametrize(
         "command, into", [("evaluate", "fit"), ("simulate", "fit"), ("fit", "sim"), ("fit", "eval")]
     )
-    def test_a_command_refuses_the_directory_of_another(self, tmp_path, capsys, command, into):
+    def test_a_command_refuses_the_directory_of_another(self, tmp_path, capfd, command, into):
         # README's sequence, then one command pointed at another's directory
         dirs = {name: tmp_path / name for name in ("sim", "fit", "eval")}
         data = str(dirs["sim"] / "dataset.csv")
@@ -883,7 +909,7 @@ class TestRunRecord:
         files = {path: path.read_bytes() for path in dirs[into].iterdir()}
         found = {"sim": "simulate", "fit": "fit", "eval": "evaluate"}[into]
         message = f"error: {dirs[into]} holds the run record of {found!r}; {command} would"
-        assert_fails_with_one_error([*argvs[command], "--outdir", str(dirs[into])], capsys, message)
+        assert_fails_with_one_error([*argvs[command], "--outdir", str(dirs[into])], capfd, message)
         assert {path: path.read_bytes() for path in dirs[into].iterdir()} == files
         if into == "fit":
             assert run(["report", str(dirs["fit"])]) == 0
@@ -981,7 +1007,7 @@ class TestJsonTables:
             ("null_action", "non-numeric 'neutral_action'"),
         ],
     )
-    def test_malformed_json_assignments_fail(self, tmp_path, sim_run, capsys, damage, fragment):
+    def test_malformed_json_assignments_fail(self, tmp_path, sim_run, capfd, damage, fragment):
         fitdir = tmp_path / "jsonfit"
         argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(fitdir), "--format", "json"]
         assert run(argv) == 0
@@ -993,7 +1019,7 @@ class TestJsonTables:
             records[3]["neutral_action"] = None
         path.write_text(json.dumps(records))
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
-        assert_fails_with_one_error([*argv, "--assignments", str(path)], capsys, fragment)
+        assert_fails_with_one_error([*argv, "--assignments", str(path)], capfd, fragment)
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -1002,9 +1028,9 @@ class TestJsonTables:
             ('[{"unit": 0, "neutral_action": 1},\n', "Expecting value: line 2 column 1"),
         ],
     )
-    def test_unusable_json_assignments_name_the_file(self, tmp_path, sim_run, capsys, text, fragment):
+    def test_unusable_json_assignments_name_the_file(self, tmp_path, sim_run, capfd, text, fragment):
         path = tmp_path / "assignments.json"
         path.write_text(text)
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
         message = f"error: {path}: {fragment}"
-        assert_fails_with_one_error([*argv, "--assignments", str(path)], capsys, message)
+        assert_fails_with_one_error([*argv, "--assignments", str(path)], capfd, message)

@@ -85,6 +85,14 @@ class TestLoad:
         with pytest.raises(DataFormatError, match="missing column 'treat'"):
             load_dataset(path, SCHEMA)
 
+    def test_repeated_schema_column(self, tmp_path):
+        path = write(tmp_path, "y,treat,x1,x1\n1.0,0,0.1,9.0\n2.0,1,0.2,9.0\n")
+        with pytest.raises(DataFormatError, match="duplicate column 'x1' in "):
+            load_dataset(path, SCHEMA)
+        # a repeated column outside the schema is not read
+        path = write(tmp_path, "y,treat,x1,z,z\n1.0,0,0.1,a,b\n2.0,1,0.2,c,d\n")
+        assert load_dataset(path, SCHEMA).features.tolist() == [[0.1], [0.2]]
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = write(tmp_path, "y,treat,x1\n1.0,0,abc\n2.0,1,0.2\n")
         with pytest.raises(DataFormatError, match="column 'x1' at row 1"):
@@ -285,11 +293,8 @@ FROZEN_INPUTS = {
         {"variance_floor": 0.5},
     ),
     PolicyAssignment: (
-        lambda: {
-            "actions": np.array([1, 0]),
-            "utility": np.array([[0.0, 1.0], [1.0, 0.0]], order="F"),
-        },
-        {"preference": RiskPreference.NEUTRAL},
+        lambda: {"actions": np.array([1, 0])},
+        {"preference": RiskPreference.NEUTRAL, "n_actions": 2},
     ),
     PropensityMatrix: (
         lambda: {"p": np.full((2, 2), 0.5)},

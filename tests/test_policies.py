@@ -75,9 +75,9 @@ class TestAssignPolicy:
     def test_chosen_arm_dominates_every_other(self, mu, sigma):
         m = make_moments(mu, sigma)
         for pref in RiskPreference:
-            pol = assign_policy(m, pref)
-            chosen = pol.utility[np.arange(len(mu)), pol.actions]
-            assert np.all(chosen[:, None] >= pol.utility)
+            utility = utility_matrix(m, pref)
+            chosen = utility[np.arange(len(mu)), assign_policy(m, pref).actions]
+            assert np.all(chosen[:, None] >= utility)
 
     def test_constant_sigma_rows_align_all_preferences(self):
         rng = np.random.default_rng(0)
@@ -105,24 +105,11 @@ class TestAssignPolicy:
         pol = assign_policy(make_moments(u, np.ones(u.shape)), RiskPreference.NEUTRAL)
         assert np.array_equal(pol.actions, np.argmax(u, axis=1))
         assert pol.ties_broken == expected_ties
-        held = PolicyAssignment(RiskPreference.NEUTRAL, np.argmax(u, axis=1), u)
-        assert held.utility.flags.f_contiguous and np.array_equal(held.utility, u)
 
-    def test_assignment_rejects_later_maximiser_of_tie(self):
-        with pytest.raises(ValueError, match="maximise"):
-            PolicyAssignment(
-                preference=RiskPreference.NEUTRAL,
-                actions=np.array([1]),
-                utility=np.array([[5.0, 5.0]]),
-            )
-
-    def test_assignment_validates_argmax(self):
-        with pytest.raises(ValueError, match="maximise"):
-            PolicyAssignment(
-                preference=RiskPreference.NEUTRAL,
-                actions=np.array([0]),
-                utility=np.array([[1.0, 2.0]]),
-            )
+    @pytest.mark.parametrize("arm", [-1, 2])
+    def test_assignment_rejects_arm_outside_range(self, arm):
+        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+            PolicyAssignment(RiskPreference.NEUTRAL, np.array([0, arm, 1]), n_actions=2)
 
     def test_estimated_assignments_recover_oracle(self):
         spec = DGPSpec(

@@ -6,8 +6,8 @@ writes the assignments and each unit's per-arm moments. ``evaluate`` fits a
 propensity model and scores saved policy columns with the RA, IPW, and DR
 welfare estimators plus regret against the first-best (neutral) column.
 ``simulate`` draws a synthetic dataset with a ground-truth sidecar, and
-``report`` renders one scatter SVG per preference and a summary from a
-fit run's ``report.json`` and the two tables its manifest lists.
+``report`` renders one scatter SVG per preference and a summary from the
+``moments`` and ``assignments`` tables that a fit run's manifest lists.
 
 Options come from a JSON config file and/or command flags; flags win.
 Every command prints a JSON run record of what it computed; ``simulate``,
@@ -34,6 +34,7 @@ from .data import (
     ColumnSchema,
     DataFormatError,
     Dataset,
+    _whole,
     load_dataset,
     save_dataset,
     validate_dataset,
@@ -204,34 +205,36 @@ def _load_valid_dataset(config: RunConfig) -> tuple[Dataset, list[str]]:
 
 
 def _read_table(
-    path: Path, usecols: Callable[[str], bool], n_units: int
+    path: Path, usecols: Callable[[str], bool], n_units: int | None = None
 ) -> tuple[list[str], np.ndarray]:
-    """Names and float values of the kept columns of a CSV or JSON table
-    that holds one row per unit: its ``unit`` column runs 0..n_units-1."""
+    """Names and float values of the kept columns of a non-empty CSV or JSON
+    table that holds one row per unit: its ``unit`` column runs 0..N-1, with
+    N ``n_units`` or, if that is None, the table's row count."""
     if path.suffix == ".json":
         records = _read_json(
             path,
             lambda v: isinstance(v, list) and all(isinstance(r, dict) for r in v),
             "a table must be a JSON list of objects",
         )
-        if not records:
-            raise PipelineError(f"empty table: {path}")
-        names = [k for k in records[0] if usecols(k)]
+        names = [k for k in (records[0] if records else {}) if usecols(k)]
         columns = []
         for name in names:
             try:
-                columns.append([float(rec[name]) for rec in records])
+                columns.append([rec[name] for rec in records])
             except KeyError:
                 raise PipelineError(f"table {path}: a record has no {name!r} key") from None
-            except (TypeError, ValueError):
-                raise PipelineError(f"table {path}: non-numeric {name!r} value") from None
-        values = np.array(columns).T.reshape(len(records), len(names))
+            # a JSON number parses to an int or a float; a bool is not one
+            numeric = {*map(type, columns[-1])} <= {int, float}
+            _require(numeric, f"table {path}: non-numeric {name!r} value")
+        values = np.array(columns, dtype=np.float64).T.reshape(len(records), len(names))
     else:
         try:
             names, values = reporting.read_csv(path, usecols)
         except ValueError as exc:
             raise PipelineError(f"table {path}: {exc}") from None
+    _require(len(values) > 0, f"empty table: {path}")
     _require("unit" in names, f"table {path} has no 'unit' column")
+    n_units = len(values) if n_units is None else n_units
     units = _ids(path, names, values, "unit", n_units)
     ok = len(units) == n_units and np.array_equal(units, np.arange(n_units))
     _require(ok, f"table {path}: unit ids are not 0..{n_units - 1} in order ({len(units)} rows)")
@@ -242,7 +245,7 @@ def _ids(path: Path, names: list[str], values: np.ndarray, column: str, bound: i
     """The ``column`` of the table read from ``path`` as integer ids in
     ``0..bound-1``; the first bad id is reported with its row."""
     ids = values[:, names.index(column)]
-    integral = np.isfinite(ids) & (ids == np.trunc(ids))
+    integral = _whole(ids)
     bad = ~integral | (ids < 0) | (ids >= bound)
     if bad.any():
         i = int(bad.argmax())
@@ -475,23 +478,12 @@ def cmd_simulate(config: RunConfig) -> dict:
     return _write_record(outdir, record, payload, None, ["dataset.csv", "oracle.csv"])
 
 
-def _valid_shares(shares: object, n_actions: int) -> bool:
-    """An object mapping preference names to lists of ``n_actions`` shares
-    in [0, 1] that sum to 1."""
-    return isinstance(shares, dict) and all(
-        label in _PREFERENCES
-        and _is(row, list)
-        and len(row) == n_actions
-        and all(_is(s, int, float) and 0 <= s <= 1 for s in row)
-        and abs(sum(row) - 1.0) <= 1e-9
-        for label, row in shares.items()
-    )
-
-
-def _read_moments(path: Path, n_units: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, M) ``mu`` and ``sigma`` matrices of a moments table."""
+def _read_moments(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, M) ``mu`` and ``sigma`` matrices of a moments table: N is its
+    row count and M its number of ``mu_<a>`` columns."""
+    names, cells = _read_table(path, lambda h: h == "unit" or h.startswith(_MOMENTS))
+    n_actions = sum(name.startswith("mu_") for name in names)
     expected = ["unit", *(f"{stem}_{a}" for stem in _MOMENTS for a in range(n_actions))]
-    names, cells = _read_table(path, lambda h: h == "unit" or h.startswith(_MOMENTS), n_units)
     _require(sorted(names) == sorted(expected), f"table {path}: columns {names}, not {expected}")
     cells = cells[:, [names.index(name) for name in expected[1:]]]
     _require(np.isfinite(cells).all(), f"table {path} has a non-finite mu or sigma")
@@ -501,60 +493,42 @@ def _read_moments(path: Path, n_units: int, n_actions: int) -> tuple[np.ndarray,
 def cmd_report(run_dir: str | Path) -> dict:
     """Render the scatter SVGs and ``summary.json`` of a completed fit run.
 
-    Labels, shares and sizes come from fit's ``report.json``. Each plot
-    takes a unit's ``mu_<a>`` and ``sigma_<a>`` at its ``<pref>_action``, from
-    the tables fit's ``manifest.json`` lists; both are checked before any SVG.
+    Everything comes from the ``moments`` and ``assignments`` tables that
+    fit's ``manifest.json`` lists: N and M from ``moments``, the preferences
+    from the ``<pref>_action`` columns, and each plot from a unit's
+    ``mu_<a>`` and ``sigma_<a>`` at its ``<pref>_action``. Both tables are
+    checked before any SVG is written.
     """
     outdir = Path(run_dir)
     _require(outdir.is_dir(), f"run directory {outdir} does not exist")
-    record_path = outdir / "report.json"
-    _require(record_path.exists(), f"missing run record {record_path}")
-    record = _read_json(
-        record_path,
-        lambda v: isinstance(v, dict) and v.get("command") == "fit",
-        "not the record of a fit run",
-    )
-    try:
-        shares, diagnostics = record["action_shares"], record["diagnostics"]
-        n_units, n_actions = diagnostics["n_units"], diagnostics["n_actions"]
-    except (KeyError, TypeError):
-        raise PipelineError(
-            f"{record_path}: lacks action_shares, diagnostics.n_units or diagnostics.n_actions"
-        ) from None
-    _require(
-        _is(n_units, int) and _is(n_actions, int),
-        f"{record_path}: diagnostics.n_units and diagnostics.n_actions must be integers",
-    )
-    _require(
-        _valid_shares(shares, n_actions),
-        f"{record_path}: action_shares must map preference names to lists of "
-        f"{n_actions} shares in [0, 1] that sum to 1",
-    )
-    limit = len(reporting.PALETTE)
-    _require(
-        n_actions <= limit,
-        f"{record_path}: {n_actions} arms, but the scatter plots have colours for at most {limit}",
-    )
-
     manifest_path = outdir / "manifest.json"
+    _require(manifest_path.exists(), f"missing run manifest {manifest_path}")
     listed, tables = _read_manifest(manifest_path)["artifacts"], {}
     for stem in ("moments", "assignments"):
         names = [f"{stem}.{fmt}" for fmt in _FORMATS if f"{stem}.{fmt}" in listed]
         _require(len(names) == 1, f"{manifest_path}: lists no {stem} table")
         tables[stem] = outdir / names[0]
         _require(tables[stem].exists(), f"missing artifact {names[0]} listed in {manifest_path}")
-    mu, sigma = _read_moments(tables["moments"], n_units, n_actions)
+    mu, sigma = _read_moments(tables["moments"])
+    n_units, n_actions = mu.shape
+    limit = len(reporting.PALETTE)
+    _require(
+        n_actions <= limit,
+        f"table {tables['moments']}: {n_actions} arms, "
+        f"but the scatter plots have colours for at most {limit}",
+    )
     policies = _read_assignments(tables["assignments"], n_units, n_actions)
-    missing = [f"{label}_action" for label in shares if label not in policies]
-    _require(not missing, f"table {tables['assignments']} has no column {missing}")
+    # a label becomes part of a file name, so only preference names pass
+    unknown = [f"{label}_action" for label in policies if label not in _PREFERENCES]
+    _require(not unknown, f"table {tables['assignments']}: {unknown} name no risk preference")
 
     idx = np.arange(n_units)
     arm_labels = [str(a) for a in range(n_actions)]
     artifacts: list[str] = []
+    shares: dict[str, list[float]] = {}
     scatter_stats: dict[str, float] = {}
-    for label in shares:
+    for label, actions in policies.items():
         name = f"scatter_{label}"
-        actions = policies[label]
         chosen_sigma = sigma[idx, actions]
         svg = reporting.scatter_svg(
             chosen_sigma,
@@ -565,6 +539,8 @@ def cmd_report(run_dir: str | Path) -> dict:
         )
         (outdir / f"{name}.svg").write_text(svg)
         artifacts.append(f"{name}.svg")
+        # PolicyAssignment.action_shares, so the shares equal fit's
+        shares[label] = (np.bincount(actions, minlength=n_actions) / n_units).tolist()
         scatter_stats[label] = float(chosen_sigma.mean())
 
     summary = {"action_shares": shares, "mean_chosen_sigma": scatter_stats}

@@ -24,13 +24,32 @@ class DataFormatError(ValueError):
     """An input file could not be parsed into a valid dataset."""
 
 
+def _whole(values: np.ndarray) -> np.ndarray:
+    """Elementwise: finite and without a fractional part."""
+    return np.isfinite(values) & (values == np.trunc(values))
+
+
+def _require_whole(values: object, name: str) -> np.ndarray:
+    """``values`` as an array; floats with a fraction, NaN or infinity
+    raise ValueError, where a cast to integers would truncate them."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f" and not (ok := _whole(values)).all():
+        bad = float(values.flat[int(ok.argmin())])
+        raise ValueError(f"{name} must be whole numbers, not {bad!r}")
+    return values
+
+
 def _freeze(obj: object, name: str, dtype: type, order: str = "C") -> np.ndarray:
     """Hold field ``name`` of the frozen dataclass ``obj`` as a read-only view
     in ``dtype`` and ``order`` (``"C"``, or ``"F"`` for arm-major), and return
     it. An input already in that dtype and order is not copied, and the
-    caller's own array stays writeable."""
+    caller's own array stays writeable. Floats converted to an integer
+    ``dtype`` must be whole numbers."""
+    value = getattr(obj, name)
+    if np.issubdtype(dtype, np.integer):
+        value = _require_whole(value, name)
     convert = np.asfortranarray if order == "F" else np.ascontiguousarray
-    arr = convert(getattr(obj, name), dtype=dtype).view()
+    arr = convert(value, dtype=dtype).view()
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
@@ -180,7 +199,7 @@ def load_dataset(
         raise DataFormatError(f"no data rows in {path}")
     cols = [header.index(name) for name in names]
     raw_actions = table[:, cols[1]]
-    bad = ~(np.isfinite(raw_actions) & (raw_actions == np.trunc(raw_actions)))
+    bad = ~_whole(raw_actions)
     if bad.any():
         i = int(bad.argmax())
         raise DataFormatError(

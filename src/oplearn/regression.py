@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _freeze
+from .data import _freeze, _require_whole
 
 # Default logit gradient tolerance per unit. The gradient sums N per-unit
 # terms, so its float rounding floor grows with N: an absolute 1e-8 can sit
@@ -342,17 +342,21 @@ def fit_mnlogit(
 ) -> MultinomialLogitModel:
     """Fit a multinomial logit of action on features by Newton ascent.
 
-    Every class in ``0..M-1`` must be present. Convergence is declared when
-    the max-norm of the (penalised) gradient drops below ``tol``, by default
-    ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); an explicit ``tol`` is
-    absolute. Step halving keeps the objective from decreasing, except that
-    a step whose Newton decrement is within ``FLAT_STEP * |loglik|`` may
-    lower it by at most that much. Coefficients beyond ``1e6`` in absolute
-    value abort with :class:`QuasiSeparationError`, which usually means the
-    classes are separable and a stronger ``ridge`` is needed.
+    Every class in ``0..M-1`` must be present; a label that is not a whole
+    number, or a negative or non-finite ``ridge``, raises ValueError before
+    any work. Convergence is declared when the max-norm of the (penalised)
+    gradient drops below ``tol``, by default ``LOGIT_TOL_PER_UNIT * N``
+    (``1e-10 * N``); an explicit ``tol`` is absolute. Step halving keeps
+    the objective from decreasing, except that a step whose Newton decrement
+    is within ``FLAT_STEP * |loglik|`` may lower it by at most that much.
+    Coefficients beyond ``1e6`` in absolute value abort with
+    :class:`QuasiSeparationError`, which usually means the classes are
+    separable and a stronger ``ridge`` is needed.
     """
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and non-negative, not {ridge!r}")
     design = _design_rows(X)
-    a = np.asarray(actions, dtype=np.int64)
+    a = _require_whole(actions, "class labels").astype(np.int64)
     d, n = design.shape
     if a.shape != (n,):
         raise ValueError("actions length mismatch")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _freeze
+from .data import Dataset, _freeze, _whole
 from .policies import PolicyAssignment
 
 ESTIMATOR_KINDS = ("RA", "IPW", "DR")
@@ -105,7 +105,7 @@ def _policy_actions(
     actions = np.asarray(policy, dtype=np.float64)
     if actions.shape != (n_units,):
         raise ValueError(f"policy needs one action for each of {n_units} units")
-    if not ((actions >= 0) & (actions < n_actions) & (actions == np.trunc(actions))).all():
+    if not ((actions >= 0) & (actions < n_actions) & _whole(actions)).all():
         raise ValueError(f"policy contains invalid arm indices (expected 0..{n_actions - 1})")
     return actions.astype(np.int64)
 

@@ -705,7 +705,7 @@ class TestReport:
             assert len({line.split('fill="')[1] for line in legend}) == 12
             return
         message = (
-            f"error: {fitdir / 'report.json'}: 13 arms, "
+            f"error: table {fitdir / 'moments.csv'}: 13 arms, "
             "but the scatter plots have colours for at most 12"
         )
         assert_fails_with_one_error(["report", str(fitdir)], capfd, message)
@@ -753,55 +753,46 @@ class TestReport:
         evaldir = tmp_path / "eval"
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(evaldir)]
         assert run([*argv, "--assignments", str(sim_run["run"] / "assignments.csv")]) == 0
-        assert_fails_with_one_error(["report", str(evaldir)], capfd, "not the record of a fit run")
+        assert_fails_with_one_error(["report", str(evaldir)], capfd, "lists no moments table")
 
-    def test_report_without_fit_record_fails(self, sim_run, capfd):
-        (sim_run["run"] / "report.json").unlink()
-        assert_fails_with_one_error(["report", str(sim_run["run"])], capfd, "missing run record")
-
-    @pytest.mark.parametrize(
-        "damage, fragment",
-        [
-            ("no_n_actions", "lacks action_shares"),
-            ("string_shares", "action_shares must map preference names"),
-            ("short_shares", "action_shares must map preference names"),
-            ("sum_not_one", "action_shares must map preference names"),
-            ("path_label", "action_shares must map preference names"),
-        ],
-    )
-    def test_report_with_damaged_fit_record_fails(self, sim_run, capfd, damage, fragment):
-        path = sim_run["run"] / "report.json"
-        record = json.loads(path.read_text())
-        shares = record["action_shares"]
-        if damage == "no_n_actions":
-            del record["diagnostics"]["n_actions"]
-        elif damage == "string_shares":
-            shares["neutral"] = "ab"
-        elif damage == "short_shares":
-            shares["neutral"] = [0.5, 0.5]
-        elif damage == "sum_not_one":
-            shares["neutral"] = [0.5, 0.5, 0.5]
-        else:
-            shares["../neutral"] = shares.pop("neutral")
-        path.write_text(json.dumps(record))
-        message = f"error: {path}: {fragment}"
+    def test_report_without_manifest_fails(self, sim_run, capfd):
+        manifest = sim_run["run"] / "manifest.json"
+        manifest.unlink()
+        message = f"error: missing run manifest {manifest}"
         assert_fails_with_one_error(["report", str(sim_run["run"])], capfd, message)
+        assert list(sim_run["run"].glob("*.svg")) == []
         assert not (sim_run["run"] / "summary.json").exists()
+
+    def test_report_does_not_read_fit_record(self, tmp_path, sim_run):
+        # report renders from the two tables alone: fit's report.json,
+        # deleted or emptied, changes no byte it writes
+        deleted, emptied = tmp_path / "deleted", tmp_path / "emptied"
+        for rundir in (deleted, emptied):
+            shutil.copytree(sim_run["run"], rundir)
+        (deleted / "report.json").unlink()
+        (emptied / "report.json").write_text("{}")
+        rundirs = (sim_run["run"], deleted, emptied)
+        for rundir in rundirs:
+            assert run(["report", str(rundir)]) == 0
+        for name in ["summary.json"] + [f"scatter_{p.value}.svg" for p in RiskPreference]:
+            assert len({(rundir / name).read_bytes() for rundir in rundirs}) == 1, name
 
     @pytest.mark.parametrize(
         "table, damage, fragment",
         [
-            ("moments", "drop_row", "moments.csv: unit ids are not 0..7999 in order (7999"),
+            # N is the moments row count, so the assignments table has a unit too many
+            ("moments", "drop_row", "assignments.csv: id 7999 outside 0..7998 in column 'unit'"),
             ("moments", "swap_units", "moments.csv: unit ids are not 0..7999 in order (8000"),
-            # fit's record claims more units than the table has rows
-            ("moments", "n_units", "moments.csv: unit ids are not 0..999999999999 in order"),
             ("moments", "drop_sigma_2", "moments.csv: columns ['unit', 'mu_0', 'mu_1', 'mu_2', "),
             ("moments", "nan", "moments.csv has a non-finite mu or sigma"),
             ("assignments", "arm_3", "id 3 outside 0..2 in column 'neutral_action' at row 1"),
             ("assignments", "arm_0.5", "non-integer id 0.5 in column 'neutral_action' at row 1"),
-            ("assignments", "drop_linear", "assignments.csv has no column ['linear_action']"),
             ("moments", "delete", "missing artifact moments.csv listed in "),
             ("moments", "unlist", "manifest.json: lists no moments table"),
+            # a label that would put an SVG outside the run directory
+            ("assignments", "path_label", "['../neutral_action'] name no risk preference"),
+            # no rows: N would be 0
+            ("moments", "header_only", "empty table: "),
         ],
     )
     def test_damaged_report_input_fails(self, sim_run, capfd, table, damage, fragment):
@@ -819,22 +810,20 @@ class TestReport:
             rows[5][2] = "nan"
         elif damage.startswith("arm_"):
             rows[1][1] = damage[len("arm_") :]
-        elif damage == "drop_linear":
-            rows = [row[:2] + row[3:] for row in rows]
+        elif damage == "path_label":
+            rows[0] = [f"../{name}" if name == "neutral_action" else name for name in rows[0]]
+        elif damage == "header_only":
+            rows = rows[:1]
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         if damage == "delete":
             path.unlink()
-        elif damage == "n_units":
-            record = json.loads((rundir / "report.json").read_text())
-            record["diagnostics"]["n_units"] = 10**12
-            (rundir / "report.json").write_text(json.dumps(record))
         elif damage == "unlist":
             manifest = json.loads((rundir / "manifest.json").read_text())
             del manifest["artifacts"]["moments.csv"]
             (rundir / "manifest.json").write_text(json.dumps(manifest))
         assert_fails_with_one_error(["report", str(rundir)], capfd, fragment)
-        assert list(rundir.glob("*.svg")) == []
-        assert not (rundir / "summary.json").exists()
+        assert list(rundir.parent.rglob("*.svg")) == []
+        assert list(rundir.parent.rglob("summary.json")) == []
 
     def test_tradeoff_linear_preference_prefers_low_risk_arm(self, tmp_path):
         simdir = tmp_path / "sim"
@@ -1005,6 +994,10 @@ class TestJsonTables:
         [
             ("drop_unit", "a record has no 'unit' key"),
             ("null_action", "non-numeric 'neutral_action'"),
+            # cells that float() would take: only a JSON number is one
+            ("string_unit", "non-numeric 'unit'"),
+            ("bool_action", "non-numeric 'neutral_action'"),
+            ("padded_action", "non-numeric 'neutral_action'"),
         ],
     )
     def test_malformed_json_assignments_fail(self, tmp_path, sim_run, capfd, damage, fragment):
@@ -1016,7 +1009,10 @@ class TestJsonTables:
         if damage == "drop_unit":
             del records[3]["unit"]
         else:
-            records[3]["neutral_action"] = None
+            key = "unit" if damage == "string_unit" else "neutral_action"
+            value = records[3][key]
+            bad = {"null_action": None, "string_unit": str(value), "bool_action": value == 1}
+            records[3][key] = bad.get(damage, f" {value} ")
         path.write_text(json.dumps(records))
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]
         assert_fails_with_one_error([*argv, "--assignments", str(path)], capfd, fragment)

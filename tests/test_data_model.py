@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +257,18 @@ class TestDatasetInvariants:
                 features=np.ones((4, 1)),
                 n_actions=3,
             )
+
+    @pytest.mark.parametrize("action", [1.7, 0.9, np.nan, -np.inf])
+    def test_rejects_fractional_or_non_finite_action(self, action):
+        # the int64 cast would truncate these to an arm; a whole 1.0 is arm 1
+        def build(a):
+            actions = np.array([0.0, 1.0, a, 0.0])
+            return Dataset(np.ones(4), actions, np.ones((4, 1)), n_actions=2)
+
+        assert build(1.0).actions.tolist() == [0, 1, 1, 0]
+        message = re.escape(f"actions must be whole numbers, not {action!r}")
+        with pytest.raises(ValueError, match=message):
+            build(action)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -106,10 +106,16 @@ class TestAssignPolicy:
         assert np.array_equal(pol.actions, np.argmax(u, axis=1))
         assert pol.ties_broken == expected_ties
 
-    @pytest.mark.parametrize("arm", [-1, 2])
+    @pytest.mark.parametrize("arm", [-1, 2, 1.7, 0.5, np.nan])
     def test_assignment_rejects_arm_outside_range(self, arm):
-        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
-            PolicyAssignment(RiskPreference.NEUTRAL, np.array([0, arm, 1]), n_actions=2)
+        # a float arm is kept if whole (1.0 is arm 1) and refused, not
+        # truncated to an arm, if fractional or NaN
+        actions = np.array([0.0, arm, 1.0])
+        message = r"outside 0\.\.1" if arm in (-1, 2) else "actions must be whole numbers"
+        with pytest.raises(ValueError, match=message):
+            PolicyAssignment(RiskPreference.NEUTRAL, actions, n_actions=2)
+        actions[1] = 1.0
+        assert PolicyAssignment(RiskPreference.NEUTRAL, actions, 2).actions.tolist() == [0, 1, 1]
 
     def test_estimated_assignments_recover_oracle(self):
         spec = DGPSpec(

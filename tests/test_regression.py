@@ -338,6 +338,25 @@ class TestMnlogit:
         with pytest.raises(ValueError, match="class 1"):
             fit_mnlogit(np.ones((10, 1)), np.array([0, 0, 2, 2, 0, 2, 0, 2, 0, 2]))
 
+    @pytest.mark.parametrize("label", [2.5, np.nan])
+    def test_fractional_or_non_finite_label_rejected(self, label):
+        # whole float labels fit as their classes; others are not truncated
+        X = np.random.default_rng(1).standard_normal((60, 2))
+        a = (np.arange(60) % 3).astype(float)
+        whole = fit_mnlogit(X, a).coefficients
+        assert np.array_equal(whole, fit_mnlogit(X, a.astype(int)).coefficients)
+        a[7] = label
+        with pytest.raises(ValueError, match="class labels must be whole numbers"):
+            fit_mnlogit(X, a)
+
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+    def test_ridge_must_be_finite_and_non_negative(self, ridge, capfd):
+        # before the check, inf printed LAPACK errors and -1.0 "converged"
+        X = np.random.default_rng(2).standard_normal((60, 1))
+        with pytest.raises(ValueError, match="ridge must be finite and non-negative"):
+            fit_mnlogit(X, np.arange(60) % 3, ridge=ridge)
+        assert capfd.readouterr().out == ""
+
     def test_predict_dimension_mismatch(self):
         model = fit_mnlogit(np.zeros((20, 1)), np.arange(20) % 2)
         with pytest.raises(ValueError, match="features"):

@@ -30,7 +30,10 @@ block, between the weights of the unique class pairs and the products of
 the unique design-row pairs, and then mirrored. Each block writes both
 operands straight into C-contiguous buffers, one run per class or design
 row: class ``r``'s weights come from the row slice ``p[r:]``, and design
-row ``j``'s products from ``x[j:]``, with no index gather. Each
+row ``j``'s products from ``x[j:]``, with no index gather. Each Hessian
+serves two Newton steps (Shamanskii's lazy Newton), built on steps 0, 2, 4,
+... and reused with the new gradient by the step after; only a fresh one
+that finds no ascent ends the loop, a reused one is rebuilt instead. Each
 step-halving candidate is scored once, and the accepted candidate's
 probabilities feed the next Newton step, whose gradient is also the final
 one reported when the loop stops.
@@ -346,7 +349,9 @@ def fit_mnlogit(
     number, or a negative or non-finite ``ridge``, raises ValueError before
     any work. Convergence is declared when the max-norm of the (penalised)
     gradient drops below ``tol``, by default ``LOGIT_TOL_PER_UNIT * N``
-    (``1e-10 * N``); an explicit ``tol`` is absolute. Step halving keeps
+    (``1e-10 * N``); an explicit ``tol`` is absolute. Each Hessian serves
+    two steps, and a reused one that finds no ascent is rebuilt rather than
+    ending the fit; ``iterations`` counts every step. Step halving keeps
     the objective from decreasing, except that a step whose Newton decrement
     is within ``FLAT_STEP * |loglik|`` may lower it by at most that much.
     Coefficients beyond ``1e6`` in absolute value abort with
@@ -401,8 +406,11 @@ def fit_mnlogit(
         grad = gradient(coef, probs)
         if float(np.abs(grad).max()) < tol:
             break
-        neg_hess = _logit_information(design, probs)
-        neg_hess += ridge * np.diag(np.tile(penalty, m - 1))
+        # each Hessian serves two steps: built on even steps, reused on odd ones
+        fresh = iterations % 2 == 0
+        if fresh:
+            neg_hess = _logit_information(design, probs)
+            neg_hess += ridge * np.diag(np.tile(penalty, m - 1))
         direction, singular = _newton_direction(neg_hess, grad)
         lstsq_steps += singular
         current = loglik_path[-1]
@@ -424,7 +432,9 @@ def fit_mnlogit(
             step *= 0.5
         iterations += 1
         if not improved:
-            break  # no ascent direction left at float precision
+            if fresh:
+                break  # no ascent direction left at float precision
+            continue  # the reused Hessian failed; the next step rebuilds it
         if np.abs(coef).max() > 1e6:
             raise QuasiSeparationError(
                 "logit coefficients exceeded 1e6 without converging; the "

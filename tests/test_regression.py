@@ -262,21 +262,59 @@ class TestMnlogit:
         # stops after a few steps at the same optimum
         d = generate(DGPSpec.from_dict(STALL_DGP)).dataset
         model = fit_mnlogit(d.features, d.actions)
-        assert model.converged and model.iterations == 4
+        assert model.converged and model.iterations == 5
         assert model.final_gradient_norm < LOGIT_TOL_PER_UNIT * d.n_units
         longer = fit_mnlogit(d.features, d.actions, tol=1e-8, max_iter=12)
         assert longer.loglik_path[-1] - model.loglik_path[-1] < 1e-6
 
     @pytest.mark.parametrize("seed", [28, 29, 30])
     def test_float_flat_full_step_accepted(self, seed):
-        # at seed 29 the full 5th step lands one rounding step below the
-        # summed log-likelihood; rejecting it halved the step over and over,
-        # and Newton took 20 or more steps where seeds 28 and 30 take 5
+        # at seed 30 the full 6th step lands one rounding step below the
+        # summed log-likelihood; rejecting it would halve the step over and
+        # over, for 20 or more steps where seeds 28 and 29 take 6
         d = generate(DGPSpec.from_dict(wide_dgp(seed))).dataset
         model = fit_mnlogit(d.features, d.actions)
-        assert model.converged and model.iterations == 5
+        assert model.converged and model.iterations == 6
         path = np.array(model.loglik_path)
         assert np.all(np.diff(path) >= -regression.FLAT_STEP * np.abs(path[:-1]))
+        assert (np.diff(path) < 0).any() == (seed == 30)
+
+    def test_each_hessian_serves_two_steps(self, monkeypatch):
+        built = []
+
+        def counting(design, probs):
+            built.append(probs.shape)
+            return _logit_information(design, probs)
+
+        monkeypatch.setattr(regression, "_logit_information", counting)
+        d = generate(DGPSpec.from_dict(wide_dgp(28))).dataset
+        model = fit_mnlogit(d.features, d.actions)
+        assert model.converged and model.iterations > 2
+        assert len(built) == (model.iterations + 1) // 2
+
+    def test_rejected_reused_hessian_step_rebuilds(self, monkeypatch):
+        # every step on a reused Hessian gets a direction whose candidates
+        # all score NaN; the fit must rebuild on the next step, not stop
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((2000, 3))
+        scores = np.column_stack([np.zeros(2000), X @ [1.0, -0.5, 0.2], X @ [0.3, 0.4, -1.0]])
+        a = np.argmax(scores + rng.gumbel(size=(2000, 3)), axis=1)
+        reference = fit_mnlogit(X, a)
+        solved, newton_direction = [], regression._newton_direction
+
+        def failing_when_reused(neg_hess, grad):
+            reused = bool(solved) and neg_hess is solved[-1]
+            solved.append(neg_hess)
+            if reused:
+                return np.full_like(grad, np.nan), False
+            return newton_direction(neg_hess, grad)
+
+        monkeypatch.setattr(regression, "_newton_direction", failing_when_reused)
+        model = fit_mnlogit(X, a)
+        fresh = len({id(h) for h in solved})
+        assert model.converged and fresh < len(solved) == model.iterations
+        assert len(model.loglik_path) == fresh + 1  # only fresh steps were accepted
+        assert np.allclose(model.coefficients, reference.coefficients, atol=1e-8)
 
     def test_lstsq_fallback_counted_on_singular_hessian(self):
         # an all-zero feature column gives the unpenalised Hessian an exactly

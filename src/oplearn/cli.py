@@ -341,14 +341,15 @@ def cmd_fit(config: RunConfig) -> dict:
 
 
 def _read_assignments(path: Path, n_units: int, n_actions: int) -> dict[str, np.ndarray]:
-    """Each ``<pref>_action`` column of an assignments table as arm ids."""
+    """Each ``<pref>_action`` column of an assignments table as arm ids, in
+    ``RiskPreference`` order and then any other labels in table order, so a
+    CSV and a JSON table of one fit give the same order."""
     names, values = _read_table(path, lambda h: h == "unit" or h.endswith("_action"), n_units)
-    policy_cols = [h for h in names if h.endswith("_action")]
-    _require(bool(policy_cols), f"assignments file {path} has no '*_action' column")
-    return {
-        col[: -len("_action")]: _ids(path, names, values, col, n_actions)
-        for col in policy_cols
-    }
+    labels = [h[: -len("_action")] for h in names if h.endswith("_action")]
+    _require(bool(labels), f"assignments file {path} has no '*_action' column")
+    rank = {label: i for i, label in enumerate(_PREFERENCES)}
+    labels.sort(key=lambda label: rank.get(label, len(rank)))
+    return {label: _ids(path, names, values, f"{label}_action", n_actions) for label in labels}
 
 
 def _read_manifest(path: Path) -> dict:

@@ -25,7 +25,7 @@ from oplearn import (
     true_value,
     validate_dataset,
 )
-from oplearn.cli import _CONFIG_KEYS, PipelineError, RunConfig, load_config, main
+from oplearn.cli import _CONFIG_KEYS, _FORMATS, PipelineError, RunConfig, load_config, main
 from oplearn.reporting import PALETTE, read_csv, write_csv, write_json_table
 
 from helpers import reference_marks, svg_marks
@@ -988,6 +988,32 @@ class TestJsonTables:
             == 0
         )
         assert (evaldir / "values.json").exists()
+
+    def test_csv_and_json_fits_give_identical_values(self, tmp_path, sim_run):
+        # a JSON table's keys are sorted (linear, neutral, quadratic) and a
+        # CSV table's columns are not; values.json follows neither
+        values = []
+        for fmt in _FORMATS:
+            fitdir, evaldir = tmp_path / f"fit_{fmt}", tmp_path / f"eval_{fmt}"
+            argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(fitdir)]
+            assert run([*argv, "--format", fmt]) == 0
+            argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(evaldir)]
+            assert run([*argv, "--assignments", str(fitdir / f"assignments.{fmt}")]) == 0
+            values.append((evaldir / "values.json").read_bytes())
+        assert values[0] == values[1]
+
+    def test_values_rows_in_preference_then_table_order(self, tmp_path, sim_run):
+        names, cells = read_csv(sim_run["run"] / "assignments.csv", lambda h: True)
+        neutral = cells[:, names.index("neutral_action")]
+        header = ["unit", "zeta_action", "quadratic_action", "alpha_action", "neutral_action"]
+        path = tmp_path / "assignments.csv"
+        write_csv(path, header, [cells[:, 0], neutral, neutral, neutral, neutral])
+        evaldir = tmp_path / "eval"
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(evaldir)]
+        assert run([*argv, "--assignments", str(path)]) == 0
+        rows = json.loads((evaldir / "values.json").read_text())
+        labels = list(dict.fromkeys(row["policy_label"] for row in rows))
+        assert labels == ["neutral", "quadratic", "zeta", "alpha"]
 
     @pytest.mark.parametrize(
         "damage, fragment",

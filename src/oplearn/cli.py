@@ -217,16 +217,19 @@ def _read_table(
             "a table must be a JSON list of objects",
         )
         names = [k for k in (records[0] if records else {}) if usecols(k)]
-        columns = []
-        for name in names:
+        values = np.empty((len(records), len(names)))
+        for j, name in enumerate(names):
             try:
-                columns.append([rec[name] for rec in records])
+                cells = [rec[name] for rec in records]
             except KeyError:
                 raise PipelineError(f"table {path}: a record has no {name!r} key") from None
             # a JSON number parses to an int or a float; a bool is not one
-            numeric = {*map(type, columns[-1])} <= {int, float}
+            numeric = {*map(type, cells)} <= {int, float}
             _require(numeric, f"table {path}: non-numeric {name!r} value")
-        values = np.array(columns, dtype=np.float64).T.reshape(len(records), len(names))
+            try:
+                values[:, j] = cells
+            except OverflowError:  # an int such as 10**400
+                raise PipelineError(f"table {path}: {name!r} value beyond the float range") from None
     else:
         try:
             names, values = reporting.read_csv(path, usecols)

@@ -825,6 +825,18 @@ class TestReport:
         assert list(rundir.parent.rglob("*.svg")) == []
         assert list(rundir.parent.rglob("summary.json")) == []
 
+    def test_huge_json_moment_fails(self, tmp_path, sim_run, capfd):
+        fitdir = tmp_path / "jsonfit"
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(fitdir), "--format", "json"]
+        assert run(argv) == 0
+        path = fitdir / "moments.json"
+        records = json.loads(path.read_text())
+        records[5]["mu_1"] = 10**400
+        path.write_text(json.dumps(records))
+        message = f"error: table {path}: 'mu_1' value beyond the float range"
+        assert_fails_with_one_error(["report", str(fitdir)], capfd, message)
+        assert list(fitdir.glob("*.svg")) == []
+
     def test_tradeoff_linear_preference_prefers_low_risk_arm(self, tmp_path):
         simdir = tmp_path / "sim"
         cfg = write_config(tmp_path, dgp=TRADEOFF_DGP, outdir=str(simdir))
@@ -1024,6 +1036,8 @@ class TestJsonTables:
             ("string_unit", "non-numeric 'unit'"),
             ("bool_action", "non-numeric 'neutral_action'"),
             ("padded_action", "non-numeric 'neutral_action'"),
+            # a JSON integer beyond the float range
+            ("huge_action", "'neutral_action' value beyond the float range"),
         ],
     )
     def test_malformed_json_assignments_fail(self, tmp_path, sim_run, capfd, damage, fragment):
@@ -1037,7 +1051,12 @@ class TestJsonTables:
         else:
             key = "unit" if damage == "string_unit" else "neutral_action"
             value = records[3][key]
-            bad = {"null_action": None, "string_unit": str(value), "bool_action": value == 1}
+            bad = {
+                "null_action": None,
+                "string_unit": str(value),
+                "bool_action": value == 1,
+                "huge_action": 10**400,
+            }
             records[3][key] = bad.get(damage, f" {value} ")
         path.write_text(json.dumps(records))
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / "e")]

@@ -441,7 +441,8 @@ def fit_mnlogit(
                 "classes look separable - increase the ridge penalty"
             )
     else:
-        # max_iter ran out right after an accepted step, or was 0
+        # max_iter ran out right after an accepted step or a rejected
+        # reused one, or was 0
         grad = gradient(coef, probs)
 
     grad_norm = float(np.abs(grad).max())

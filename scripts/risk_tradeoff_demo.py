@@ -57,7 +57,6 @@ def main() -> None:
     props = clip_propensities(predict_proba(logit, d.features))
 
     policies = {p.value: assign_policy(moments, p) for p in RiskPreference}
-    fb = policies["neutral"]
     idx = np.arange(d.n_units)
 
     print("\npreference   shares        mean chosen sigma")
@@ -66,23 +65,24 @@ def main() -> None:
         risk = moments.sigma[idx, pol.actions].mean()
         print(f"{label:<12} [{shares}]  {risk:.3f}")
 
-    print("\npolicy      estimator  value    regret_vs_fb   true value   true regret")
-    fb_truth = true_value(oracle, oracle_policy(oracle, RiskPreference.NEUTRAL))
-    for label, pol in policies.items():
-        truth = true_value(oracle, pol.actions)
-        for est in (
+    def estimates(pol):
+        """The RA, IPW and DR values of ``pol``."""
+        return (
             value_ra(moments.mu, pol),
             value_ipw(d, pol, props),
             value_dr(d, pol, moments.mu, props),
-        ):
-            fb_est = {
-                "RA": value_ra(moments.mu, fb),
-                "IPW": value_ipw(d, fb, props),
-                "DR": value_dr(d, fb, moments.mu, props),
-            }[est.estimator]
+        )
+
+    print("\npolicy      estimator  value    regret_vs_fb   true value   true regret")
+    fb_truth = true_value(oracle, oracle_policy(oracle, RiskPreference.NEUTRAL))
+    fb_est = {est.estimator: est.value for est in estimates(policies["neutral"])}
+    for label, pol in policies.items():
+        truth = true_value(oracle, pol.actions)
+        for est in estimates(pol):
             print(
                 f"{label:<11} {est.estimator:<9}  {est.value:7.4f}  "
-                f"{fb_est.value - est.value:12.4f}   {truth:9.4f}   {fb_truth - truth:9.4f}"
+                f"{fb_est[est.estimator] - est.value:12.4f}   "
+                f"{truth:9.4f}   {fb_truth - truth:9.4f}"
             )
 
     outdir = Path(args.outdir)

@@ -29,18 +29,17 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import reporting
+from . import data, reporting
 from .data import (
     ColumnSchema,
     DataFormatError,
     Dataset,
-    _whole,
     load_dataset,
     save_dataset,
     validate_dataset,
 )
 from .moments import build_arm_moments, estimate_conditional_means
-from .policies import RiskPreference, assign_policy
+from .policies import PolicyAssignment, RiskPreference, assign_policy
 from .regression import fit_mnlogit, predict_proba
 from .simulate import DGPSpec, generate
 from .values import ESTIMATOR_KINDS, clip_propensities, regret, value_dr, value_ipw, value_ra
@@ -247,17 +246,10 @@ def _read_table(
 def _ids(path: Path, names: list[str], values: np.ndarray, column: str, bound: int) -> np.ndarray:
     """The ``column`` of the table read from ``path`` as integer ids in
     ``0..bound-1``; the first bad id is reported with its row."""
-    ids = values[:, names.index(column)]
-    integral = _whole(ids)
-    bad = ~integral | (ids < 0) | (ids >= bound)
-    if bad.any():
-        i = int(bad.argmax())
-        if integral[i]:
-            what = f"id {int(ids[i])} outside 0..{bound - 1}"
-        else:
-            what = f"non-integer id {float(ids[i])!r}"
-        raise PipelineError(f"table {path}: {what} in column '{column}' at row {i + 1}")
-    return ids.astype(np.int64)
+    try:
+        return data._ids(values[:, names.index(column)], bound, f"column '{column}'")
+    except ValueError as exc:
+        raise PipelineError(f"table {path}: {exc}") from None
 
 
 def _own_outdir(config: RunConfig, command: str) -> Path:
@@ -543,8 +535,8 @@ def cmd_report(run_dir: str | Path) -> dict:
         )
         (outdir / f"{name}.svg").write_text(svg)
         artifacts.append(f"{name}.svg")
-        # PolicyAssignment.action_shares, so the shares equal fit's
-        shares[label] = (np.bincount(actions, minlength=n_actions) / n_units).tolist()
+        policy = PolicyAssignment(RiskPreference(label), actions, n_actions)
+        shares[label] = policy.action_shares().tolist()
         scatter_stats[label] = float(chosen_sigma.mean())
 
     summary = {"action_shares": shares, "mean_chosen_sigma": scatter_stats}

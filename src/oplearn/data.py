@@ -29,27 +29,34 @@ def _whole(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (values == np.trunc(values))
 
 
-def _require_whole(values: object, name: str) -> np.ndarray:
-    """``values`` as an array; floats with a fraction, NaN or infinity
-    raise ValueError, where a cast to integers would truncate them."""
-    values = np.asarray(values)
-    if values.dtype.kind == "f" and not (ok := _whole(values)).all():
-        bad = float(values.flat[int(ok.argmin())])
-        raise ValueError(f"{name} must be whole numbers, not {bad!r}")
-    return values
+def _ids(values: object, bound: int, where: str) -> np.ndarray:
+    """The vector ``values`` as int64 ids in ``0..bound-1``, not copied if
+    already int64. The first bad id raises ValueError with its row, counted
+    from 1: ``non-integer id 1.7 in <where> at row 3`` for a fraction, NaN
+    or infinity (a cast would truncate it), else ``id 3 outside 0..2 in
+    <where> at row 3``."""
+    ids = np.asarray(values)
+    bad = (ids < 0) | (ids >= bound)
+    if ids.dtype.kind not in "biu":
+        bad |= ~_whole(ids)
+    if bad.any():
+        i = int(bad.argmax())
+        value = ids[i]
+        if _whole(value):
+            what = f"id {int(value)} outside 0..{bound - 1}"
+        else:
+            what = f"non-integer id {float(value)!r}"
+        raise ValueError(f"{what} in {where} at row {i + 1}")
+    return ids.astype(np.int64, copy=False)
 
 
 def _freeze(obj: object, name: str, dtype: type, order: str = "C") -> np.ndarray:
     """Hold field ``name`` of the frozen dataclass ``obj`` as a read-only view
     in ``dtype`` and ``order`` (``"C"``, or ``"F"`` for arm-major), and return
     it. An input already in that dtype and order is not copied, and the
-    caller's own array stays writeable. Floats converted to an integer
-    ``dtype`` must be whole numbers."""
-    value = getattr(obj, name)
-    if np.issubdtype(dtype, np.integer):
-        value = _require_whole(value, name)
+    caller's own array stays writeable."""
     convert = np.asfortranarray if order == "F" else np.ascontiguousarray
-    arr = convert(value, dtype=dtype).view()
+    arr = convert(getattr(obj, name), dtype=dtype).view()
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
@@ -111,21 +118,20 @@ class Dataset:
 
     def __post_init__(self) -> None:
         outcomes = _freeze(self, "outcomes", np.float64)
-        actions = _freeze(self, "actions", np.int64)
         features = _freeze(self, "features", np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         n = outcomes.shape[0]
-        if actions.shape != (n,) or features.shape[0] != n:
+        if np.shape(self.actions) != (n,) or features.shape[0] != n:
             raise ValueError("outcomes, actions, and features disagree on N")
+        object.__setattr__(self, "actions", _ids(self.actions, self.n_actions, "actions"))
+        actions = _freeze(self, "actions", np.int64)
         if self.n_actions < 2:
             raise ValueError("need at least two actions")
         if not np.isfinite(outcomes).all():
             raise ValueError("outcomes contain non-finite entries")
         if not np.isfinite(features).all():
             raise ValueError("features contain non-finite entries")
-        if actions.min(initial=0) < 0 or actions.max(initial=0) >= self.n_actions:
-            raise ValueError("actions outside {0..M-1}")
         counts = np.bincount(actions, minlength=self.n_actions)
         for a, c in enumerate(counts):
             if c == 0:

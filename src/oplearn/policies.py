@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _freeze
+from .data import _freeze, _ids
 from .moments import ArmMoments
 
 
@@ -67,11 +67,10 @@ class PolicyAssignment:
     ties_broken: int = 0
 
     def __post_init__(self) -> None:
-        actions = _freeze(self, "actions", np.int64)
-        if actions.ndim != 1:
+        if np.ndim(self.actions) != 1:
             raise ValueError("actions must hold one arm per unit")
-        if actions.min(initial=0) < 0 or actions.max(initial=0) >= self.n_actions:
-            raise ValueError(f"actions outside 0..{self.n_actions - 1}")
+        object.__setattr__(self, "actions", _ids(self.actions, self.n_actions, "actions"))
+        _freeze(self, "actions", np.int64)
 
     @property
     def n_units(self) -> int:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _freeze, _require_whole
+from .data import _freeze, _ids
 
 # Default logit gradient tolerance per unit. The gradient sums N per-unit
 # terms, so its float rounding floor grows with N: an absolute 1e-8 can sit
@@ -345,28 +345,28 @@ def fit_mnlogit(
 ) -> MultinomialLogitModel:
     """Fit a multinomial logit of action on features by Newton ascent.
 
-    Every class in ``0..M-1`` must be present; a label that is not a whole
-    number, or a negative or non-finite ``ridge``, raises ValueError before
-    any work. Convergence is declared when the max-norm of the (penalised)
-    gradient drops below ``tol``, by default ``LOGIT_TOL_PER_UNIT * N``
-    (``1e-10 * N``); an explicit ``tol`` is absolute. Each Hessian serves
-    two steps, and a reused one that finds no ascent is rebuilt rather than
-    ending the fit; ``iterations`` counts every step. Step halving keeps
-    the objective from decreasing, except that a step whose Newton decrement
-    is within ``FLAT_STEP * |loglik|`` may lower it by at most that much.
-    Coefficients beyond ``1e6`` in absolute value abort with
-    :class:`QuasiSeparationError`, which usually means the classes are
-    separable and a stronger ``ridge`` is needed.
+    Every class in ``0..M-1`` must be present. A negative or non-finite
+    ``ridge``, or a label that is not an id in ``0..N-1`` (``non-integer id
+    2.5 in class labels at row 8``, ``id -1 outside 0..59 in class labels at
+    row 8``), raises ValueError before any work. Convergence is declared
+    when the max-norm of the (penalised) gradient drops below ``tol``, by
+    default ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); an explicit ``tol``
+    is absolute. Each Hessian serves two steps, and a reused one that finds
+    no ascent is rebuilt rather than ending the fit; ``iterations`` counts
+    every step. Step halving keeps the objective from decreasing, except
+    that a step whose Newton decrement is within ``FLAT_STEP * |loglik|``
+    may lower it by at most that much. Coefficients beyond ``1e6`` in
+    absolute value abort with :class:`QuasiSeparationError`, which usually
+    means the classes are separable and a stronger ``ridge`` is needed.
     """
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and non-negative, not {ridge!r}")
     design = _design_rows(X)
-    a = _require_whole(actions, "class labels").astype(np.int64)
     d, n = design.shape
-    if a.shape != (n,):
+    if np.shape(actions) != (n,):
         raise ValueError("actions length mismatch")
-    if a.min() < 0:
-        raise ValueError("class labels must be non-negative integers")
+    # every class is observed, so there are at most N of them
+    a = _ids(actions, n, "class labels")
     m = int(a.max()) + 1
     if m < 2:
         raise ValueError("need at least two classes")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _freeze, _whole
+from .data import Dataset, _freeze, _ids
 from .policies import PolicyAssignment
 
 ESTIMATOR_KINDS = ("RA", "IPW", "DR")
@@ -98,16 +98,13 @@ def clip_propensities(
 def _policy_actions(
     policy: PolicyAssignment | np.ndarray, n_units: int, n_actions: int
 ) -> np.ndarray:
-    """The policy's actions, checked to be one arm in 0..n_actions-1 per unit;
-    a non-integral or non-finite entry is an invalid arm, not truncated."""
+    """The policy's actions, checked to be one arm id in 0..n_actions-1 per
+    unit by :func:`oplearn.data._ids`."""
     if isinstance(policy, PolicyAssignment):
         policy = policy.actions
-    actions = np.asarray(policy, dtype=np.float64)
-    if actions.shape != (n_units,):
+    if np.shape(policy) != (n_units,):
         raise ValueError(f"policy needs one action for each of {n_units} units")
-    if not ((actions >= 0) & (actions < n_actions) & _whole(actions)).all():
-        raise ValueError(f"policy contains invalid arm indices (expected 0..{n_actions - 1})")
-    return actions.astype(np.int64)
+    return _ids(policy, n_actions, "policy")
 
 
 def _observed_propensity(dataset: Dataset, propensities: PropensityMatrix) -> np.ndarray:

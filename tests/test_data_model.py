@@ -23,9 +23,16 @@ from oplearn import (
     PropensityMatrix,
     RiskPreference,
     canonical_schema,
+    clip_propensities,
+    fit_mnlogit,
+    generate,
     load_dataset,
     save_dataset,
+    true_value,
     validate_dataset,
+    value_dr,
+    value_ipw,
+    value_ra,
 )
 
 from oplearn.reporting import ROW_BLOCK
@@ -266,7 +273,7 @@ class TestDatasetInvariants:
             return Dataset(np.ones(4), actions, np.ones((4, 1)), n_actions=2)
 
         assert build(1.0).actions.tolist() == [0, 1, 1, 0]
-        message = re.escape(f"actions must be whole numbers, not {action!r}")
+        message = re.escape(f"non-integer id {action!r} in actions at row 3")
         with pytest.raises(ValueError, match=message):
             build(action)
 
@@ -355,6 +362,68 @@ def test_freezes_a_view_not_the_callers_array(cls):
         assert array.flags.writeable, f"{cls.__name__}.{name} froze the caller's array"
         assert not kept.flags.writeable, f"{cls.__name__}.{name} is writeable"
         assert np.shares_memory(kept, array), f"{cls.__name__}.{name} was copied"
+
+
+def id_checks():
+    """Per entry point that takes arm ids or class labels: a call on a
+    12-unit id vector, the bound its ids lie below and the name its
+    messages give them. Class labels are ids in 0..N-1, since each class
+    must be observed."""
+    n, m = 12, 3
+    spec = DGPSpec(
+        n_units=n,
+        n_actions=m,
+        n_features=1,
+        mean_coeffs=np.ones((m, 2)),
+        noise_scale_coeffs=np.zeros((m, 2)),
+        seed=3,
+    )
+    oracle = generate(spec)
+    q = np.zeros((n, m))
+    props = clip_propensities(np.full((n, m), 1.0 / m))
+    x = np.random.default_rng(3).standard_normal((n, 1))
+    return {
+        "Dataset": (lambda a: Dataset(np.ones(n), a, x, n_actions=m), m, "actions"),
+        "PolicyAssignment": (
+            lambda a: PolicyAssignment(RiskPreference.NEUTRAL, a, m),
+            m,
+            "actions",
+        ),
+        "value_ra": (lambda a: value_ra(q, a), m, "policy"),
+        "value_ipw": (lambda a: value_ipw(oracle.dataset, a, props), m, "policy"),
+        "value_dr": (lambda a: value_dr(oracle.dataset, a, q, props), m, "policy"),
+        "true_value": (lambda a: true_value(oracle, a), m, "policy"),
+        "fit_mnlogit": (lambda a: fit_mnlogit(x, a), n, "class labels"),
+    }
+
+
+@pytest.mark.parametrize("bad", ["1.7", "nan", "-1", "bound"])
+@pytest.mark.parametrize("entry", list(id_checks()))
+def test_every_id_check_gives_one_message(entry, bad):
+    # the same ids pass as int64 and as whole floats; one bad id at row 5
+    # gets the same message form wherever it enters
+    call, bound, where = id_checks()[entry]
+    ids = np.arange(12) % 3
+    call(ids)
+    if bad in ("1.7", "nan"):
+        ids = ids.astype(np.float64)
+        call(ids)
+        ids[4] = float(bad)
+        message = f"non-integer id {bad} in {where} at row 5"
+    else:
+        ids[4] = -1 if bad == "-1" else bound
+        message = f"id {ids[4]} outside 0..{bound - 1} in {where} at row 5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(ids)
+
+
+def test_id_shape_checked_before_the_ids():
+    # a row is only meaningful in a vector of one id per unit
+    bad = np.array([[0, 1], [1, 5]])
+    with pytest.raises(ValueError, match="disagree on N"):
+        Dataset(np.ones(2), bad, np.ones((2, 1)), n_actions=2)
+    with pytest.raises(ValueError, match="one arm per unit"):
+        PolicyAssignment(RiskPreference.NEUTRAL, bad, 2)
 
 
 def test_uniform_dgp_accepts_listed_assignment_coeffs():

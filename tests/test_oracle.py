@@ -155,7 +155,7 @@ class TestTrueValue:
 
     def test_invalid_policy_rejected(self):
         oracle = generate(constant_spec(seed=7))
-        with pytest.raises(ValueError, match="invalid"):
+        with pytest.raises(ValueError, match=r"^id 9 outside 0\.\.2 in policy at row 1$"):
             true_value(oracle, np.full(oracle.n_units, 9))
 
     def test_risk_averse_true_regret_nonnegative_across_specs(self):

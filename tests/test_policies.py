@@ -111,7 +111,10 @@ class TestAssignPolicy:
         # a float arm is kept if whole (1.0 is arm 1) and refused, not
         # truncated to an arm, if fractional or NaN
         actions = np.array([0.0, arm, 1.0])
-        message = r"outside 0\.\.1" if arm in (-1, 2) else "actions must be whole numbers"
+        if arm in (-1, 2):
+            message = rf"^id {arm} outside 0\.\.1 in actions at row 2$"
+        else:
+            message = rf"^non-integer id {arm!r} in actions at row 2$"
         with pytest.raises(ValueError, match=message):
             PolicyAssignment(RiskPreference.NEUTRAL, actions, n_actions=2)
         actions[1] = 1.0

@@ -384,7 +384,8 @@ class TestMnlogit:
         whole = fit_mnlogit(X, a).coefficients
         assert np.array_equal(whole, fit_mnlogit(X, a.astype(int)).coefficients)
         a[7] = label
-        with pytest.raises(ValueError, match="class labels must be whole numbers"):
+        message = rf"^non-integer id {label!r} in class labels at row 8$"
+        with pytest.raises(ValueError, match=message):
             fit_mnlogit(X, a)
 
     @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])

@@ -99,7 +99,6 @@ class TestPolicyCheck:
             "true": lambda a: true_value(oracle, a),
         }[scorer]
         policy = np.zeros(30, dtype=np.int64)
-        fragment = r"invalid arm indices \(expected 0\.\.2\)"
         if damage == "short":
             policy = policy[:-1]
             fragment = "needs one action for each of 30 units"
@@ -108,8 +107,10 @@ class TestPolicyCheck:
             policy = policy.astype(np.float64)
             score(policy)
             policy[7] = 1.7
+            fragment = r"^non-integer id 1\.7 in policy at row 8$"
         else:
             policy[7] = -1 if damage == "minus_one" else 3
+            fragment = rf"^id {policy[7]} outside 0\.\.2 in policy at row 8$"
         with pytest.raises(ValueError, match=fragment):
             score(policy)
 

@@ -5,6 +5,11 @@ round-trip formatting, JSON is sorted, SVG coordinates are fixed-precision,
 and nothing embeds timestamps or absolute paths. Re-running a command with
 identical inputs reproduces identical artifact bytes, which the run manifest
 (config hash, input hash, artifact hashes) makes checkable.
+
+Tables and plots are built in bulk, not one cell or one mark at a time.
+A scatter plot bins its units into (pixel, arm) cells with one sort of
+packed integer keys, and puts each mark's text together from lookup tables
+of its pixel coordinates and of its (arm, opacity) tail.
 """
 
 from __future__ import annotations
@@ -233,7 +238,10 @@ def write_manifest(
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 SVG_XLABEL, SVG_YLABEL = "sigma (risk)", "mu (return)"
 
-_MARK = '<circle cx="%d" cy="%d" r="2.5" fill="%s" fill-opacity="%.3f"/>'
+# A mark's text, '<circle cx="X" cy="Y" r="2.5" fill="C" fill-opacity="O"/>',
+# is the head of its x pixel, the text of its y pixel and its (arm, opacity) tail.
+_MARK_HEAD = np.array([f'<circle cx="{i}" cy="' for i in range(SVG_WIDTH)], dtype=object)
+_MARK_Y = np.array([str(j) for j in range(SVG_HEIGHT)], dtype=object)
 
 
 def _occupied_cells(
@@ -241,9 +249,25 @@ def _occupied_cells(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (cx, cy, arm) triples of the units and the number of
     units in each, ordered by the first unit in each triple; ``cx`` and
-    ``cy`` are whole pixels inside the canvas."""
+    ``cy`` are whole pixels inside the canvas.
+
+    Unit ``u`` of the n units, in cell ``key``, is packed as
+    ``key * n + u``. The packed values are distinct, so one plain sort
+    orders the units by key and then by unit, each run of one key starts
+    with its cell's first unit, and an argsort of the first units gives
+    the draw order. A key is below ``12 * 480 * 640``, so ``key * n`` stays
+    below 2**63 for n < 2.5e12.
+    """
+    n = cx.size
     key = (arm * SVG_HEIGHT + cy) * SVG_WIDTH + cx
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    packed = np.sort(key * n + np.arange(n))
+    key = packed // n
+    start = np.empty(n, dtype=bool)
+    start[:1] = True
+    np.not_equal(key[1:], key[:-1], out=start[1:])
+    start = np.flatnonzero(start)
+    counts = np.diff(start, append=n)
+    first = packed[start] - key[start] * n
     order = np.argsort(first)
     first = first[order]
     return cx[first], cy[first], arm[first], counts[order]
@@ -264,23 +288,38 @@ def scatter_svg(
     ``PALETTE`` colour, with the opacity of k stacked single-unit marks,
     ``1 - 0.3**k``. Marks follow the order of the first unit in each pair,
     so the file size is bounded by the canvas and the number of arms, not
-    by the number of units. ``color_index`` holds each unit's arm; an arm
-    index or a legend entry beyond ``PALETTE``, a non-finite coordinate or
-    inputs of unequal length raise ``ValueError``. Output is deterministic
-    for identical inputs.
+    by the number of units. The pairs come from one sort of packed
+    ``key * n + unit`` values (see ``_occupied_cells``; exact while
+    ``key * n < 2**63``, that is for n < 2.5e12 units). Each mark's text
+    is a lookup of its x-pixel head and y-pixel text joined to a tail per
+    (arm, distinct opacity), formatted once with ``%.3f``.
+
+    ``color_index`` holds each unit's arm. A whole arm id or a legend
+    entry beyond ``PALETTE``, a fractional, NaN or infinite arm id
+    (``non-integer id 1.7 in color_index at row 3``, the package's one id
+    rule), a non-finite coordinate or inputs of unequal length raise
+    ``ValueError``. ``&``, ``<`` and ``>`` in the title and legend labels
+    are escaped. Output is deterministic for identical inputs.
     """
+    # imported here: data imports this module inside its functions only, so
+    # there is no cycle, and commands that draw no plot skip html's entity table
+    from html import escape
+
+    from .data import _ids, _whole
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    color_index = np.asarray(color_index, dtype=np.int64)
+    color_index = np.asarray(color_index)
     limit = len(PALETTE)
-    if len(legend_labels) > limit or color_index.size and not (
-        0 <= color_index.min() and color_index.max() < limit
-    ):
+    beyond = color_index[(color_index < 0) | (color_index >= limit)]
+    if len(legend_labels) > limit or _whole(beyond).any():
         raise ValueError(f"scatter_svg has colours for at most {limit} arms (0..{limit - 1})")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("scatter_svg needs finite coordinates")
     if not x.shape == y.shape == color_index.shape == (len(x),):
         raise ValueError("scatter_svg needs x, y and color_index of one length")
+    # what is left to refuse is a fraction, NaN or infinity, which a cast would truncate
+    color_index = _ids(color_index, limit, "color_index")
     left, right, top, bottom = 62, 18, 34, 48
     plot_w = SVG_WIDTH - left - right
     plot_h = SVG_HEIGHT - top - bottom
@@ -306,7 +345,7 @@ def scatter_svg(
         f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<text x="{SVG_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
@@ -342,10 +381,17 @@ def scatter_svg(
     cx, cy, arm, count = _occupied_cells(
         np.rint(px(x)).astype(np.int64), np.rint(py(y)).astype(np.int64), color_index
     )
-    colour = np.array(PALETTE)[arm]
-    # the alpha of k stacked single-unit marks at opacity 0.7
-    opacity = 1.0 - 0.3**count
-    parts += map(_MARK.__mod__, zip(cx.tolist(), cy.tolist(), colour.tolist(), opacity.tolist()))
+    # the alpha of k stacked single-unit marks at opacity 0.7; from k = 32 on
+    # it is 1.0, so there are at most 32 distinct values to format
+    opacity, which = np.unique(1.0 - 0.3**count, return_inverse=True)
+    tail = np.array(
+        [
+            [f'" r="2.5" fill="{colour}" fill-opacity="{o:.3f}"/>' for o in opacity.tolist()]
+            for colour in PALETTE
+        ],
+        dtype=object,
+    )
+    parts += (_MARK_HEAD[cx] + _MARK_Y[cy] + tail[arm, which]).tolist()
     for i, name in enumerate(legend_labels):
         ly = top + 12 + 16 * i
         parts.append(
@@ -353,7 +399,7 @@ def scatter_svg(
         )
         parts.append(
             f'<text x="{left + plot_w - 68}" y="{ly + 4}" '
-            f'font-family="sans-serif" font-size="11">arm {name}</text>'
+            f'font-family="sans-serif" font-size="11">{escape(f"arm {name}", quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

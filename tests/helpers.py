@@ -9,6 +9,7 @@ import numpy as np
 
 from oplearn import ArmMoments, Dataset, OracleData
 from oplearn.regression import HESSIAN_BLOCK
+from oplearn.reporting import SVG_HEIGHT, SVG_WIDTH
 
 
 def gauss_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -171,12 +172,27 @@ def svg_marks(svg: str) -> list[tuple[int, int, str, str]]:
     return [(int(cx), int(cy), fill, alpha) for cx, cy, fill, alpha in _MARK.findall(svg)]
 
 
-def reference_marks(x, y, arms, palette) -> list[tuple[int, int, str, str]]:
-    """The marks ``scatter_svg`` should draw, one unit at a time.
+def occupied_cells_oracle(
+    cx: np.ndarray, cy: np.ndarray, arm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (cx, cy, arm) cells of the units, their unit counts, in the order
+    of each cell's first unit, found by ``np.unique``'s stable sort.
+
+    Kept as the reference for the packed-key sort of
+    ``oplearn.reporting._occupied_cells``, which must match it exactly.
+    """
+    key = (arm * SVG_HEIGHT + cy) * SVG_WIDTH + cx
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    return cx[first], cy[first], arm[first], counts[order]
+
+
+def reference_cells(x, y, arms) -> dict[tuple[int, int, int], int]:
+    """The units in each (cx, cy, arm) pair of a scatter plot, one unit at a time.
 
     Each unit's pixel point, rounded half to even, and its arm select a
-    (cell, arm) pair; pairs keep the order of their first unit, and a pair
-    of k units is drawn at opacity ``1 - 0.3**k`` with three decimals.
+    pair; pairs keep the order of their first unit.
     """
     x, y = [float(v) for v in x], [float(v) for v in y]
 
@@ -194,6 +210,14 @@ def reference_marks(x, y, arms, palette) -> list[tuple[int, int, str, str]]:
         cy = round(PLOT_TOP + PLOT_H - (yi - y_lo) / (y_hi - y_lo) * PLOT_H)
         key = (cx, cy, int(arm))
         counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def reference_marks(x, y, arms, palette) -> list[tuple[int, int, str, str]]:
+    """The marks ``scatter_svg`` should draw: one per pair of
+    ``reference_cells``, a pair of k units at opacity ``1 - 0.3**k`` with
+    three decimals."""
     return [
-        (cx, cy, palette[arm], f"{1 - 0.3**k:.3f}") for (cx, cy, arm), k in counts.items()
+        (cx, cy, palette[arm], f"{1 - 0.3**k:.3f}")
+        for (cx, cy, arm), k in reference_cells(x, y, arms).items()
     ]

@@ -4,6 +4,8 @@ json.dumps, and the binned scatter SVG, checked against a per-unit reference."""
 import csv
 import io
 import json
+import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from oplearn.reporting import (
     PALETTE,
     ROW_BLOCK,
+    SVG_HEIGHT,
+    SVG_WIDTH,
     _occupied_cells,
     read_csv,
     scatter_svg,
@@ -18,7 +22,14 @@ from oplearn.reporting import (
     write_json_table,
 )
 
-from helpers import PLOT_H, PLOT_W, reference_marks, svg_marks
+from helpers import (
+    PLOT_H,
+    PLOT_W,
+    occupied_cells_oracle,
+    reference_cells,
+    reference_marks,
+    svg_marks,
+)
 
 rng = np.random.default_rng(5)
 FLOATS = np.concatenate(
@@ -154,6 +165,29 @@ def test_occupied_cells_group_every_unit_once():
     assert triples == list(dict.fromkeys(units))
 
 
+def _cells_case(name):
+    if name == "one_unit":
+        return np.array([300]), np.array([200]), np.array([4])
+    if name == "one_cell":
+        return np.full(50, 100), np.full(50, 90), np.full(50, 2)
+    if name == "corners":
+        # arm 11 at the bottom-right pixel is the largest key
+        cx = np.tile([0, SVG_WIDTH - 1, 0, SVG_WIDTH - 1], 6)
+        cy = np.tile([0, 0, SVG_HEIGHT - 1, SVG_HEIGHT - 1], 6)
+        return cx, cy, np.repeat([0, 11, 11, 0, 0, 11], 4)
+    rng, n = np.random.default_rng(12), 100_000
+    return rng.integers(62, 80, n), rng.integers(34, 50, n), rng.integers(0, 12, n)
+
+
+@pytest.mark.parametrize("case", ["one_unit", "one_cell", "corners", "random_ties"])
+def test_occupied_cells_match_the_unique_oracle(case):
+    cx, cy, arm = _cells_case(case)
+    got = _occupied_cells(cx, cy, arm)
+    want = occupied_cells_oracle(cx, cy, arm)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def on_one_axes(n, m=3):
     """``n`` units near a line, the first two fixing the same axes for every ``n``."""
     rng = np.random.default_rng(8)
@@ -163,19 +197,30 @@ def on_one_axes(n, m=3):
     return x, y, rng.integers(0, m, n)
 
 
-@pytest.mark.parametrize("n", [2_000, 50_000])
-def test_scatter_marks_are_bounded_by_the_canvas(n):
-    x, y, arms = on_one_axes(n)
-    labels = ["0", "1", "2"]
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        pytest.param(2_000, 3, id="2000"),
+        pytest.param(50_000, 3, id="50000"),
+        pytest.param(200_000, 12, id="200000_12_arms"),
+    ],
+)
+def test_scatter_marks_are_bounded_by_the_canvas(n, m):
+    x, y, arms = on_one_axes(n, m)
+    labels = [str(a) for a in range(m)]
     svg = scatter_svg(x, y, arms, title="t", legend_labels=labels)
     marks = svg_marks(svg)
     assert marks == reference_marks(x, y, arms, PALETTE)
-    assert len(marks) <= PLOT_W * PLOT_H * 3
+    assert len(marks) <= PLOT_W * PLOT_H * m
     assert svg.count("<circle") == len(marks) + len(labels)
     assert scatter_svg(x, y, arms, title="t", legend_labels=labels) == svg
-    if n == 50_000:
+    if n > 2_000:
         # most units share a cell and arm with an earlier one
         assert len(marks) < n // 4
+    if m == 12:
+        # distinct opacities that print alike: 1 - 0.3**k is "1.000" for k >= 7
+        crowded = {k for k in reference_cells(x, y, arms).values() if k >= 7}
+        assert len(crowded) > 5
 
 
 def test_eight_arms_get_eight_colours():
@@ -199,6 +244,25 @@ def test_arms_beyond_the_palette_are_refused(arms, labels):
     x, y, _ = on_one_axes(13)
     with pytest.raises(ValueError, match="colours for at most 12 arms"):
         scatter_svg(x, y, arms, title="t", legend_labels=labels)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [1.7, np.nan, np.inf])
+def test_non_integer_arms_are_refused(bad):
+    x, y, _ = on_one_axes(3)
+    arms = np.array([0.0, 1.0, bad])
+    message = f"non-integer id {bad!r} in color_index at row 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scatter_svg(x, y, arms, title="t")
+
+
+def test_title_and_legend_text_are_escaped():
+    x, y, arms = on_one_axes(10)
+    labels = ["a<b", "c&d", "e>f"]
+    svg = scatter_svg(x, y, arms, title="mu < 0 & risk", legend_labels=labels)
+    texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "mu < 0 & risk"
+    assert texts[-3:] == ["arm a<b", "arm c&d", "arm e>f"]
 
 
 def test_non_finite_coordinates_are_refused():

@@ -38,10 +38,9 @@ from .data import (
     save_dataset,
     validate_dataset,
 )
-from .moments import build_arm_moments, estimate_conditional_means
 from .policies import PolicyAssignment, RiskPreference, assign_policy
-from .regression import fit_mnlogit, predict_proba
-from .simulate import DGPSpec, generate
+# moments, regression and simulate are imported inside the commands that
+# run them, so that each command's process loads only the modules it needs
 from .values import ESTIMATOR_KINDS, clip_propensities, regret, value_dr, value_ipw, value_ra
 
 
@@ -285,6 +284,8 @@ def _write_record(
 def cmd_fit(config: RunConfig) -> dict:
     """Estimate moments and assign policies; write ``assignments`` (per unit,
     each ``<pref>_action``) and ``moments`` (per unit, ``mu_<a>`` then ``sigma_<a>``)."""
+    from .moments import build_arm_moments
+
     dataset, warnings = _load_valid_dataset(config)
     outdir = _own_outdir(config, "fit")
 
@@ -372,6 +373,9 @@ def _require_same_input(assignments_path: Path, input_path: Path, input_sha256: 
 
 def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
     """Score saved policy columns with the configured welfare estimators."""
+    from .moments import estimate_conditional_means
+    from .regression import fit_mnlogit, predict_proba
+
     dataset, warnings = _load_valid_dataset(config)
     input_sha256 = reporting.sha256_file(Path(config.input))
     _require_same_input(Path(assignments_path), Path(config.input), input_sha256)
@@ -441,6 +445,8 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
 
 def cmd_simulate(config: RunConfig) -> dict:
     """Draw a synthetic dataset and write it with its ground-truth sidecar."""
+    from .simulate import DGPSpec, generate
+
     _require(config.dgp is not None, "no 'dgp' section configured for simulate")
     dgp = dict(config.dgp)
     if config.seed is not None:

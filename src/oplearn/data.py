@@ -50,6 +50,13 @@ def _ids(values: object, bound: int, where: str) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
+def _require_units(n_units: int, where: str) -> None:
+    """Refuse zero units, before any reduction over them would fail inside
+    NumPy: ``<where> needs at least one unit``."""
+    if n_units == 0:
+        raise ValueError(f"{where} needs at least one unit")
+
+
 def _freeze(obj: object, name: str, dtype: type, order: str = "C") -> np.ndarray:
     """Hold field ``name`` of the frozen dataclass ``obj`` as a read-only view
     in ``dtype`` and ``order`` (``"C"``, or ``"F"`` for arm-major), and return
@@ -185,8 +192,8 @@ def load_dataset(
     numbered from 1) are raised as :class:`DataFormatError`, before those
     for a missing or repeated schema column or a non-integer action.
     """
-    # imported here, like in save_dataset, so that importing the package
-    # does not load the artifact writers
+    # imported here, like in save_dataset, so that a module importing data
+    # (every layer does) does not load the artifact writers with it
     from .reporting import read_csv
 
     if not isinstance(schema, ColumnSchema):

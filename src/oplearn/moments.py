@@ -28,7 +28,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import Dataset, _freeze, min_arm_units
+from .data import Dataset, _freeze, _require_units, min_arm_units
 from .regression import LinearModel, fit_ols, predict_ols
 
 
@@ -63,11 +63,11 @@ class LinearLearner:
 class ArmMoments:
     """Estimated (mu, sigma) pair for every unit x arm cell.
 
-    Invariants, checked at construction: ``sigma2 >= variance_floor > 0``
-    everywhere, the floor is finite and all entries are finite. The
-    matrices are held arm-major (Fortran order); a C-ordered input is
-    copied once, and an F-ordered one is held as a read-only view, so the
-    caller's array stays writeable. ``sigma``, the elementwise square
+    Invariants, checked at construction: at least one unit,
+    ``sigma2 >= variance_floor > 0`` everywhere, the floor is finite and all
+    entries are finite. The matrices are held arm-major (Fortran order); a
+    C-ordered input is copied once, and an F-ordered one is held as a
+    read-only view, so the caller's array stays writeable. ``sigma``, the elementwise square
     root of ``sigma2``, is computed at construction. ``clamped`` marks the
     cells where the raw plug-in variance fell below the floor.
     """
@@ -86,6 +86,7 @@ class ArmMoments:
             raise ValueError("moment matrices disagree on shape")
         if mu.ndim != 2:
             raise ValueError("moment matrices must be 2-d (units x arms)")
+        _require_units(mu.shape[0], "ArmMoments")
         if not 0 < self.variance_floor < np.inf:
             raise ValueError("variance_floor must be strictly positive")
         if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):

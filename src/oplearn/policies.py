@@ -22,11 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import _freeze, _ids
-from .moments import ArmMoments
+from .data import _freeze, _ids, _require_units
+
+if TYPE_CHECKING:
+    from .moments import ArmMoments
 
 
 class RiskPreference(str, Enum):
@@ -53,7 +56,7 @@ def risk_utility(
 
 @dataclass(frozen=True, eq=False)
 class PolicyAssignment:
-    """Chosen arm per unit among ``n_actions`` arms.
+    """Chosen arm per unit, for at least one unit, among ``n_actions`` arms.
 
     ``actions[i]``, checked to lie in ``0..n_actions-1``, is the arm of
     unit i; from :func:`assign_policy` it is the smallest index maximising
@@ -69,6 +72,7 @@ class PolicyAssignment:
     def __post_init__(self) -> None:
         if np.ndim(self.actions) != 1:
             raise ValueError("actions must hold one arm per unit")
+        _require_units(len(self.actions), "PolicyAssignment")
         object.__setattr__(self, "actions", _ids(self.actions, self.n_actions, "actions"))
         _freeze(self, "actions", np.int64)
 

@@ -297,19 +297,20 @@ def scatter_svg(
     ``color_index`` holds each unit's arm. A whole arm id or a legend
     entry beyond ``PALETTE``, a fractional, NaN or infinite arm id
     (``non-integer id 1.7 in color_index at row 3``, the package's one id
-    rule), a non-finite coordinate or inputs of unequal length raise
-    ``ValueError``. ``&``, ``<`` and ``>`` in the title and legend labels
-    are escaped. Output is deterministic for identical inputs.
+    rule), a non-finite coordinate, no unit at all or inputs of unequal
+    length raise ``ValueError``. ``&``, ``<`` and ``>`` in the title and
+    legend labels are escaped. Output is deterministic for identical inputs.
     """
     # imported here: data imports this module inside its functions only, so
     # there is no cycle, and commands that draw no plot skip html's entity table
     from html import escape
 
-    from .data import _ids, _whole
+    from .data import _ids, _require_units, _whole
 
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     color_index = np.asarray(color_index)
+    _require_units(x.size, "scatter_svg")
     limit = len(PALETTE)
     beyond = color_index[(color_index < 0) | (color_index >= limit)]
     if len(legend_labels) > limit or _whole(beyond).any():

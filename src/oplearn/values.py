@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _freeze, _ids
+from .data import Dataset, _freeze, _ids, _require_units
 from .policies import PolicyAssignment
 
 ESTIMATOR_KINDS = ("RA", "IPW", "DR")
@@ -67,6 +67,7 @@ class PropensityMatrix:
         low, high = self.clip_bounds
         if p.ndim != 2:
             raise ValueError("propensity matrix must be 2-d")
+        _require_units(p.shape[0], "PropensityMatrix")
         if not np.isfinite(p).all():
             raise ValueError("propensities contain non-finite entries")
         if p.min() < low or p.max() > high:
@@ -79,14 +80,16 @@ def clip_propensities(
 ) -> PropensityMatrix:
     """Clamp raw propensities into [low, high] without renormalising.
 
-    ``p`` must be a valid probability matrix (rows summing to 1) before
-    clipping; the number of entries actually moved is recorded.
+    ``p`` must be a valid probability matrix of at least one unit (rows
+    summing to 1) before clipping; the number of entries actually moved is
+    recorded.
     """
     p = np.asarray(p, dtype=np.float64)
     if not (0.0 < low < high < 1.0):
         raise ValueError(f"invalid clip bounds ({low}, {high})")
     if p.ndim != 2:
         raise ValueError("propensity matrix must be 2-d")
+    _require_units(p.shape[0], "clip_propensities")
     row_sums = p.sum(axis=1)
     if np.abs(row_sums - 1.0).max() > 1e-8:
         raise ValueError("propensity rows must sum to 1 before clipping")
@@ -118,10 +121,12 @@ def _observed_propensity(dataset: Dataset, propensities: PropensityMatrix) -> np
 
 
 def value_ra(q_hat: np.ndarray, policy: PolicyAssignment | np.ndarray) -> ValueEstimate:
-    """Regression-adjustment value: mean of q_hat at the policy's actions."""
+    """Regression-adjustment value: mean of q_hat at the policy's actions,
+    over at least one unit."""
     q_hat = np.asarray(q_hat, dtype=np.float64)
     if q_hat.ndim != 2:
         raise ValueError("q_hat must be 2-d")
+    _require_units(q_hat.shape[0], "value_ra")
     actions = _policy_actions(policy, *q_hat.shape)
     value = float(np.mean(q_hat[np.arange(q_hat.shape[0]), actions]))
     return ValueEstimate(estimator="RA", value=value)

@@ -35,7 +35,7 @@ from oplearn import (
     value_ra,
 )
 
-from oplearn.reporting import ROW_BLOCK
+from oplearn.reporting import ROW_BLOCK, scatter_svg
 
 from helpers import make_dataset
 
@@ -424,6 +424,26 @@ def test_id_shape_checked_before_the_ids():
         Dataset(np.ones(2), bad, np.ones((2, 1)), n_actions=2)
     with pytest.raises(ValueError, match="one arm per unit"):
         PolicyAssignment(RiskPreference.NEUTRAL, bad, 2)
+
+
+ZERO_UNITS = {
+    "scatter_svg": lambda: scatter_svg(np.empty(0), np.empty(0), np.empty(0, int), title="t"),
+    "ArmMoments": lambda: ArmMoments(
+        np.empty((0, 2)), np.ones((0, 2)), 0.1, np.zeros((0, 2), dtype=bool)
+    ),
+    "PropensityMatrix": lambda: PropensityMatrix(np.empty((0, 2)), (0.01, 0.99), 0),
+    "clip_propensities": lambda: clip_propensities(np.empty((0, 2))),
+    "PolicyAssignment": lambda: PolicyAssignment(RiskPreference.NEUTRAL, np.empty(0, int), 2),
+    "value_ra": lambda: value_ra(np.empty((0, 2)), np.empty(0, int)),
+}
+
+
+@pytest.mark.parametrize("entry", list(ZERO_UNITS))
+def test_zero_units_refused_before_any_reduction(entry):
+    # one message from the package, not NumPy's zero-size reduction error
+    # or an empty-mean RuntimeWarning (an error under -W error)
+    with pytest.raises(ValueError, match=f"^{entry} needs at least one unit$"):
+        ZERO_UNITS[entry]()
 
 
 def test_uniform_dgp_accepts_listed_assignment_coeffs():

@@ -21,8 +21,8 @@ _SUBMODULE = {
     for module, names in {
         "data": "ColumnSchema DataFormatError Dataset ValidationReport canonical_schema "
         "load_dataset save_dataset validate_dataset",
-        "moments": "ArmMoments LinearLearner MomentLearner build_arm_moments "
-        "default_variance_floor estimate_conditional_means",
+        "moments": "ArmMoments build_arm_moments default_variance_floor "
+        "estimate_conditional_means",
         "policies": "PolicyAssignment RiskPreference assign_policy risk_utility",
         "regression": "LinearModel MultinomialLogitModel QuasiSeparationError "
         "RankDeficiencyError fit_mnlogit fit_ols predict_ols predict_proba",

@@ -50,11 +50,12 @@ def _ids(values: object, bound: int, where: str) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
-def _require_units(n_units: int, where: str) -> None:
-    """Refuse zero units, before any reduction over them would fail inside
-    NumPy: ``<where> needs at least one unit``."""
+def _require_units(n_units: int, where: str, unit: str = "unit") -> None:
+    """Refuse zero units (or zero arms, with ``unit="arm"``), before any
+    reduction over them would fail inside NumPy: ``<where> needs at least
+    one <unit>``."""
     if n_units == 0:
-        raise ValueError(f"{where} needs at least one unit")
+        raise ValueError(f"{where} needs at least one {unit}")
 
 
 def _freeze(obj: object, name: str, dtype: type, order: str = "C") -> np.ndarray:

@@ -3,67 +3,42 @@
 For every unit i and every action a the pipeline needs the return/risk pair
 (mu[i, a], sigma[i, a]): the conditional mean outcome under action a and its
 conditional standard deviation. Because treatment is unconfounded given the
-features, the mean is estimated by fitting a learner on the subsample that
-actually received arm a and predicting for all N units (counterfactual
-imputation). The variance is the plug-in difference of two conditional
-means,
+features, the mean is estimated by a least-squares fit
+(:func:`oplearn.regression.fit_ols`, with its ridge fallback for singular
+designs) on the subsample that actually received arm a, predicted for all
+N units (counterfactual imputation). The variance is the plug-in difference
+of two conditional means,
 
     sigma2(a, x) = E[Y^2 | A=a, x] - E[Y | A=a, x]^2,
 
-fit with the same learner. Flexible learners can make the plug-in
-difference non-positive, and sigma appears in utility denominators, so
-sigma2 is clamped below at a strictly positive floor; the clamp mask is kept
-so that reports can surface how often it fired.
+fit the same way. The plug-in difference can be non-positive, and sigma
+appears in utility denominators, so sigma2 is clamped below at a strictly
+positive floor; the clamp mask is kept so that reports can surface how
+often it fired.
 
-Each arm's subsample is cut once and serves both moment fits. Every unit x
-arm matrix is (N, M) in arm-major (Fortran) order, so each arm's column is
-contiguous and a reduction across arms runs element-wise over M columns;
-C-ordered inputs are accepted and copied once.
+Each arm's subsample is cut once and serves both moment fits. The fitted
+coefficients of every arm are gathered first, and each moment is then
+predicted for all arms at once with one (M, p) x (p, N) matrix product.
+Every unit x arm matrix is (N, M) in arm-major (Fortran) order, so each
+arm's column is contiguous and a reduction across arms runs element-wise
+over M columns; C-ordered inputs are accepted and copied once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
 from .data import Dataset, _freeze, _require_units, min_arm_units
-from .regression import LinearModel, fit_ols, predict_ols
-
-
-class FittedMoment(Protocol):
-    def predict(self, features: np.ndarray) -> np.ndarray: ...
-
-
-class MomentLearner(Protocol):
-    """Anything with ``fit(features, targets) -> object with predict``."""
-
-    def fit(self, features: np.ndarray, targets: np.ndarray) -> FittedMoment: ...
-
-
-@dataclass(frozen=True, eq=False)
-class _FittedLinear:
-    model: LinearModel
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return predict_ols(self.model, features)
-
-
-class LinearLearner:
-    """Default moment learner: least squares with intercept, with
-    :func:`oplearn.regression.fit_ols`'s automatic ridge fallback for
-    singular designs."""
-
-    def fit(self, features: np.ndarray, targets: np.ndarray) -> _FittedLinear:
-        return _FittedLinear(fit_ols(features, targets))
+from .regression import fit_ols
 
 
 @dataclass(frozen=True, eq=False)
 class ArmMoments:
     """Estimated (mu, sigma) pair for every unit x arm cell.
 
-    Invariants, checked at construction: at least one unit,
+    Invariants, checked at construction: at least one unit and one arm,
     ``sigma2 >= variance_floor > 0`` everywhere, the floor is finite and all
     entries are finite. The matrices are held arm-major (Fortran order); a
     C-ordered input is copied once, and an F-ordered one is held as a
@@ -87,6 +62,7 @@ class ArmMoments:
         if mu.ndim != 2:
             raise ValueError("moment matrices must be 2-d (units x arms)")
         _require_units(mu.shape[0], "ArmMoments")
+        _require_units(mu.shape[1], "ArmMoments", "arm")
         if not 0 < self.variance_floor < np.inf:
             raise ValueError("variance_floor must be strictly positive")
         if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
@@ -127,46 +103,45 @@ def _require_valid(dataset: Dataset) -> None:
         )
 
 
-def _fit_per_arm(
-    dataset: Dataset, learner: MomentLearner, *targets: np.ndarray
-) -> list[np.ndarray]:
+def _fit_per_arm(dataset: Dataset, *targets: np.ndarray) -> list[np.ndarray]:
     """For each target, an arm-major N x M matrix of predictions for all
-    units; each arm's subsample is cut once and fitted for every target."""
-    outs = [np.empty((dataset.n_units, dataset.n_actions), order="F") for _ in targets]
-    for a in range(dataset.n_actions):
+    units. Each arm's subsample is cut once and fitted for every target;
+    then each target is predicted for all arms with one matrix product,
+    written through the C-ordered (M, N) transpose of its output."""
+    n_arms = dataset.n_actions
+    outs = [np.empty((dataset.n_units, n_arms), order="F") for _ in targets]
+    coef = np.empty((len(targets), n_arms, dataset.n_features + 1))
+    for a in range(n_arms):
         rows = np.flatnonzero(dataset.actions == a)
         features = dataset.features.take(rows, axis=0)
-        for out, target in zip(outs, targets):
-            out[:, a] = learner.fit(features, target.take(rows)).predict(dataset.features)
+        for t, target in enumerate(targets):
+            coef[t, a] = fit_ols(features, target.take(rows)).coefficients
+    for out, fitted in zip(outs, coef):
+        np.matmul(fitted[:, 1:], dataset.features.T, out=out.T)
+        out += fitted[:, 0]
     return outs
 
 
-def estimate_conditional_means(
-    dataset: Dataset, learner: MomentLearner = LinearLearner()
-) -> np.ndarray:
+def estimate_conditional_means(dataset: Dataset) -> np.ndarray:
     """N x M matrix of imputed conditional mean outcomes, one column per arm,
     in arm-major order."""
     _require_valid(dataset)
-    (mu,) = _fit_per_arm(dataset, learner, dataset.outcomes)
+    (mu,) = _fit_per_arm(dataset, dataset.outcomes)
     return mu
 
 
-def build_arm_moments(
-    dataset: Dataset,
-    learner: MomentLearner = LinearLearner(),
-    variance_floor: float | None = None,
-) -> ArmMoments:
+def build_arm_moments(dataset: Dataset, *, variance_floor: float | None = None) -> ArmMoments:
     """Conditional mean and clamped plug-in variance for all arms.
 
-    Per arm, the subsample is cut once and the learner is fit on it twice -
-    once with target Y, once with target Y^2 - and both fits predict for all
-    units; the variance is E[Y^2] - mu^2, clamped below at
+    Per arm, the subsample is cut once and least squares is fit on it
+    twice - once with target Y, once with target Y^2 - and both fits predict
+    for all units; the variance is E[Y^2] - mu^2, clamped below at
     ``variance_floor``.
     """
     _require_valid(dataset)
     if variance_floor is None:
         variance_floor = default_variance_floor(dataset.outcomes)
-    mu, second = _fit_per_arm(dataset, learner, dataset.outcomes, dataset.outcomes**2)
+    mu, second = _fit_per_arm(dataset, dataset.outcomes, dataset.outcomes**2)
     raw = second - mu**2
     clamped = raw < variance_floor
     sigma2 = np.where(clamped, variance_floor, raw)

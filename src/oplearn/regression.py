@@ -33,10 +33,14 @@ row: class ``r``'s weights come from the row slice ``p[r:]``, and design
 row ``j``'s products from ``x[j:]``, with no index gather. Each Hessian
 serves two Newton steps (Shamanskii's lazy Newton), built on steps 0, 2, 4,
 ... and reused with the new gradient by the step after; only a fresh one
-that finds no ascent ends the loop, a reused one is rebuilt instead. Each
-step-halving candidate is scored once, and the accepted candidate's
-probabilities feed the next Newton step, whose gradient is also the final
-one reported when the loop stops.
+that finds no ascent ends the loop, a reused one is rebuilt instead. Step 0
+starts at zero coefficients, where every unit has probability ``1/M`` for
+every class, so its Hessian takes no pass over the blocks: with ``s`` the
+M-1 non-baseline probabilities it is ``(diag(s) - s s') kron X'X``
+(Böhning's equal-probability curvature), ``X'X`` being one (d, d) product
+of the design. Each step-halving candidate is scored once, and the
+accepted candidate's probabilities feed the next Newton step, whose
+gradient is also the final one reported when the loop stops.
 
 The (penalised) log-likelihood is non-decreasing across accepted iterations
 with one bounded exception: a step whose Newton decrement ``g'H^-1 g / 2``
@@ -351,9 +355,9 @@ def fit_mnlogit(
     row 8``), raises ValueError before any work. Convergence is declared
     when the max-norm of the (penalised) gradient drops below ``tol``, by
     default ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); an explicit ``tol``
-    is absolute. Each Hessian serves two steps, and a reused one that finds
-    no ascent is rebuilt rather than ending the fit; ``iterations`` counts
-    every step. Step halving keeps the objective from decreasing, except
+    is absolute. Each Hessian serves two steps, the first one being the
+    closed form at the zero start, and a reused one that finds no ascent is
+    rebuilt rather than ending the fit; ``iterations`` counts every step. Step halving keeps the objective from decreasing, except
     that a step whose Newton decrement is within ``FLAT_STEP * |loglik|``
     may lower it by at most that much. Coefficients beyond ``1e6`` in
     absolute value abort with :class:`QuasiSeparationError`, which usually
@@ -409,7 +413,13 @@ def fit_mnlogit(
         # each Hessian serves two steps: built on even steps, reused on odd ones
         fresh = iterations % 2 == 0
         if fresh:
-            neg_hess = _logit_information(design, probs)
+            if iterations == 0:
+                # at the zero start every unit has probability 1/M for every
+                # class, so sum_i (diag(p_i) - p_i p_i') kron x_i x_i' factors
+                s = np.full(m - 1, 1.0 / m)
+                neg_hess = np.kron(np.diag(s) - np.outer(s, s), design @ design.T)
+            else:
+                neg_hess = _logit_information(design, probs)
             neg_hess += ridge * np.diag(np.tile(penalty, m - 1))
         direction, singular = _newton_direction(neg_hess, grad)
         lstsq_steps += singular

@@ -68,6 +68,7 @@ class PropensityMatrix:
         if p.ndim != 2:
             raise ValueError("propensity matrix must be 2-d")
         _require_units(p.shape[0], "PropensityMatrix")
+        _require_units(p.shape[1], "PropensityMatrix", "arm")
         if not np.isfinite(p).all():
             raise ValueError("propensities contain non-finite entries")
         if p.min() < low or p.max() > high:
@@ -80,8 +81,8 @@ def clip_propensities(
 ) -> PropensityMatrix:
     """Clamp raw propensities into [low, high] without renormalising.
 
-    ``p`` must be a valid probability matrix of at least one unit (rows
-    summing to 1) before clipping; the number of entries actually moved is
+    ``p`` must be a valid probability matrix of at least one unit and one
+    arm (rows summing to 1) before clipping; the number of entries actually moved is
     recorded.
     """
     p = np.asarray(p, dtype=np.float64)
@@ -90,6 +91,7 @@ def clip_propensities(
     if p.ndim != 2:
         raise ValueError("propensity matrix must be 2-d")
     _require_units(p.shape[0], "clip_propensities")
+    _require_units(p.shape[1], "clip_propensities", "arm")
     row_sums = p.sum(axis=1)
     if np.abs(row_sums - 1.0).max() > 1e-8:
         raise ValueError("propensity rows must sum to 1 before clipping")

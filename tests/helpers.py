@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,22 +38,6 @@ def ols_oracle(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Least-squares coefficients via the elimination oracle."""
     design = np.column_stack([np.ones(len(targets)), features])
     return gauss_solve(design.T @ design, design.T @ targets)
-
-
-@dataclass(frozen=True)
-class _ConstantFit:
-    value: float
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(features).shape[0], self.value)
-
-
-@dataclass(frozen=True)
-class InterceptOnlyLearner:
-    """Stub moment learner: ignores features and predicts the training mean."""
-
-    def fit(self, features: np.ndarray, targets: np.ndarray) -> _ConstantFit:
-        return _ConstantFit(float(np.mean(targets)))
 
 
 def make_dataset(

@@ -8,16 +8,18 @@ import pytest
 from oplearn import (
     ArmMoments,
     Dataset,
-    LinearLearner,
     RiskPreference,
     assign_policy,
     build_arm_moments,
     default_variance_floor,
     estimate_conditional_means,
+    fit_ols,
+    predict_ols,
     risk_utility,
 )
+from oplearn import moments
 
-from helpers import InterceptOnlyLearner, make_dataset
+from helpers import make_dataset
 
 
 def binary_feature_dataset(rng, n=400, cell_means=((0.0, 1.0), (2.0, 5.0)), noise=0.3):
@@ -46,8 +48,9 @@ class TestConditionalMeans:
         assert np.abs(mu[:, 1] - (10.0 - 2.0 * x)).max() < 1e-8
 
     def test_intercept_only_repeats_arm_mean(self):
-        d = make_dataset(np.random.default_rng(1), n=50, m=2, p=1)
-        mu = estimate_conditional_means(d, InterceptOnlyLearner())
+        # no features: each arm's least-squares fit is its intercept, the mean
+        d = make_dataset(np.random.default_rng(1), n=50, m=2, p=0)
+        mu = estimate_conditional_means(d)
         for a in range(2):
             arm_mean = d.outcomes[d.actions == a].mean()
             assert np.allclose(mu[:, a], arm_mean)
@@ -55,7 +58,7 @@ class TestConditionalMeans:
     def test_matches_cell_mean_oracle_on_saturated_design(self):
         rng = np.random.default_rng(2)
         d = binary_feature_dataset(rng)
-        mu = estimate_conditional_means(d, LinearLearner())
+        mu = estimate_conditional_means(d)
         x = d.features[:, 0].astype(int)
         for a in range(2):
             for cell in (0, 1):
@@ -92,10 +95,10 @@ class TestConditionalVariance:
         d = Dataset(
             outcomes=outcomes,
             actions=actions,
-            features=np.zeros((10, 1)),
+            features=np.zeros((10, 0)),
             n_actions=2,
         )
-        m = build_arm_moments(d, InterceptOnlyLearner(), 1e-10)
+        m = build_arm_moments(d, variance_floor=1e-10)
         assert np.allclose(m.sigma2[:, 0], 9.0)
         assert np.allclose(m.sigma[:, 0], 3.0)
 
@@ -105,10 +108,10 @@ class TestConditionalVariance:
         d = Dataset(
             outcomes=outcomes,
             actions=actions,
-            features=np.zeros((10, 1)),
+            features=np.zeros((10, 0)),
             n_actions=2,
         )
-        m = build_arm_moments(d, InterceptOnlyLearner(), 1e-8)
+        m = build_arm_moments(d, variance_floor=1e-8)
         assert m.clamped[:, 0].all()
         assert np.allclose(m.sigma2[:, 0], 1e-8)
         assert m.n_clamped >= 10
@@ -122,7 +125,7 @@ class TestConditionalVariance:
         actions[:2] = (0, 1)
         outcomes = x + (1.0 + x) * rng.standard_normal(n)
         d = Dataset(outcomes=outcomes, actions=actions, features=x[:, None], n_actions=2)
-        m = build_arm_moments(d, LinearLearner(), 1e-10)
+        m = build_arm_moments(d, variance_floor=1e-10)
         for a in range(2):
             cell = (d.actions == a) & (x == 1.0)
             oracle = np.var(outcomes[cell])
@@ -133,7 +136,7 @@ class TestConditionalVariance:
     def test_floor_must_be_positive(self, floor):
         d = make_dataset(np.random.default_rng(6), n=50)
         with pytest.raises(ValueError, match="variance_floor must be strictly positive"):
-            build_arm_moments(d, LinearLearner(), floor)
+            build_arm_moments(d, variance_floor=floor)
 
     def test_nan_floor_does_not_admit_negative_variance(self):
         with pytest.raises(ValueError, match="variance_floor must be strictly positive"):
@@ -148,19 +151,19 @@ class TestConditionalVariance:
 class TestBuildArmMoments:
     def test_mu_equals_conditional_means(self):
         d = make_dataset(np.random.default_rng(7), n=80, m=3, p=2)
-        m = build_arm_moments(d, LinearLearner(), 1e-8)
-        assert np.array_equal(m.mu, estimate_conditional_means(d, LinearLearner()))
+        m = build_arm_moments(d, variance_floor=1e-8)
+        assert np.array_equal(m.mu, estimate_conditional_means(d))
 
-    def test_each_moment_fitted_once_per_arm(self):
+    def test_each_moment_fitted_once_per_arm(self, monkeypatch):
         fits = []
 
-        class CountingLearner:
-            def fit(self, features, targets):
-                fits.append((features, targets))
-                return LinearLearner().fit(features, targets)
+        def counting(features, targets):
+            fits.append((features, targets))
+            return fit_ols(features, targets)
 
+        monkeypatch.setattr(moments, "fit_ols", counting)
         d = make_dataset(np.random.default_rng(7), n=80, m=3, p=2)
-        build_arm_moments(d, CountingLearner())
+        build_arm_moments(d)
         assert len(fits) == 2 * d.n_actions
         # per arm, the Y fit then the Y^2 fit, both on the one subsample cut
         for a in range(d.n_actions):
@@ -170,6 +173,19 @@ class TestBuildArmMoments:
             assert np.array_equal(x_mean, d.features[rows])
             assert np.array_equal(y_mean, d.outcomes[rows])
             assert np.array_equal(y_square, d.outcomes[rows] ** 2)
+
+    @pytest.mark.parametrize("m", [2, 5, 12])
+    def test_each_arm_predicts_like_its_own_fit(self, m):
+        # the one all-arm product gives each arm's column as predict_ols of
+        # that arm's own fit does, up to the rounding of the product
+        d = make_dataset(np.random.default_rng(m), n=60 * m, m=m, p=4)
+        built = build_arm_moments(d)
+        for a in range(m):
+            rows = d.actions == a
+            want = predict_ols(fit_ols(d.features[rows], d.outcomes[rows]), d.features)
+            assert np.abs(built.mu[:, a] - want).max() <= 1e-13 * np.abs(want).max()
+        for arr in (built.mu, built.sigma2):
+            assert arr.flags.f_contiguous and not arr.flags.writeable
 
     def test_unit_by_arm_matrices_are_arm_major(self):
         d = make_dataset(np.random.default_rng(10), n=90, m=3, p=2)
@@ -218,8 +234,8 @@ class TestBuildArmMoments:
     def test_affine_shift_moves_mu_not_sigma(self):
         d = make_dataset(np.random.default_rng(8), n=100, m=2, p=2, noise=1.0)
         floor = 1e-12
-        base = build_arm_moments(d, LinearLearner(), floor)
-        shifted = build_arm_moments(replace(d, outcomes=d.outcomes + 5.0), LinearLearner(), floor)
+        base = build_arm_moments(d, variance_floor=floor)
+        shifted = build_arm_moments(replace(d, outcomes=d.outcomes + 5.0), variance_floor=floor)
         assert np.abs(shifted.mu - base.mu - 5.0).max() < 1e-8
         keep = ~(base.clamped | shifted.clamped)
         assert np.abs(shifted.sigma2[keep] - base.sigma2[keep]).max() < 1e-7
@@ -227,8 +243,8 @@ class TestBuildArmMoments:
     def test_positive_scaling_scales_mu_and_sigma(self):
         d = make_dataset(np.random.default_rng(9), n=100, m=2, p=2, noise=1.0)
         floor = 1e-12
-        base = build_arm_moments(d, LinearLearner(), floor)
-        scaled = build_arm_moments(replace(d, outcomes=3.0 * d.outcomes), LinearLearner(), floor)
+        base = build_arm_moments(d, variance_floor=floor)
+        scaled = build_arm_moments(replace(d, outcomes=3.0 * d.outcomes), variance_floor=floor)
         keep = ~(base.clamped | scaled.clamped)
         assert np.abs(scaled.mu - 3.0 * base.mu).max() < 1e-8
         assert np.abs(scaled.sigma[keep] - 3.0 * base.sigma[keep]).max() < 1e-6

@@ -446,6 +446,22 @@ def test_zero_units_refused_before_any_reduction(entry):
         ZERO_UNITS[entry]()
 
 
+ZERO_ARMS = {
+    "ArmMoments": lambda: ArmMoments(
+        np.empty((3, 0)), np.ones((3, 0)), 0.1, np.zeros((3, 0), dtype=bool)
+    ),
+    "PropensityMatrix": lambda: PropensityMatrix(np.empty((3, 0)), (0.01, 0.99), 0),
+    "clip_propensities": lambda: clip_propensities(np.empty((3, 0))),
+}
+
+
+@pytest.mark.parametrize("entry", list(ZERO_ARMS))
+def test_zero_arms_refused_before_any_reduction(entry):
+    # not NumPy's zero-size reduction error, nor a row-sum complaint
+    with pytest.raises(ValueError, match=f"^{entry} needs at least one arm$"):
+        ZERO_ARMS[entry]()
+
+
 def test_uniform_dgp_accepts_listed_assignment_coeffs():
     spec = DGPSpec(
         n_units=5,

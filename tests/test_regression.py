@@ -303,7 +303,28 @@ class TestMnlogit:
         d = generate(DGPSpec.from_dict(wide_dgp(28))).dataset
         model = fit_mnlogit(d.features, d.actions)
         assert model.converged and model.iterations > 2
-        assert len(built) == (model.iterations + 1) // 2
+        # fresh on steps 0, 2, 4, ...; step 0's is the closed form, not a build
+        assert len(built) == (model.iterations - 1) // 2
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("p", [1, 10])
+    def test_zero_start_hessian_is_the_uniform_information(self, monkeypatch, m, p):
+        # the step-0 Kronecker form equals the blocked build at probability 1/M
+        solved, newton_direction = [], regression._newton_direction
+
+        def recording(neg_hess, grad):
+            solved.append(neg_hess.copy())
+            return newton_direction(neg_hess, grad)
+
+        monkeypatch.setattr(regression, "_newton_direction", recording)
+        rng = np.random.default_rng(10 * m + p)
+        n = 2 * HESSIAN_BLOCK + 1
+        X = rng.standard_normal((n, p))
+        a = np.arange(n) % m
+        fit_mnlogit(X, a, ridge=0.0, max_iter=1)
+        design = _design_rows(X)
+        blocked = _logit_information(design, np.full((m, n), 1.0 / m))
+        np.testing.assert_allclose(solved[0], blocked, rtol=1e-12)
 
     def test_rejected_reused_hessian_step_rebuilds(self, monkeypatch):
         # every step on a reused Hessian gets a direction whose candidates

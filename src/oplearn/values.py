@@ -82,8 +82,8 @@ def clip_propensities(
     """Clamp raw propensities into [low, high] without renormalising.
 
     ``p`` must be a valid probability matrix of at least one unit and one
-    arm (rows summing to 1) before clipping; the number of entries actually moved is
-    recorded.
+    arm (rows summing to 1) before clipping; the number of entries actually
+    moved is recorded.
     """
     p = np.asarray(p, dtype=np.float64)
     if not (0.0 < low < high < 1.0):

@@ -189,9 +189,10 @@ def load_dataset(
     Action values may be arbitrary integers in the file; they are recoded to
     ``0..M-1`` by ascending original value, with the original labels kept in
     ``action_labels``. :func:`oplearn.reporting.read_csv` parses the schema's
-    columns and its errors (ragged row, blank or non-numeric cell, rows
-    numbered from 1) are raised as :class:`DataFormatError`, before those
-    for a missing or repeated schema column or a non-integer action.
+    columns, and its errors (ragged row or trailing delimiter, blank or
+    non-numeric cell, rows numbered from 1 without blank lines) are raised
+    as :class:`DataFormatError`, before those for a missing or repeated
+    schema column or a non-integer action.
     """
     # imported here, like in save_dataset, so that a module importing data
     # (every layer does) does not load the artifact writers with it

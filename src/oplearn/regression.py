@@ -179,8 +179,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> Line
     X : ndarray, shape (N, p)
     y : ndarray, shape (N,)
     ridge : float or None
-        Regularization used only as a fallback when the normal-equation
-        system is numerically singular. ``None`` picks the automatic value
+        Penalty on the feature coefficients, not the intercept, used only
+        as a fallback when the normal-equation system is numerically
+        singular. ``None`` picks the automatic value
         ``1e-8 * trace(X'X) / d``; an explicit ``0.0`` disables the fallback
         so that rank-deficient designs raise instead.
 
@@ -214,7 +215,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> Line
     if beta is None or not orthogonal(beta, 1e-8):
         lam = 1e-8 * float(np.trace(gram)) / d if ridge is None else float(ridge)
         if lam > 0.0:
-            beta = solve(gram + lam * np.eye(d))
+            beta = solve(gram + np.diag(np.r_[0.0, np.full(d - 1, lam)]))
         else:
             beta = None
         if beta is None or not orthogonal(beta, 1e-6):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from itertools import islice
+import warnings
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -42,9 +42,9 @@ PALETTE = (
 )
 
 
-# Rows formatted, written or parsed per step: large enough that the
-# per-block overhead is negligible, small enough that one block's text
-# stays a small fraction of the table.
+# Rows formatted and written per step: large enough that the per-block
+# overhead is negligible, small enough that one block's text stays a small
+# fraction of the table.
 ROW_BLOCK = 4096
 
 # Characters that make csv.writer quote a field besides the delimiter. A bare
@@ -155,17 +155,29 @@ def write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _raise_first_bad(rows: list[list[str]], row1: int, header: list[str], kept: list[int]) -> None:
-    """Name the first ragged row, or bad ``kept`` cell, of rows ``row1, ...``."""
-    for i, row in enumerate(rows, start=row1):
-        if len(row) != len(header):
-            raise ValueError(f"row {i} has {len(row)} fields, expected {len(header)}")
-        for j in kept:
-            try:
-                float(row[j])
-            except ValueError:
-                problem = f"non-numeric value {row[j]!r}" if row[j].strip() else "blank value"
-                raise ValueError(f"{problem} in column '{header[j]}' at row {i}") from None
+def _is_number(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` as a float: ``float``'s grammar
+    in ASCII without underscores, inside optional Unicode whitespace."""
+    text = cell.strip()
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
+
+
+def _raise_first_bad(path: Path, delimiter: str, header: list[str], kept: list[int]) -> None:
+    """Name the first ragged row, or bad ``kept`` cell, of the table at ``path``."""
+    with path.open(newline="") as fh:
+        rows = filter(None, csv.reader(fh, delimiter=delimiter))
+        next(rows)  # the header
+        for i, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"row {i} has {len(row)} fields, expected {len(header)}")
+            for j in kept:
+                if not _is_number(row[j]):
+                    problem = f"non-numeric value {row[j]!r}" if row[j].strip() else "blank value"
+                    raise ValueError(f"{problem} in column '{header[j]}' at row {i}")
 
 
 def read_csv(
@@ -174,9 +186,12 @@ def read_csv(
     """Read the numeric columns of a delimited table: datasets and artifacts.
 
     Returns the stripped header names kept by ``usecols`` (all by default)
-    and their values as an ``(n_rows, n_columns)`` float array, parsed
-    ``ROW_BLOCK`` rows and one column at a time with ``float``, so values
-    read back bit-exactly. Blank lines are skipped; data rows count from 1.
+    and their values as an ``(n_rows, n_columns)`` float array. The header
+    is read with ``csv.reader``, the rows with ``np.loadtxt``, whose
+    correctly rounded parse reads values back bit-exactly. A kept cell is
+    an ASCII number, ``nan`` or ``inf``, maybe quoted and padded with
+    Unicode whitespace; other cells are not parsed, but every row must have
+    the header's width. Blank lines are skipped; data rows count from 1.
     A ragged row or a blank or non-numeric kept cell raises ``ValueError``
     naming the first such row and column.
     """
@@ -187,23 +202,24 @@ def read_csv(
             raise ValueError(f"empty file: {path}")
         header = [h.strip() for h in first]
         kept = [j for j, name in enumerate(header) if usecols is None or usecols(name)]
-        blocks = []
-        while block := list(islice(rows, ROW_BLOCK)):
-            try:
-                if any(len(row) != len(header) for row in block):
-                    raise ValueError
-                fields = list(zip(*block))
-                values = np.empty((len(block), len(kept)))
-                for k, j in enumerate(kept):
-                    # float() strips surrounding whitespace itself and rejects blanks
-                    values[:, k] = np.fromiter(map(float, fields[j]), np.float64, len(block))
-            except ValueError:
-                # every block before this one holds ROW_BLOCK rows
-                _raise_first_bad(block, len(blocks) * ROW_BLOCK + 1, header, kept)
-                raise
-            blocks.append(values)
-    names = [header[j] for j in kept]
-    return names, np.concatenate(blocks) if blocks else np.empty((0, len(kept)))
+        # unkept columns are read as a constant: usecols would skip them, and
+        # with them the check that every row has the header's width
+        unkept = {j: lambda cell: 0.0 for j in range(len(header)) if j not in kept}
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(
+                    fh, delimiter=delimiter, comments=None, quotechar='"', ndmin=2,
+                    converters=unkept,
+                )
+            if not len(values):
+                values = np.empty((0, len(header)))
+            elif values.shape[1] != len(header):
+                raise ValueError(f"rows have {values.shape[1]} fields, expected {len(header)}")
+        except ValueError:
+            _raise_first_bad(path, delimiter, header, kept)
+            raise
+    return [header[j] for j in kept], values[:, kept] if unkept else values
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import re
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -169,6 +172,36 @@ def occupied_cells_oracle(
     order = np.argsort(first)
     first = first[order]
     return cx[first], cy[first], arm[first], counts[order]
+
+
+def read_csv_oracle(
+    path: Path, usecols: Callable[[str], bool] | None = None, *, delimiter: str = ","
+) -> tuple[list[str], np.ndarray]:
+    """The kept columns of a delimited table, one cell at a time:
+    ``csv.reader`` splits the rows and ``float`` parses each kept cell.
+
+    Kept as the reference for ``oplearn.reporting.read_csv``, which must
+    match its values bit for bit and its errors word for word, except on
+    the cells ``float`` takes and ``np.loadtxt`` refuses: digit groups such
+    as ``1_000`` and non-ASCII digits.
+    """
+    with path.open(newline="") as fh:
+        rows = list(filter(None, csv.reader(fh, delimiter=delimiter)))
+    if not rows:
+        raise ValueError(f"empty file: {path}")
+    header = [h.strip() for h in rows[0]]
+    kept = [j for j, name in enumerate(header) if usecols is None or usecols(name)]
+    values = np.empty((len(rows) - 1, len(kept)))
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise ValueError(f"row {i} has {len(row)} fields, expected {len(header)}")
+        for k, j in enumerate(kept):
+            try:
+                values[i - 1, k] = float(row[j])
+            except ValueError:
+                problem = f"non-numeric value {row[j]!r}" if row[j].strip() else "blank value"
+                raise ValueError(f"{problem} in column '{header[j]}' at row {i}") from None
+    return [header[j] for j in kept], values
 
 
 def reference_cells(x, y, arms) -> dict[tuple[int, int, int], int]:

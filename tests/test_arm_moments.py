@@ -116,6 +116,25 @@ class TestConditionalVariance:
         assert np.allclose(m.sigma2[:, 0], 1e-8)
         assert m.n_clamped >= 10
 
+    def test_ridge_fallback_leaves_a_constant_arm_unshrunk(self):
+        # an all-zero feature column makes every arm's design singular; the
+        # ridge fallback must not pull the intercept, so the constant arm's
+        # fit is exactly 5.0 and its variance clamps as without the column
+        outcomes = np.array([5.0] * 6 + [1.0, 2.0, 3.0, 4.0])
+        actions = np.array([0] * 6 + [1] * 4)
+        moments_by_p = [
+            build_arm_moments(
+                Dataset(outcomes=outcomes, actions=actions, features=np.zeros((10, p)), n_actions=2),
+                variance_floor=1e-8,
+            )
+            for p in (0, 1)
+        ]
+        zero_column = moments_by_p[1]
+        assert (zero_column.mu[:, 0] == 5.0).all()
+        assert zero_column.clamped[:, 0].all()
+        assert np.array_equal(zero_column.sigma2[:, 0], moments_by_p[0].sigma2[:, 0])
+        assert np.array_equal(zero_column.clamped, moments_by_p[0].clamped)
+
     def test_matches_cell_variance_oracle_heteroskedastic(self):
         # Y = X + (1 + X) * eps with X in {0, 1}: cell X=1 has variance 4
         rng = np.random.default_rng(5)

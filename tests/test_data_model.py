@@ -134,6 +134,7 @@ class TestLoad:
         [
             ("7.0,1", "row {row} has 2 fields, expected 3"),
             ("7.0,1,0.1,9", "row {row} has 4 fields, expected 3"),
+            ("7.0,1,0.1,", "row {row} has 4 fields, expected 3"),
             ("7.0,,0.1", "blank value in column 'treat' at row {row}"),
             ("7.0,1, ", "blank value in column 'x1' at row {row}"),
             ("7.0,1,abc", "non-numeric value 'abc' in column 'x1' at row {row}"),
@@ -143,13 +144,30 @@ class TestLoad:
         ],
     )
     def test_bad_row_message(self, tmp_path, cells, message, bad_row):
-        # rows inside and after the first parse block are numbered alike
         lines = [f"{i}.5,{i % 2},0.{i}" for i in range(ROW_BLOCK + 10)]
         lines[bad_row - 1] = cells
         path = write(tmp_path, "y,treat,x1\n" + "\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as info:
             load_dataset(path, SCHEMA)
         assert str(info.value) == message.format(row=bad_row)
+
+    @pytest.mark.parametrize(
+        "bad_row, cells, message",
+        [
+            (50_002, "7.0,1,abc", "non-numeric value 'abc' in column 'x1' at row 50002"),
+            (60_001, "7.0,1", "row 60001 has 2 fields, expected 3"),
+        ],
+    )
+    def test_bad_row_past_the_reader_chunks(self, tmp_path, bad_row, cells, message):
+        # np.loadtxt reads 50,000 rows per chunk; blank lines are not rows
+        lines = [f"{i}.5,{i % 2},0.{i}" for i in range(60_010)]
+        lines[bad_row - 1] = cells
+        for i in (49_999, 10, 0):
+            lines.insert(i, "")
+        path = write(tmp_path, "y,treat,x1\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path, SCHEMA)
+        assert str(info.value) == message
 
     def test_first_bad_row_is_reported(self, tmp_path):
         lines = [f"{i}.5,{i % 2},0.{i}" for i in range(20)]

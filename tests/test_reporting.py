@@ -9,6 +9,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplearn.reporting import (
     PALETTE,
@@ -26,6 +28,7 @@ from helpers import (
     PLOT_H,
     PLOT_W,
     occupied_cells_oracle,
+    read_csv_oracle,
     reference_cells,
     reference_marks,
     svg_marks,
@@ -150,6 +153,99 @@ def test_read_csv_skips_unkept_columns_and_strips_header(tmp_path):
     path.write_text(" unit ;note; mu\n0;a b;1.5\n1;;2\n")
     names, values = read_csv(path, {"unit", "mu"}.__contains__, delimiter=";")
     assert names == ["unit", "mu"] and values.tolist() == [[0.0, 1.5], [1.0, 2.0]]
+
+
+def _read(reader, path, usecols, delimiter):
+    """``reader``'s names and value bits, or its ``ValueError`` message."""
+    try:
+        names, values = reader(path, usecols, delimiter=delimiter)
+    except ValueError as exc:
+        return str(exc)
+    return names, values.shape, values.view(np.uint64).tolist()
+
+
+NUMBERS = st.one_of(
+    st.floats(width=64).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["0", "-0", "+0.0", "-0.0", "nan", "-nan", "NaN", "+NAN", "inf", "-Inf",
+         "Infinity", "-INFINITY", "1e400", "-1E400", "5e-324", "2.5e-310", "1.", ".5", "007"]
+    ),
+)
+# cells both readers refuse; the cells only float() takes (digit groups,
+# non-ASCII digits) are left to the refusal test below
+BAD_CELLS = st.sampled_from(["", " ", "abc", "1 5", "1e", "--1", "0x10", "nan(1)", "in f", '"'])
+PADDING = st.sampled_from(["", "", " ", "  ", "\t", "\x0c", "\u00a0", "\u2003"])
+
+
+@st.composite
+def numeric_cells(draw):
+    cell = draw(st.one_of(NUMBERS, NUMBERS, NUMBERS, BAD_CELLS))
+    if draw(st.booleans()):
+        cell = draw(PADDING) + cell + draw(PADDING)
+    if draw(st.integers(0, 3)) == 0:
+        cell = '"' + cell.replace('"', '""') + '"'
+    return draw(PADDING) + cell if draw(st.integers(0, 5)) == 0 else cell
+
+
+def text_cells(delimiter):
+    pieces = st.sampled_from(["a", "Z", "1", " ", '"', "\n", "\r\n", delimiter])
+    return st.lists(pieces, max_size=6).map(lambda t: '"' + "".join(t).replace('"', '""') + '"')
+
+
+@st.composite
+def tables(draw):
+    """The text of a delimited table, its delimiter and kept column names."""
+    delimiter = draw(st.sampled_from([",", ";"]))
+    n_numeric = draw(st.integers(1, 4))
+    header = [f"c{j}" for j in range(n_numeric)]
+    note = draw(st.none() | st.integers(0, n_numeric))
+    if note is not None:
+        header.insert(note, "note")
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        row = [
+            draw(text_cells(delimiter)) if name == "note" else draw(numeric_cells())
+            for name in header
+        ]
+        if draw(st.integers(0, 9)) == 0:  # a ragged row
+            row = row[:-1] if draw(st.booleans()) else [*row, draw(numeric_cells())]
+        rows.append(delimiter.join(row))
+        rows.extend([""] * draw(st.sampled_from([0, 0, 0, 1, 2])))  # blank lines
+    lines = [delimiter.join(draw(PADDING) + h for h in header), *rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    kept = draw(st.sets(st.sampled_from(header)) | st.none())
+    return text, delimiter, kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_read_csv_matches_the_per_cell_oracle(tmp_path_factory, table):
+    text, delimiter, kept = table
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_bytes(text.encode())
+    usecols = None if kept is None else kept.__contains__
+    assert _read(read_csv, path, usecols, delimiter) == _read(
+        read_csv_oracle, path, usecols, delimiter
+    )
+
+
+@pytest.mark.parametrize("cell", ["1_000", "1_0.5", "\u0661", "\uff11", "2\u0660"])
+def test_read_csv_refuses_digit_groups_and_non_ascii_digits(tmp_path, cell):
+    # float() takes these cells; np.loadtxt does not, and read_csv names them
+    path = tmp_path / "t.csv"
+    path.write_text(f"unit,mu\n0,1.5\n1,{cell}\n")
+    assert read_csv_oracle(path)[1][1, 1] == float(cell)
+    with pytest.raises(ValueError) as info:
+        read_csv(path)
+    assert str(info.value) == f"non-numeric value {cell!r} in column 'mu' at row 2"
+
+
+def test_read_csv_takes_unicode_space_padding(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("unit,mu\n\u20030\u00a0,\u3000-1.5e-3\u2009\n")
+    assert read_csv(path)[1].tolist() == [[0.0, -1.5e-3]]
 
 
 def test_occupied_cells_group_every_unit_once():

@@ -7,11 +7,15 @@ Two estimators cover everything the policy pipeline needs:
 * multinomial logistic regression, for the probability of receiving each
   action given the features.
 
+Both fits call a symmetric system singular by one rule, ``_cholesky``,
+which tests the Cholesky factor of the matrix rescaled to a unit diagonal,
+so that no feature's units decide it.
+
 The least-squares fit solves the normal equations ``(X'X) b = X'y`` over a
-design matrix with a leading intercept column. A singular system falls back
-to a ridge-stabilised solve with ``lambda = 1e-8 * trace(X'X) / d``; designs
-that stay unusable after the fallback raise :class:`RankDeficiencyError`
-naming the collinear columns.
+design matrix with a leading intercept column. A singular ``X'X`` falls
+back to a ridge-stabilised solve with ``lambda = 1e-8 * trace(X'X) / d`` on
+the feature coefficients; designs whose ridged matrix is still singular
+raise :class:`RankDeficiencyError` naming the collinear columns.
 
 The multinomial logit maximises the log-likelihood by Newton ascent with
 step halving, softmax probabilities with class 0 as the zero-score baseline,
@@ -50,10 +54,8 @@ is accepted. Without it, step halving near the optimum can reject
 a full step over a rounding step and crawl for many iterations. The
 gradient is a sum over all N units, so the default convergence tolerance,
 ``LOGIT_TOL_PER_UNIT * N``, grows with N. The Newton system is solved by
-Cholesky; a Hessian whose factor fails, or whose squared ratio of smallest
-to largest factor diagonal falls below ``SINGULAR_RATIO`` times its size,
-counts as singular, and that step comes from least squares and is counted
-in ``lstsq_steps``.
+Cholesky; a step whose Hessian ``_cholesky`` finds singular comes from
+least squares instead and is counted in ``lstsq_steps``.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ HESSIAN_BLOCK = 4096
 # few rounding steps of the summed log-likelihood.
 FLAT_STEP = 64 * np.finfo(np.float64).eps
 
-# The Hessian counts as singular when the squared ratio of its Cholesky
-# factor's smallest to largest diagonal entry, about its inverse condition
-# number, is below SINGULAR_RATIO times its size.
+# A symmetric matrix counts as singular when, rescaled to a unit diagonal,
+# its Cholesky factor's squared ratio of smallest to largest diagonal entry,
+# about its inverse condition number, is below SINGULAR_RATIO times its size.
 SINGULAR_RATIO = np.finfo(np.float64).eps
 
 
@@ -171,6 +173,20 @@ def _column_names(indices: list[int]) -> str:
     return ", ".join(names)
 
 
+def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor ``L`` of the symmetric ``matrix``, or None when the
+    factorisation fails or ``(min r / max r)**2 < SINGULAR_RATIO * size``.
+    ``r = diag(L) / sqrt(diag(matrix))`` is the factor diagonal of the matrix
+    rescaled to a unit diagonal, as ``S M S = (S L)(S L)'`` for diagonal ``S``.
+    """
+    try:
+        chol = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    r = np.diagonal(chol) / np.sqrt(np.diagonal(matrix))
+    return chol if (r.min() / r.max()) ** 2 >= SINGULAR_RATIO * matrix.shape[0] else None
+
+
 def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> LinearModel:
     """Least-squares fit of ``y`` on ``X`` with an intercept.
 
@@ -180,14 +196,14 @@ def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> Line
     y : ndarray, shape (N,)
     ridge : float or None
         Penalty on the feature coefficients, not the intercept, used only
-        as a fallback when the normal-equation system is numerically
-        singular. ``None`` picks the automatic value
-        ``1e-8 * trace(X'X) / d``; an explicit ``0.0`` disables the fallback
-        so that rank-deficient designs raise instead.
-
-    The returned coefficients satisfy the normal equations: residuals are
-    orthogonal to every design column within ``1e-8 * N * scale``.
+        as a fallback when ``_cholesky`` finds the normal-equation matrix
+        singular. ``None`` picks the automatic value ``1e-8 * trace(X'X) / d``;
+        an explicit ``0.0`` disables the fallback so that rank-deficient
+        designs raise instead. A negative or non-finite ``ridge`` raises
+        ValueError before any work.
     """
+    if ridge is not None and not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and non-negative, not {ridge!r}")
     design = _design(X)
     y = np.asarray(y, dtype=np.float64)
     n, d = design.shape
@@ -197,33 +213,15 @@ def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> Line
         raise ValueError(f"need at least {d} rows to fit {d} coefficients, got {n}")
 
     gram = design.T @ design
-    moment = design.T @ y
-    scale = max(1.0, float(np.abs(design).max())) * max(1.0, float(np.abs(y).max()))
-
-    def solve(matrix: np.ndarray) -> np.ndarray | None:
-        try:
-            beta = np.linalg.solve(matrix, moment)
-        except np.linalg.LinAlgError:
-            return None
-        return beta if np.isfinite(beta).all() else None
-
-    def orthogonal(beta: np.ndarray, tol: float) -> bool:
-        gap = np.abs(design.T @ (y - design @ beta)).max()
-        return bool(gap <= tol * n * scale)
-
-    beta = solve(gram)
-    if beta is None or not orthogonal(beta, 1e-8):
+    if _cholesky(gram) is None:
         lam = 1e-8 * float(np.trace(gram)) / d if ridge is None else float(ridge)
-        if lam > 0.0:
-            beta = solve(gram + np.diag(np.r_[0.0, np.full(d - 1, lam)]))
-        else:
-            beta = None
-        if beta is None or not orthogonal(beta, 1e-6):
+        gram = gram + np.diag(np.r_[0.0, np.full(d - 1, lam)])
+        if lam == 0.0 or _cholesky(gram) is None:
             cols = _dependent_columns(design)
             raise RankDeficiencyError(
                 f"design is rank-deficient; collinear columns: {_column_names(cols)}"
             )
-    return LinearModel(coefficients=beta)
+    return LinearModel(coefficients=np.linalg.solve(gram, design.T @ y))
 
 
 def predict_ols(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -324,20 +322,13 @@ def _newton_direction(
 ) -> tuple[np.ndarray, bool]:
     """Solve ``neg_hess @ direction = grad``; True with a least-squares solve.
 
-    ``neg_hess`` is factored as ``L L'``. It counts as singular, and the
-    direction comes from ``np.linalg.lstsq``, when the factorisation fails
-    or ``(min diag L / max diag L)**2`` is below ``SINGULAR_RATIO`` times
-    its size.
+    The direction comes from the Cholesky factor, or from
+    ``np.linalg.lstsq`` when ``_cholesky`` finds ``neg_hess`` singular.
     """
-    try:
-        chol = np.linalg.cholesky(neg_hess)
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is not None:
-        diag = np.diagonal(chol)
-        if (diag.min() / diag.max()) ** 2 >= SINGULAR_RATIO * neg_hess.shape[0]:
-            return np.linalg.solve(chol.T, np.linalg.solve(chol, grad)), False
-    return np.linalg.lstsq(neg_hess, grad, rcond=None)[0], True
+    chol = _cholesky(neg_hess)
+    if chol is None:
+        return np.linalg.lstsq(neg_hess, grad, rcond=None)[0], True
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, grad)), False
 
 
 def fit_mnlogit(

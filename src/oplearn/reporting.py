@@ -19,7 +19,7 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -166,10 +166,18 @@ def _is_number(cell: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _rows(fh: TextIO, delimiter: str, path: Path) -> Iterator[list[str]]:
+    """The non-blank rows of ``fh``; a ``csv.Error`` becomes a ValueError naming ``path``."""
+    try:
+        yield from filter(None, csv.reader(fh, delimiter=delimiter))
+    except csv.Error as exc:
+        raise ValueError(f"{exc} in {path}") from None
+
+
 def _raise_first_bad(path: Path, delimiter: str, header: list[str], kept: list[int]) -> None:
     """Name the first ragged row, or bad ``kept`` cell, of the table at ``path``."""
     with path.open(newline="") as fh:
-        rows = filter(None, csv.reader(fh, delimiter=delimiter))
+        rows = _rows(fh, delimiter, path)
         next(rows)  # the header
         for i, row in enumerate(rows, start=1):
             if len(row) != len(header):
@@ -193,11 +201,11 @@ def read_csv(
     Unicode whitespace; other cells are not parsed, but every row must have
     the header's width. Blank lines are skipped; data rows count from 1.
     A ragged row or a blank or non-numeric kept cell raises ``ValueError``
-    naming the first such row and column.
+    naming the first such row and column; a field beyond ``csv``'s size
+    limit, one naming the file.
     """
     with path.open(newline="") as fh:
-        rows = filter(None, csv.reader(fh, delimiter=delimiter))
-        first = next(rows, None)
+        first = next(_rows(fh, delimiter, path), None)
         if first is None:
             raise ValueError(f"empty file: {path}")
         header = [h.strip() for h in first]

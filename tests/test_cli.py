@@ -480,6 +480,22 @@ class TestFit:
         assert (outdir / "assignments.csv").exists()
 
 
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_field_beyond_csv_limit_fails_with_one_error(self, tmp_path, capfd, where):
+        # csv.reader raises csv.Error, not a ValueError, on a field over
+        # 131,072 characters: in the header read, or in the rescan that
+        # names the row with the bad x1 cell
+        long = '"' + "x" * 140_000 + '"'
+        note = long if where == "header" else "note"
+        rows = [f"outcome,action,x1,{note}"] + [f"{i},{i % 2},0.{i},n" for i in range(8)]
+        rows[3] = f"3,1,0.3,{long}"
+        rows[6] = "6,0,abc,n"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, input=str(data), schema=ONE_FEATURE)
+        argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]
+        assert_fails_with_one_error(argv, capfd, f"field larger than field limit (131072) in {data}")
+
     def test_negative_means_are_warned_once(self, tmp_path, capsys):
         # the count is one per unit, not per risk-averse preference
         dgp = dict(README_DGP, mean_coeffs=[[-0.5, 1.0], [0.5, 1.0]])

@@ -127,6 +127,18 @@ class TestOls:
         # ridge splits the weight across the twin columns
         assert np.isclose(model.coefficients[1], model.coefficients[2], atol=1e-6)
 
+    @pytest.mark.parametrize("scale, offset", [(1e-8, 0.0), (1e-4, 0.0), (1e4, 1e5), (1e8, 0.0)])
+    def test_feature_units_do_not_trigger_the_ridge(self, scale, offset):
+        # _cholesky tests the Gram matrix rescaled to a unit diagonal; the
+        # same ratio test on the raw matrix raised on x1e8 and ridged x1e-8
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((200, 2))
+        y = 1.0 + X @ [2.0, -1.0] + 0.1 * rng.standard_normal(200)
+        X[:, 1] = scale * X[:, 1] + offset
+        design = np.column_stack([np.ones(200), X])
+        exact = np.linalg.solve(design.T @ design, design.T @ y)
+        assert np.array_equal(fit_ols(X, y).coefficients, exact)
+
     def test_rank_deficiency_error_names_columns(self):
         x = np.linspace(0, 1, 25)
         X = np.column_stack([x, x])
@@ -376,6 +388,18 @@ class TestMnlogit:
         assert model.converged and model.iterations > 0
         assert model.lstsq_steps == model.iterations
 
+    def test_feature_units_do_not_make_the_hessian_singular(self):
+        # on the raw Hessian, a feature x1e8 counted as singular on every
+        # step and the fit ran to max_iter on least-squares steps
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(300)
+        scores = np.column_stack([np.zeros(300), x, -0.5 * x])
+        a = np.argmax(scores + rng.gumbel(size=(300, 3)), axis=1)
+        unit = fit_mnlogit(x[:, None], a)
+        scaled = fit_mnlogit(1e8 * x[:, None], a)
+        assert scaled.lstsq_steps == 0
+        assert np.allclose(1e8 * scaled.coefficients[:, 1], unit.coefficients[:, 1], atol=1e-6)
+
     def test_predict_proba_is_the_fit_softmax(self, monkeypatch):
         # at the fitted coefficients predict_proba returns, bit for bit, the
         # probabilities the fit's last accepted step was scored on
@@ -422,12 +446,17 @@ class TestMnlogit:
         with pytest.raises(ValueError, match=message):
             fit_mnlogit(X, a)
 
-    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
-    def test_ridge_must_be_finite_and_non_negative(self, ridge, capfd):
-        # before the check, inf printed LAPACK errors and -1.0 "converged"
+    @pytest.mark.parametrize(
+        "fit, ridge",
+        [pytest.param(fit_mnlogit, r, id=str(r)) for r in (-1.0, np.nan, np.inf)]
+        + [pytest.param(fit_ols, r, id=f"fit_ols-{r}") for r in (-1.0, np.nan, np.inf)],
+    )
+    def test_ridge_must_be_finite_and_non_negative(self, fit, ridge, capfd):
+        # before the check, the logit printed LAPACK errors on inf and
+        # "converged" with -1.0, and fit_ols took either on a full-rank design
         X = np.random.default_rng(2).standard_normal((60, 1))
         with pytest.raises(ValueError, match="ridge must be finite and non-negative"):
-            fit_mnlogit(X, np.arange(60) % 3, ridge=ridge)
+            fit(X, np.arange(60) % 3, ridge=ridge)
         assert capfd.readouterr().out == ""
 
     def test_predict_dimension_mismatch(self):

@@ -27,8 +27,8 @@ _SUBMODULE = {
         "regression": "LinearModel MultinomialLogitModel QuasiSeparationError "
         "RankDeficiencyError fit_mnlogit fit_ols predict_ols predict_proba",
         "simulate": "DGPSpec OracleData generate oracle_policy softplus true_value",
-        "values": "PropensityMatrix ValueEstimate clip_propensities regret value_dr "
-        "value_ipw value_ra",
+        "values": "PropensityMatrix ValueEstimate clip_propensities regret score_policies "
+        "value_dr value_ipw value_ra",
     }.items()
     for name in names.split()
 }

@@ -2,9 +2,10 @@
 
 ``fit`` loads a dataset, estimates per-arm conditional moments, assigns an
 optimal action to every unit under each requested risk preference, and
-writes the assignments and each unit's per-arm moments. ``evaluate`` fits a
-propensity model and scores saved policy columns with the RA, IPW, and DR
-welfare estimators plus regret against the first-best (neutral) column.
+writes the assignments and each unit's per-arm moments. ``evaluate`` fits the
+conditional means and a propensity model, and scores saved policy columns
+with :func:`oplearn.values.score_policies`: the RA, IPW, and DR welfare
+estimators plus regret against the first-best (neutral) column.
 ``simulate`` draws a synthetic dataset with a ground-truth sidecar, and
 ``report`` renders one scatter SVG per preference and a summary from the
 ``moments`` and ``assignments`` tables that a fit run's manifest lists.
@@ -41,7 +42,7 @@ from .data import (
 from .policies import PolicyAssignment, RiskPreference, assign_policy
 # moments, regression and simulate are imported inside the commands that
 # run them, so that each command's process loads only the modules it needs
-from .values import ESTIMATOR_KINDS, clip_propensities, regret, value_dr, value_ipw, value_ra
+from .values import ESTIMATOR_KINDS, clip_propensities, score_policies
 
 
 class PipelineError(RuntimeError):
@@ -159,8 +160,8 @@ _CONVERTERS: dict[str, Callable[[Any], object]] = {
     "seed": lambda v: _need(v is None or _is(v, int), v),
     "format": lambda v: _need(v in _FORMATS, v),
     "delimiter": lambda v: _need(
-        _is(v, str) and len(v) == 1 and v not in "\r\n", v,
-        "a delimiter must be one character other than a line break",
+        _is(v, str) and len(v) == 1 and v not in '\r\n"', v,
+        "a delimiter must be one character other than a line break or a quote",
     ),
     "allow_unconverged": lambda v: _need(_is(v, bool), v),
     "dgp": lambda v: _need(v is None or _is(v, dict), v),
@@ -234,6 +235,8 @@ def _read_table(
         except ValueError as exc:
             raise PipelineError(f"table {path}: {exc}") from None
     _require(len(values) > 0, f"empty table: {path}")
+    twice = next((name for name in names if names.count(name) > 1), None)
+    _require(twice is None, f"table {path}: duplicate column {twice!r}")
     _require("unit" in names, f"table {path} has no 'unit' column")
     n_units = len(values) if n_units is None else n_units
     units = _ids(path, names, values, "unit", n_units)
@@ -399,33 +402,9 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
         predict_proba(logit, dataset.features), *config.clip
     )
 
-    scorers = {
-        "RA": lambda actions: value_ra(q_hat, actions),
-        "IPW": lambda actions: value_ipw(dataset, actions, propensities),
-        "DR": lambda actions: value_dr(dataset, actions, q_hat, propensities),
-    }
-    estimates = {
-        label: {
-            kind: score(actions)
-            for kind, score in scorers.items()
-            if kind in config.estimators
-        }
-        for label, actions in policies.items()
-    }
-
-    first_best = estimates.get("neutral")
-    if first_best is None:
+    value_table = score_policies(dataset, policies, q_hat, propensities, config.estimators)
+    if "neutral" not in policies:
         warnings.append("no 'neutral' policy column; regret left unreported")
-    value_table = [
-        {
-            "policy_label": label,
-            "estimator": kind,
-            "value": estimate.value,
-            "regret_vs_fb": None if first_best is None else regret(first_best[kind], estimate),
-        }
-        for label, per_kind in estimates.items()
-        for kind, estimate in per_kind.items()
-    ]
     reporting.write_json(outdir / "values.json", value_table)
 
     record = {

@@ -24,11 +24,15 @@ formulas and renormalising would silently change the estimator.
 Regret is the welfare lost by following a risk-averse rule instead of the
 first-best: R = V(first-best) - V(alternative), compared within a single
 estimator kind.
+
+:func:`score_policies` builds ``oplearn evaluate``'s value table: each policy's
+value under each estimator and its regret against the ``neutral`` policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -117,8 +121,9 @@ def _observed_propensity(dataset: Dataset, propensities: PropensityMatrix) -> np
     if propensities.p.shape != (dataset.n_units, dataset.n_actions):
         raise ValueError("dataset and propensities disagree on shape")
     observed_p = propensities.p[np.arange(dataset.n_units), dataset.actions]
-    if (observed_p <= 0).any():  # pragma: no cover - impossible post-clip
-        raise RuntimeError("internal error: zero propensity at an observed action")
+    zero = observed_p <= 0
+    if zero.any():
+        raise ValueError(f"zero propensity of the observed action at row {int(zero.argmax()) + 1}")
     return observed_p
 
 
@@ -179,3 +184,39 @@ def regret(v_first_best: ValueEstimate, v_alternative: ValueEstimate) -> float:
             f"{v_first_best.estimator!r} vs {v_alternative.estimator!r}"
         )
     return v_first_best.value - v_alternative.value
+
+
+def score_policies(
+    dataset: Dataset,
+    policies: Mapping[str, PolicyAssignment | np.ndarray],
+    q_hat: np.ndarray,
+    propensities: PropensityMatrix,
+    estimators: Sequence[str] = ESTIMATOR_KINDS,
+) -> list[dict]:
+    """The value table: one ``{policy_label, estimator, value, regret_vs_fb}``
+    row per policy, in mapping order, and per estimator, in
+    ``ESTIMATOR_KINDS`` order. ``regret_vs_fb`` is the :func:`regret` against
+    the ``neutral`` policy under the same estimator, None without one."""
+    unknown = [kind for kind in estimators if kind not in ESTIMATOR_KINDS]
+    if unknown:
+        raise ValueError(f"estimators must be among {ESTIMATOR_KINDS}, got {unknown}")
+    scorers = {
+        "RA": lambda actions: value_ra(q_hat, actions),
+        "IPW": lambda actions: value_ipw(dataset, actions, propensities),
+        "DR": lambda actions: value_dr(dataset, actions, q_hat, propensities),
+    }
+    estimates = {
+        label: {kind: score(actions) for kind, score in scorers.items() if kind in estimators}
+        for label, actions in policies.items()
+    }
+    first_best = estimates.get("neutral")
+    return [
+        {
+            "policy_label": label,
+            "estimator": kind,
+            "value": estimate.value,
+            "regret_vs_fb": None if first_best is None else regret(first_best[kind], estimate),
+        }
+        for label, per_kind in estimates.items()
+        for kind, estimate in per_kind.items()
+    ]

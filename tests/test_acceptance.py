@@ -26,8 +26,8 @@ from oplearn import (
     predict_proba,
     regret,
     risk_utility,
+    score_policies,
     true_value,
-    value_dr,
     value_ipw,
     value_ra,
 )
@@ -98,11 +98,8 @@ def test_criterion_3_estimator_agreement():
     q_hat = estimate_conditional_means(dataset)
     logit = fit_mnlogit(dataset.features, dataset.actions)
     propensities = clip_propensities(predict_proba(logit, dataset.features))
-    values = {
-        "RA": value_ra(q_hat, policy).value,
-        "IPW": value_ipw(dataset, policy, propensities).value,
-        "DR": value_dr(dataset, policy, q_hat, propensities).value,
-    }
+    rows = score_policies(dataset, {"neutral": policy}, q_hat, propensities)
+    values = {row["estimator"]: row["value"] for row in rows}
     worst_vs_truth = max(abs(v - truth) / abs(truth) for v in values.values())
     pairwise = max(
         abs(a - b) / abs(truth) for a in values.values() for b in values.values()
@@ -127,11 +124,11 @@ def test_criterion_4_dr_robust_to_outcome_misspecification():
         q_hat = estimate_conditional_means(dataset)  # omits the quadratic term
         logit = fit_mnlogit(dataset.features, dataset.actions)
         propensities = clip_propensities(predict_proba(logit, dataset.features))
-        ra = value_ra(q_hat, policy).value
-        ipw = value_ipw(dataset, policy, propensities).value
-        dr = value_dr(dataset, policy, q_hat, propensities).value
-        for kind, value in (("RA", ra), ("IPW", ipw), ("DR", dr)):
+        rows = score_policies(dataset, {"threshold": policy}, q_hat, propensities)
+        values = {row["estimator"]: row["value"] for row in rows}
+        for kind, value in values.items():
             errors[kind].append(value - truth)
+        ra, dr = values["RA"], values["DR"]
         if abs(dr - truth) < abs(ra - truth):
             wins += 1
         dr_rel_errors.append(abs(dr - truth) / abs(truth))

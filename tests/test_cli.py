@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: simulate, fit, evaluate, report."""
 
+import inspect
 import json
 import os
 import shutil
@@ -16,6 +17,7 @@ from oplearn import (
     RiskPreference,
     assign_policy,
     build_arm_moments,
+    clip_propensities,
     fit_mnlogit,
     generate,
     load_dataset,
@@ -131,6 +133,23 @@ class TestConfig:
         assert load_config(None, {}) == RunConfig()
         assert set(RunConfig().hash_payload()) == _CONFIG_KEYS - {"outdir"}
 
+    def test_defaults_equal_the_library_defaults(self):
+        # a library run with default arguments computes what a default
+        # fit or evaluate writes
+        def defaults(fn):
+            return {
+                name: param.default
+                for name, param in inspect.signature(fn).parameters.items()
+                if param.default is not param.empty
+            }
+
+        config, logit, clip = RunConfig(), defaults(fit_mnlogit), defaults(clip_propensities)
+        assert {key: logit[key] for key in ("ridge", "max_iter", "tol")} == {
+            "ridge": config.ridge, "max_iter": config.max_iter, "tol": config.tol
+        }
+        assert (clip["low"], clip["high"]) == config.clip
+        assert defaults(build_arm_moments)["variance_floor"] == config.variance_floor
+
     def test_every_key_is_echoed_in_config_json(self, tmp_path):
         simdir = tmp_path / "sim"
         cfg = write_config(tmp_path, dgp=LINEAR_DGP, outdir=str(simdir), delimiter=";")
@@ -232,6 +251,7 @@ class TestConfig:
             ({"learner": {"ridge": float("inf")}}, "ridge"),
             ({"delimiter": "\n"}, "delimiter"),
             ({"delimiter": "\r"}, "delimiter"),
+            ({"delimiter": '"'}, "delimiter"),
         ],
     )
     def test_wrongly_shaped_value_names_the_option(self, tmp_path, capfd, payload, option):
@@ -585,6 +605,8 @@ class TestEvaluate:
             ("fractional", "non-integer id 1.7 in column 'neutral_action' at row 3"),
             ("minus_one", "id -1 outside 0..2 in column 'neutral_action' at row 3"),
             ("arm_m", "id 3 outside 0..2 in column 'neutral_action' at row 3"),
+            # a second column of zeros under a kept name
+            ("duplicate", "duplicate column 'neutral_action'"),
         ],
     )
     def test_damaged_assignments_fail(self, tmp_path, sim_run, capfd, damage, fragment):
@@ -593,6 +615,9 @@ class TestEvaluate:
         cells = lines[3].split(",")
         if damage == "ragged":
             cells = cells[:2]
+        elif damage == "duplicate":
+            lines = [f"{line},{'0' if i else 'neutral_action'}" for i, line in enumerate(lines)]
+            cells = lines[3].split(",")
         else:
             bad_cells = {"non_numeric": "abc", "fractional": "1.7", "minus_one": "-1", "arm_m": "3"}
             cells[1] = bad_cells[damage]
@@ -809,6 +834,7 @@ class TestReport:
             ("assignments", "path_label", "['../neutral_action'] name no risk preference"),
             # no rows: N would be 0
             ("moments", "header_only", "empty table: "),
+            ("assignments", "duplicate", "assignments.csv: duplicate column 'neutral_action'"),
         ],
     )
     def test_damaged_report_input_fails(self, sim_run, capfd, table, damage, fragment):
@@ -830,6 +856,8 @@ class TestReport:
             rows[0] = [f"../{name}" if name == "neutral_action" else name for name in rows[0]]
         elif damage == "header_only":
             rows = rows[:1]
+        elif damage == "duplicate":
+            rows = [[*row, "0" if i else "neutral_action"] for i, row in enumerate(rows)]
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         if damage == "delete":
             path.unlink()

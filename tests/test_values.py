@@ -18,6 +18,7 @@ from oplearn import (
     oracle_policy,
     predict_proba,
     regret,
+    score_policies,
     true_value,
     value_dr,
     value_ipw,
@@ -223,6 +224,21 @@ class TestClipPropensities:
         assert clipped.p.max() <= 1.0 - low
 
 
+class TestObservedPropensity:
+    def test_zero_propensity_at_observed_action_names_the_row(self):
+        d = make_dataset(np.random.default_rng(4), n=30, m=2)
+        p = np.zeros((30, 2))
+        p[np.arange(30), d.actions] = 1.0
+        p[[4, 7]] = p[[4, 7], ::-1]
+        props = exact_propensities(p)
+        for score in (
+            lambda: value_ipw(d, d.actions, props),
+            lambda: value_dr(d, d.actions, interpolating_q_hat(d), props),
+        ):
+            with pytest.raises(ValueError, match="^zero propensity of the observed action at row 5$"):
+                score()
+
+
 class TestRegret:
     def test_identical_policies_zero(self):
         a = ValueEstimate("RA", 3.2)
@@ -307,3 +323,56 @@ class TestEstimatorAgreement:
             lhs = q.max(axis=1).mean()
             rhs = value_ra(q, neutral).value
             assert abs(lhs - rhs) < 1e-12
+
+
+class TestScorePolicies:
+    @staticmethod
+    def inputs():
+        d = make_dataset(np.random.default_rng(21), n=80, m=3)
+        rng = np.random.default_rng(22)
+        q = rng.normal(size=(80, 3))
+        props = clip_propensities(rng.dirichlet(np.ones(3), size=80))
+        policies = {
+            "linear": rng.integers(0, 3, 80),
+            "neutral": np.argmax(q, axis=1),
+            "custom": d.actions,
+        }
+        return d, q, props, policies
+
+    def test_rows_equal_hand_calls_in_mapping_then_kind_order(self):
+        d, q, props, policies = self.inputs()
+
+        def by_hand(actions):
+            return [value_ra(q, actions), value_ipw(d, actions, props), value_dr(d, actions, q, props)]
+
+        first_best = by_hand(policies["neutral"])
+        expected = [
+            {
+                "policy_label": label,
+                "estimator": est.estimator,
+                "value": est.value,
+                "regret_vs_fb": regret(fb, est),
+            }
+            for label, actions in policies.items()
+            for fb, est in zip(first_best, by_hand(actions))
+        ]
+        assert score_policies(d, policies, q, props) == expected
+
+    def test_no_neutral_policy_leaves_regret_none(self):
+        d, q, props, policies = self.inputs()
+        del policies["neutral"]
+        rows = score_policies(d, policies, q, props)
+        assert len(rows) == 6
+        assert all(r["regret_vs_fb"] is None for r in rows)
+
+    def test_estimator_subset_keeps_kind_order(self):
+        d, q, props, policies = self.inputs()
+        rows = score_policies(d, policies, q, props, estimators=("DR", "RA"))
+        assert [r["estimator"] for r in rows] == ["RA", "DR"] * 3
+        full = {(r["policy_label"], r["estimator"]): r for r in score_policies(d, policies, q, props)}
+        assert all(r == full[(r["policy_label"], r["estimator"])] for r in rows)
+
+    def test_unknown_estimator_rejected(self):
+        d, q, props, policies = self.inputs()
+        with pytest.raises(ValueError, match=r"estimators must be among .* got \['dr'\]"):
+            score_policies(d, policies, q, props, estimators=("RA", "dr"))

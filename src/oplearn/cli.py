@@ -159,10 +159,7 @@ _CONVERTERS: dict[str, Callable[[Any], object]] = {
     "estimators": lambda v: tuple(_need(_list_of(v, ESTIMATOR_KINDS), v)),
     "seed": lambda v: _need(v is None or _is(v, int), v),
     "format": lambda v: _need(v in _FORMATS, v),
-    "delimiter": lambda v: _need(
-        _is(v, str) and len(v) == 1 and v not in '\r\n"', v,
-        "a delimiter must be one character other than a line break or a quote",
-    ),
+    "delimiter": reporting._check_delimiter,
     "allow_unconverged": lambda v: _need(_is(v, bool), v),
     "dgp": lambda v: _need(v is None or _is(v, dict), v),
 }

@@ -7,9 +7,17 @@ identical inputs reproduces identical artifact bytes, which the run manifest
 (config hash, input hash, artifact hashes) makes checkable.
 
 Tables and plots are built in bulk, not one cell or one mark at a time.
-A scatter plot bins its units into (pixel, arm) cells with one sort of
-packed integer keys, and puts each mark's text together from lookup tables
-of its pixel coordinates and of its (arm, opacity) tail.
+A CSV table is written a block of rows at a time, each block one byte
+matrix of fixed-width cells, and its bytes equal ``csv.writer``'s for the
+``repr`` of each float and the ``str`` of every other cell. Floats with
+1e-4 <= |x| < 1e16, the range where ``repr`` writes no exponent, get
+``repr``'s shortest round-trip digits from exact integer arithmetic on
+whole columns (``_shortest``); the other floats (zero, NaN, infinities,
+other magnitudes, and exact ties between two shortest candidates) and
+number cells that hold the delimiter fall back to ``repr`` one cell at a
+time. A scatter plot bins its units into (pixel, arm) cells with one sort
+of packed integer keys, and puts each mark's text together from lookup
+tables of its pixel coordinates and of its (arm, opacity) tail.
 """
 
 from __future__ import annotations
@@ -43,13 +51,32 @@ PALETTE = (
 
 
 # Rows formatted and written per step: large enough that the per-block
-# overhead is negligible, small enough that one block's text stays a small
-# fraction of the table.
-ROW_BLOCK = 4096
+# overhead is small, small enough that a block's byte matrix and the float
+# formatter's int64 work arrays stay a few megabytes. At 4096 rows the peak
+# RSS of simulating 10,000 units with 4 arms rose by a fifth.
+ROW_BLOCK = 2048
 
 # Characters that make csv.writer quote a field besides the delimiter. A bare
 # "\r" is quoted too: left unquoted it would split the row on reading.
 _QUOTE_TRIGGERS = ('"', "\r", "\n")
+
+# Padding of the fixed-width cell slots of a block: UTF-8 never writes the
+# byte 0xFF, so it cannot stand for a byte of any cell, a NUL included.
+_PAD = 0xFF
+
+# The characters of a number cell that the vectorised formatters write; a
+# delimiter among them means some number cells must be quoted.
+_NUMBER_CHARS = "-.0123456789"
+
+
+def _check_delimiter(delimiter: object) -> str:
+    """``delimiter`` if it can separate the fields of a table, else TypeError."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in _QUOTE_TRIGGERS:
+        raise TypeError(
+            "delimiter must be one character, a 1-character string other than "
+            "a quote or a line break"
+        )
+    return delimiter
 
 
 def _columns(header: Sequence[str], columns: Sequence[object]) -> tuple[list[np.ndarray], int]:
@@ -82,13 +109,278 @@ def _csv_quoted(cells: list[str], delimiter: str) -> list[str]:
     ]
 
 
-def _csv_lines(cell_columns: list[list[str]], delimiter: str) -> str:
-    """Text of the rows spelled out by ``cell_columns``, one line each."""
-    cell_columns = [_csv_quoted(cells, delimiter) for cells in cell_columns]
-    if len(cell_columns) == 1:
+def _digit_groups() -> np.ndarray:
+    """The groups 0000..9999 as uint32 words of four ASCII bytes, in five
+    tables of 10,000 words: all four digits; leading zeros padded; leading
+    zeros padded but 0 written as "0" in the last byte; trailing zeros
+    padded; trailing zeros padded but 0 written as "0" in the first byte."""
+    group = np.arange(10_000)[:, None]
+    text = (group // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    lead = np.where(group < [1000, 100, 10, 1], _PAD, text)
+    trail = np.where(group % [10_000, 1000, 100, 10] == 0, _PAD, text)
+    last, first = lead.copy(), trail.copy()
+    last[0, 3] = first[0, 0] = ord("0")
+    return np.stack([text, lead, last, trail, first]).view(np.uint32).reshape(-1)
+
+
+_GROUPS = _digit_groups()
+_LEAD, _LAST, _TRAIL, _FIRST = range(10_000, 50_000, 10_000)  # offsets of the variants
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW5 = 5 ** np.arange(23, dtype=np.int64)
+_POW2 = np.ldexp(1.0, np.arange(61))
+# 10**k for k <= 22 is a float64 exactly; each is kept with its Veltkamp
+# halves, whose products with another double's halves are exact
+_FPOW10 = np.array([float(10**k) for k in range(23)])
+_VELTKAMP = 134217729.0  # 2**27 + 1
+_MANTISSA = np.uint64((1 << 52) - 1)
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: ``v == hi + lo``, each half of at most 26 significant bits."""
+    c = _VELTKAMP * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_FPOW10_HI, _FPOW10_LO = _halves(_FPOW10)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's two-product: ``hi + lo == a * 10**k`` exactly, ``hi`` the
+    rounded product; no fused multiply-add needed."""
+    hi = a * _FPOW10[k]
+    a_hi, a_lo = _halves(a)
+    b_hi, b_lo = _FPOW10_HI[k], _FPOW10_LO[k]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _outside(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """-1 where ``hi + lo`` is below 1e16, 1 where it is 1e17 or more, else 0."""
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return above.astype(np.int64) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Python's shortest round-trip digits of the floats ``x``, in exact
+    integer arithmetic.
+
+    Returns ``ok``, ``digits``, ``exp`` and ``n_digits``: where ``ok``,
+    ``repr(x)`` is written without an exponent (1e-4 <= |x| < 1e16) and its
+    digits are the leading ``n_digits`` of the 17-digit ``digits``, the
+    first at the power ``exp``. Zero, NaN, infinities, values outside that
+    range and exact ties between two shortest candidates are not ``ok``.
+
+    With ``10**k`` (exact for k <= 22) chosen so that ``S = |x| * 10**k``
+    lies in [1e16, 1e17), ``S = I + f`` exactly: ``I`` an int64, ``f`` in
+    [0, 1). The numbers that parse back to x are ``S`` less the half gap to
+    the float below and plus the half gap to the float above, ``10**k`` times
+    a power of two; both ends count when x's last mantissa bit is 0, as the
+    parse rounds half to even. All of this is exact in units
+    ``u = 2**(k + e - 55)`` (``e`` from ``frexp``): the half gap above is
+    ``2 * 5**k`` units, and so is the one below unless x is a power of two,
+    where it is ``5**k``. The shortest digits are the multiple of the
+    largest power of ten in that range, the one nearer S when there are two.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e16)
+    a = np.where(ok, a, 1.0)
+    # log10 may be one off near powers of ten; the exact product corrects it
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+    hi, lo = _scaled(a, k)
+    off = _outside(hi, lo)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        k[fix] = np.clip(k[fix] - off[fix], 0, 22)
+        hi[fix], lo[fix] = _scaled(a[fix], k[fix])
+    ok &= _outside(hi, lo) == 0
+    floor = np.floor(lo)
+    whole = hi.astype(np.int64) + floor.astype(np.int64)  # I; hi >= 2**53 is whole
+    # 1 is 2**j units u; f is frac units
+    j = 55 - k - np.frexp(a)[1]
+    ok &= (j >= 0) & (j <= 59)  # keeps lo * 2**j and unit within int64
+    j = np.where(ok, j, 0)
+    unit = np.int64(1) << j
+    frac = (lo * _POW2[j]).astype(np.int64) - floor.astype(np.int64) * unit
+    bits = a.view(np.uint64)
+    odd = (bits & np.uint64(1)).astype(np.int64)
+    above = 2 * _POW5[k]
+    below = np.where((bits & _MANTISSA) == 0, _POW5[k], above)
+    # [low, high]: the whole numbers within the range that parses back to x,
+    # its ends open when x is odd: ceil(d / unit) is (d + unit - 1) >> j, and
+    # the largest whole number below d / unit is (d - 1) >> j
+    low = whole + ((frac - below + unit - 1 + odd) >> j)
+    high = whole + ((frac + above - odd) >> j)
+    # t: the largest power of ten with a multiple in [low, high]
+    t = (high - high % 10 >= low) & ok
+    live = np.flatnonzero(t)
+    t = t.astype(np.int64)
+    for power in range(2, 18):
+        top = high[live]
+        live = live[top - top % _POW10[power] >= low[live]]
+        if not live.size:
+            break
+        t[live] = power
+    step = _POW10[t]
+    rest = whole % step
+    down = whole - rest
+    up = down + step
+    take_down, take_up = down >= low, up <= high
+    # down is nearer when rest + f < step - rest - f
+    gap = step - 2 * rest
+    twice = frac << 1
+    nearer = (gap >= 2) | ((gap == 1) & (twice < unit))
+    tie = ((gap == 1) & (twice == unit)) | ((gap == 0) & (frac == 0))
+    both = take_down & take_up
+    ok &= ~(both & tie) & (take_down | take_up)
+    digits = np.where(np.where(both, nearer, take_down), down, up)
+    exp = 16 - k
+    carry = digits == _POW10[17]  # rounded up to 1e17: one digit, a power higher
+    exp += carry
+    n_digits = np.where(carry, 1, 17 - t)
+    ok &= exp <= 15
+    digits = np.where(ok & ~carry, digits, _POW10[16])
+    return ok, digits, np.where(ok, exp, 0), n_digits
+
+
+def _whole_digits(mag: np.ndarray, n_groups: int) -> np.ndarray:
+    """Decimal digits of the non-negative integers ``mag`` (below
+    ``10**(4 * n_groups)``), right-aligned in ``4 * n_groups`` bytes with
+    leading zeros padded; 0 is written "0"."""
+    words = np.empty((mag.size, n_groups), np.uint32)
+    for i in reversed(range(n_groups)):
+        mag, group = np.divmod(mag, 10_000)
+        leading = _LAST if i == n_groups - 1 else _LEAD
+        words[:, i] = _GROUPS[group.astype(np.intp) + (mag == 0) * leading]
+    return words.view(np.uint8)
+
+
+def _fraction_digits(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The 20 digits after a decimal point, the first 8 in ``head`` and the
+    last 12 in ``tail``, with trailing zeros padded; all zeros are "0"."""
+    tail_hi, tail_lo = np.divmod(tail, 10**8)
+    groups = [*np.divmod(head, 10_000), tail_hi, *np.divmod(tail_lo, 10_000)]
+    words = np.empty((head.size, 5), np.uint32)
+    zero_after = np.ones(head.size, dtype=bool)
+    for i in reversed(range(5)):
+        trailing = _FIRST if i == 0 else _TRAIL
+        words[:, i] = _GROUPS[groups[i] + zero_after * trailing]
+        zero_after &= groups[i] == 0
+    return words.view(np.uint8)
+
+
+def _patched(
+    cells: np.ndarray, redo: np.ndarray, column: np.ndarray, delimiter: str
+) -> np.ndarray:
+    """Number ``cells`` with the rows ``redo`` marks, and those whose text
+    holds the delimiter, rewritten one at a time from ``_cell_text`` with
+    csv.writer's quoting; widened with padding when a rewritten cell needs it."""
+    if delimiter in _NUMBER_CHARS:
+        redo = redo | (cells == ord(delimiter)).any(axis=1)
+    rows = np.flatnonzero(redo)
+    if not rows.size:
+        return cells
+    text = [c.encode() for c in _csv_quoted(_cell_text(column[rows]), delimiter)]
+    extra = max(map(len, text)) - cells.shape[1]
+    if extra > 0:
+        cells = np.concatenate([cells, np.full((len(cells), extra), _PAD, np.uint8)], axis=1)
+    cells[rows] = _PAD
+    for row, data in zip(rows.tolist(), text):
+        cells[row, : len(data)] = np.frombuffer(data, np.uint8)
+    return cells
+
+
+def _float_cells(columns: list[np.ndarray], delimiter: str) -> list[np.ndarray]:
+    """Cell matrices of float columns of one length, laid out as ``repr``
+    writes them: ``0.000ddd``, ``dd.ddd`` or ``ddd00.0``. Cells that
+    ``_shortest`` leaves are rewritten with ``repr``."""
+    x = np.stack(columns, axis=1).astype(np.float64)
+    ok, digits, exp, n_digits = _shortest(x.ravel())
+    # digits * 10**(exp - 16) is whole + part * 10**-after, part < 10**after
+    after = 16 - exp
+    whole, part = np.divmod(digits, _POW10[np.minimum(after, 17)])
+    head, tail = np.divmod(part, _POW10[np.maximum(after - 8, 0)])
+    head *= _POW10[np.maximum(8 - after, 0)]
+    tail *= _POW10[np.minimum(20 - after, 12)]
+    n_whole = int(np.max(exp, where=ok, initial=0)) // 4 + 1
+    n_frac = int(np.max(n_digits - exp - 1, where=ok, initial=1))
+    point = 1 + 4 * n_whole
+    cells = np.empty((*x.shape, point + 1 + n_frac), np.uint8)
+    cells[..., 0] = np.where(np.signbit(x), ord("-"), _PAD)
+    cells[..., 1:point] = _whole_digits(whole, n_whole).reshape(*x.shape, -1)
+    cells[..., point] = ord(".")
+    cells[..., point + 1 :] = _fraction_digits(head, tail)[:, :n_frac].reshape(*x.shape, -1)
+    redo = ~ok.reshape(x.shape)
+    return [
+        _patched(cells[:, j], redo[:, j], col, delimiter) for j, col in enumerate(columns)
+    ]
+
+
+def _int_cells(column: np.ndarray, delimiter: str) -> np.ndarray:
+    """Cell matrix of an integer column, as ``str`` writes each value."""
+    negative = column < 0
+    mag = column.astype(np.uint64)
+    mag = np.where(negative, -mag, mag)  # two's complement: -2**63 too
+    n_groups = -(-len(str(int(mag.max()))) // 4)
+    cells = np.empty((len(column), 1 + 4 * n_groups), np.uint8)
+    cells[:, 0] = np.where(negative, ord("-"), _PAD)
+    cells[:, 1:] = _whole_digits(mag, n_groups)
+    return _patched(cells, np.zeros(len(column), dtype=bool), column, delimiter)
+
+
+def _text_cells(column: np.ndarray, delimiter: str, lone: bool) -> np.ndarray:
+    """Cell matrix of any other column: ``str`` of each value (``repr`` for
+    wide floats), quoted as csv.writer quotes it, in UTF-8."""
+    cells = _csv_quoted(_cell_text(column), delimiter)
+    if lone:
         # csv.writer quotes a lone empty field so the row is not a blank line
-        cell_columns = [['""' if c == "" else c for c in cell_columns[0]]]
-    return "\n".join(map(delimiter.join, zip(*cell_columns))) + "\n"
+        cells = ['""' if c == "" else c for c in cells]
+    data = [c.encode() for c in cells]
+    raw = np.array(data, dtype=bytes)
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    width = raw.dtype.itemsize
+    return np.where(
+        np.arange(width) < lengths[:, None], raw.view(np.uint8).reshape(-1, width), _PAD
+    )
+
+
+def _block_bytes(columns: list[np.ndarray], delimiter: str) -> bytes:
+    """The rows of ``columns`` (all of one length, at least one row) as
+    delimited lines in UTF-8.
+
+    Each column becomes a matrix of fixed-width cells padded with ``_PAD``;
+    the matrices are joined with delimiter and newline columns, and one mask
+    of the bytes that are not padding compacts the block."""
+    if not columns:
+        return b"\n"
+    cells: list[np.ndarray | None] = [None] * len(columns)
+    floats = [
+        j for j, col in enumerate(columns)
+        if col.ndim == 1 and col.dtype.kind == "f" and col.dtype.itemsize <= 8
+    ]
+    if floats:
+        matrices = _float_cells([columns[j] for j in floats], delimiter)
+        for j, matrix in zip(floats, matrices):
+            cells[j] = matrix
+    for j, col in enumerate(columns):
+        if cells[j] is None:
+            cells[j] = (
+                _int_cells(col, delimiter) if col.ndim == 1 and col.dtype.kind in "iu"
+                else _text_cells(col, delimiter, len(columns) == 1)
+            )
+    separator = np.frombuffer(delimiter.encode(), np.uint8)
+    ends = [separator] * (len(cells) - 1) + [np.frombuffer(b"\n", np.uint8)]
+    block = np.empty(
+        (len(cells[0]), sum(c.shape[1] for c in cells) + sum(e.size for e in ends)), np.uint8
+    )
+    at = 0
+    for matrix, end in zip(cells, ends):
+        block[:, at : at + matrix.shape[1]] = matrix
+        at += matrix.shape[1]
+        block[:, at : at + end.size] = end
+        at += end.size
+    flat = block.ravel()
+    return np.compress(flat != _PAD, flat).tobytes()
 
 
 def write_csv(
@@ -98,21 +390,24 @@ def write_csv(
     *,
     delimiter: str = ",",
 ) -> None:
-    """Write a delimited table from one column per header name.
+    """Write a delimited table from one column per header name, in UTF-8.
 
-    Cells are formatted a column at a time, ``ROW_BLOCK`` rows per step:
-    floats in shortest round-trip form, everything else with ``str``. The
-    bytes equal those of ``csv.writer(fh, delimiter=delimiter,
-    lineterminator="\n")`` given the same cell text row by row.
+    The bytes equal those of ``csv.writer(fh, delimiter=delimiter,
+    lineterminator="\n")`` given each cell's text row by row: ``repr`` for
+    floats, ``str`` for everything else. ``ROW_BLOCK`` rows are built at a
+    time as byte matrices. Floats with 1e-4 <= |x| < 1e16, the range where
+    ``repr`` writes no exponent, are formatted by exact integer arithmetic
+    on whole columns and integers from a table of four-digit groups; other
+    floats (zero, NaN, infinities, other magnitudes) and number cells that
+    hold the delimiter are rewritten one at a time. A delimiter must be one
+    character other than a quote or a line break, else TypeError.
     """
-    if len(delimiter) != 1:
-        raise TypeError('"delimiter" must be a 1-character string')
+    _check_delimiter(delimiter)
     arrays, n_rows = _columns(header, columns)
-    with path.open("w", newline="") as fh:
-        fh.write(_csv_lines([[str(h)] for h in header], delimiter))
+    with path.open("wb") as fh:
+        fh.write(_block_bytes([np.array([str(h)]) for h in header], delimiter))
         for start in range(0, n_rows, ROW_BLOCK):
-            block = [_cell_text(col[start : start + ROW_BLOCK]) for col in arrays]
-            fh.write(_csv_lines(block, delimiter))
+            fh.write(_block_bytes([col[start : start + ROW_BLOCK] for col in arrays], delimiter))
 
 
 def _json_text(column: np.ndarray) -> list[str]:
@@ -176,7 +471,7 @@ def _rows(fh: TextIO, delimiter: str, path: Path) -> Iterator[list[str]]:
 
 def _raise_first_bad(path: Path, delimiter: str, header: list[str], kept: list[int]) -> None:
     """Name the first ragged row, or bad ``kept`` cell, of the table at ``path``."""
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = _rows(fh, delimiter, path)
         next(rows)  # the header
         for i, row in enumerate(rows, start=1):
@@ -202,9 +497,11 @@ def read_csv(
     the header's width. Blank lines are skipped; data rows count from 1.
     A ragged row or a blank or non-numeric kept cell raises ``ValueError``
     naming the first such row and column; a field beyond ``csv``'s size
-    limit, one naming the file.
+    limit, one naming the file. The file is UTF-8, maybe starting with a
+    byte-order mark; the delimiter is checked as ``write_csv`` checks it.
     """
-    with path.open(newline="") as fh:
+    _check_delimiter(delimiter)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         first = next(_rows(fh, delimiter, path), None)
         if first is None:
             raise ValueError(f"empty file: {path}")

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: simulate, fit, evaluate, report."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -459,6 +460,18 @@ class TestFit:
         )
         for name in ("assignments.csv", "moments.csv", "report.json", "config.json", "manifest.json"):
             assert (sim_run["run"] / name).read_bytes() == (other / name).read_bytes()
+
+    def test_byte_order_mark_before_the_header_is_read_past(self, tmp_path, sim_run):
+        # Excel and PowerShell start a CSV file with the UTF-8 byte-order mark
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (sim_run["sim"] / "dataset.csv").read_bytes())
+        outdir = tmp_path / "marked"
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--input", str(marked), "--outdir", str(outdir)]
+        assert run(argv) == 0
+        for name in ("assignments.csv", "moments.csv"):
+            assert (outdir / name).read_bytes() == (sim_run["run"] / name).read_bytes()
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["input_sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
 
     def test_missing_input_fails(self, tmp_path):
         cfg = write_config(

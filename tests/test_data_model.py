@@ -221,6 +221,18 @@ class TestRoundTrip:
         assert np.array_equal(back.features, d.features)
         assert back.action_labels == d.action_labels
 
+    @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
+    def test_save_and_load_refuse_a_quote_or_line_break_delimiter(self, tmp_path, delimiter):
+        # the CLI refuses these delimiters, and so does the library
+        d = make_dataset(np.random.default_rng(9), n=30, m=3, p=2)
+        path = tmp_path / "out.csv"
+        with pytest.raises(TypeError, match="1-character"):
+            save_dataset(d, path, delimiter=delimiter)
+        assert not path.exists()
+        save_dataset(d, path)
+        with pytest.raises(TypeError, match="1-character"):
+            load_dataset(path, canonical_schema(d), delimiter=delimiter)
+
     def test_save_load_is_bit_exact(self, tmp_path):
         d = make_dataset(np.random.default_rng(3), n=60, m=3, p=2)
         path = tmp_path / "out.csv"

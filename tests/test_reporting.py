@@ -55,6 +55,11 @@ CASES = {
     "single text column with blanks": (["note"], [np.array(["", "a", ""])]),
     "non-finite and non-ascii": (["z", "a"], [[np.nan, np.inf, -np.inf], ["é", "ß", "z"]]),
     "more rows than a block": (["v", "unit"], [rng.standard_normal(LONG), np.arange(LONG)]),
+    "text with NUL bytes": (["note", "v"], [np.array(["a\x00b", "\x00", "c\x00"]), FLOATS[:3]]),
+    "float32 column": (
+        ["f", "unit"],
+        [np.array([0.1, -1e-5, 3.4e38, 1.5, np.nan, 1e-40], dtype=np.float32), np.arange(6)],
+    ),
 }
 
 
@@ -102,6 +107,91 @@ def test_write_csv_rejects_mismatched_columns(tmp_path):
         write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1]])
     with pytest.raises(TypeError, match="1-character"):
         write_csv(tmp_path / "t.csv", ["a"], [[1]], delimiter=";;")
+
+
+@pytest.mark.parametrize("delimiter", ['"', "\r", "\n", ";;", ""])
+def test_csv_writer_and_reader_refuse_a_delimiter_no_reader_can_split_on(tmp_path, delimiter):
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="1-character"):
+        write_csv(path, ["a"], [[0, 1, 2]], delimiter=delimiter)
+    assert not path.exists()
+    path.write_text("a\n0\n")
+    with pytest.raises(TypeError, match="1-character"):
+        read_csv(path, delimiter=delimiter)
+
+
+def edge_floats():
+    """At least 10**6 floats around every edge of the fixed-notation range
+    of repr, both signs."""
+    powers = np.array([float(f"1e{p}") for p in range(-5, 18)])
+    up, down, near = powers, powers, [powers]
+    for _ in range(60):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    gen = np.random.default_rng(27)
+    digits, places = gen.integers(1, 10**6, 300_000), gen.integers(0, 23, 300_000)
+    shifts = gen.integers(0, 12, 100_000)
+    values = np.concatenate(
+        [
+            [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+            *near,
+            twos, np.nextafter(twos[1:], 0.0), np.nextafter(twos[:-1], np.inf),
+            np.arange(1, 2000) * 5e-324,  # subnormals
+            gen.integers(1, 2**52, 20_000).view(np.float64),
+            np.arange(100_000, dtype=float), 2.0**53 - np.arange(20_000),
+            gen.integers(0, 2**53, 100_000).astype(float),
+            digits / 10.0**places,  # short decimals, correctly rounded
+            gen.integers(1, 10**4, 100_000) * 10.0**shifts,
+            gen.standard_normal(50_000), gen.lognormal(0.0, 8.0, 50_000),
+        ]
+    )
+    return np.concatenate([values, -values])
+
+
+def test_write_csv_matches_csv_writer_on_the_edge_floats(tmp_path):
+    values = edge_floats()
+    assert values.size >= 10**6
+    columns = list(values[: values.size // 8 * 8].reshape(8, -1))
+    header = [f"c{j}" for j in range(8)]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == csv_writer_text(header, columns, ",").encode()
+    # with "." as the delimiter every fixed-notation cell is quoted
+    fixed = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+    part = fixed[:: fixed.size // 10**4][: 10**4]
+    write_csv(path, ["v"], [part], delimiter=".")
+    text = path.read_text()
+    assert text == csv_writer_text(["v"], [part], ".")
+    assert text.count('"') == 2 * part.size
+
+
+FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats() | FLOAT_BITS, min_size=1, max_size=40),
+    st.sampled_from([",", ";", ".", "-", "5", "e"]),
+)
+def test_write_csv_float_column_matches_csv_writer(tmp_path_factory, values, delimiter):
+    path = tmp_path_factory.mktemp("floats") / "t.csv"
+    columns = [values, np.arange(len(values))]
+    write_csv(path, ["v", "unit"], columns, delimiter=delimiter)
+    assert path.read_bytes() == csv_writer_text(["v", "unit"], columns, delimiter).encode()
+
+
+def test_read_csv_reads_past_a_byte_order_mark(tmp_path):
+    header, columns = CASES["more rows than a block"]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(plain, header, columns)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    names, values = read_csv(marked)
+    assert names == header
+    assert np.array_equal(values, read_csv(plain)[1])
+    marked.write_bytes(b"\xef\xbb\xbfunit,mu\n0,1.5\n1\n")
+    with pytest.raises(ValueError, match="^row 2 has 1 fields, expected 2$"):
+        read_csv(marked, lambda name: name == "unit")
 
 
 def test_read_csv_round_trip_is_bit_exact(tmp_path):

@@ -1,11 +1,11 @@
 """Command-line pipeline: ``fit``, ``evaluate``, ``simulate``, ``report``.
 
 ``fit`` loads a dataset, estimates per-arm conditional moments, assigns an
-optimal action to every unit under each requested risk preference, and
-writes the assignments and each unit's per-arm moments. ``evaluate`` fits the
+optimal action to every unit under each risk preference, and writes the
+assignments and each unit's per-arm moments. ``evaluate`` fits the
 conditional means and a propensity model, and scores saved policy columns
 with :func:`oplearn.values.score_policies`: the RA, IPW, and DR welfare
-estimators plus regret against the first-best (neutral) column.
+estimates plus regret against the first-best (neutral) column.
 ``simulate`` draws a synthetic dataset with a ground-truth sidecar, and
 ``report`` renders one scatter SVG per preference and a summary from the
 ``moments`` and ``assignments`` tables that a fit run's manifest lists.
@@ -42,7 +42,7 @@ from .data import (
 from .policies import PolicyAssignment, RiskPreference, assign_policy
 # moments, regression and simulate are imported inside the commands that
 # run them, so that each command's process loads only the modules it needs
-from .values import ESTIMATOR_KINDS, clip_propensities, score_policies
+from .values import clip_propensities, score_policies
 
 
 class PipelineError(RuntimeError):
@@ -62,14 +62,12 @@ class RunConfig:
     input: str | None = None
     outdir: str = "run"
     schema: ColumnSchema | None = None
-    preferences: tuple[RiskPreference, ...] = tuple(RiskPreference)
     variance_floor: float | None = None
     clip: tuple[float, float] = (0.01, 0.99)
     ridge: float = field(default=1e-6, metadata=_LEARNER)
     max_iter: int = field(default=100, metadata=_LEARNER)
     # None: fit_mnlogit's default, which scales with N
     tol: float | None = field(default=None, metadata=_LEARNER)
-    estimators: tuple[str, ...] = ESTIMATOR_KINDS
     seed: int | None = None
     format: str = "csv"
     delimiter: str = ","
@@ -82,7 +80,6 @@ class RunConfig:
         payload = asdict(self)
         del payload["outdir"]
         payload["learner"] = {key: payload.pop(key) for key in _LEARNER_KEYS}
-        payload["preferences"] = [p.value for p in self.preferences]
         return payload
 
 
@@ -96,11 +93,12 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _read_json(path: str | Path, valid: Callable[[object], bool], wanted: str) -> object:
-    """The JSON value in ``path``; a parse error, or a top-level value that
-    ``valid`` rejects, raises a PipelineError that names the file."""
+    """The JSON value in ``path``, read as UTF-8 after an optional byte-order
+    mark; a decode or parse error, or a top-level value that ``valid``
+    rejects, raises a PipelineError that names the file."""
     try:
-        value = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        value = json.loads(Path(path).read_bytes().decode("utf-8-sig"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise PipelineError(f"{path}: {exc}") from None
     _require(valid(value), f"{path}: {wanted}")
     return value
@@ -113,15 +111,6 @@ def _is(value: object, *types: type) -> bool:
 
 def _positive(value: object) -> bool:
     return _is(value, int, float) and 0 < value < math.inf
-
-
-def _list_of(value: object, choices: Sequence[str]) -> bool:
-    """A non-empty list of distinct ``choices``."""
-    return (
-        _is(value, list, tuple)
-        and 0 < len(value) == len(set(value))
-        and all(v in choices for v in value)
-    )
 
 
 def _need(ok: bool, value: Any, reason: str = "") -> Any:
@@ -150,13 +139,11 @@ _CONVERTERS: dict[str, Callable[[Any], object]] = {
     "input": lambda v: _need(v is None or _is(v, str), v),
     "outdir": lambda v: _need(_is(v, str), v),
     "schema": lambda v: None if v is None else ColumnSchema.from_mapping(v),
-    "preferences": lambda v: tuple(map(RiskPreference, _need(_list_of(v, _PREFERENCES), v))),
     "variance_floor": lambda v: None if v is None else float(_need(_positive(v), v)),
     "clip": _clip,
     "ridge": lambda v: float(_need(_is(v, int, float) and 0 <= v < math.inf, v)),
     "max_iter": lambda v: _need(_is(v, int) and v > 0, v),
     "tol": lambda v: None if v is None else float(_need(_positive(v), v)),
-    "estimators": lambda v: tuple(_need(_list_of(v, ESTIMATOR_KINDS), v)),
     "seed": lambda v: _need(v is None or _is(v, int), v),
     "format": lambda v: _need(v in _FORMATS, v),
     "delimiter": reporting._check_delimiter,
@@ -290,11 +277,9 @@ def cmd_fit(config: RunConfig) -> dict:
     outdir = _own_outdir(config, "fit")
 
     moments = build_arm_moments(dataset, variance_floor=config.variance_floor)
-    assignments = {
-        pref.value: assign_policy(moments, pref) for pref in config.preferences
-    }
+    assignments = {pref.value: assign_policy(moments, pref) for pref in RiskPreference}
     negative = int((moments.mu < 0).any(axis=1).sum())
-    if negative and set(config.preferences) - {RiskPreference.NEUTRAL}:
+    if negative:
         warnings.append(
             f"{negative} unit(s) with negative mean estimates; "
             "risk-averse ranking is fragile there"
@@ -372,9 +357,9 @@ def _require_same_input(assignments_path: Path, input_path: Path, input_sha256: 
 
 
 def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
-    """Score saved policy columns with the configured welfare estimators."""
+    """Score saved policy columns with the RA, IPW and DR welfare estimators."""
     from .moments import estimate_conditional_means
-    from .regression import fit_mnlogit, predict_proba
+    from .regression import QuasiSeparationError, fit_mnlogit, predict_proba
 
     dataset, warnings = _load_valid_dataset(config)
     input_sha256 = reporting.sha256_file(Path(config.input))
@@ -383,13 +368,16 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
     policies = _read_assignments(Path(assignments_path), dataset.n_units, dataset.n_actions)
 
     q_hat = estimate_conditional_means(dataset)
-    logit = fit_mnlogit(
-        dataset.features,
-        dataset.actions,
-        max_iter=config.max_iter,
-        tol=config.tol,
-        ridge=config.ridge,
-    )
+    try:
+        logit = fit_mnlogit(
+            dataset.features,
+            dataset.actions,
+            max_iter=config.max_iter,
+            tol=config.tol,
+            ridge=config.ridge,
+        )
+    except QuasiSeparationError as exc:  # a RuntimeError, which main does not catch
+        raise PipelineError(f"propensity model: {exc}") from None
     if not logit.converged:
         warnings.append(
             f"propensity model did not converge in {logit.iterations} iterations "
@@ -399,7 +387,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
         predict_proba(logit, dataset.features), *config.clip
     )
 
-    value_table = score_policies(dataset, policies, q_hat, propensities, config.estimators)
+    value_table = score_policies(dataset, policies, q_hat, propensities)
     if "neutral" not in policies:
         warnings.append("no 'neutral' policy column; regret left unreported")
     reporting.write_json(outdir / "values.json", value_table)
@@ -515,7 +503,7 @@ def cmd_report(run_dir: str | Path) -> dict:
             title=f"optimal policy ({label}): chosen-arm return vs risk",
             legend_labels=arm_labels,
         )
-        (outdir / f"{name}.svg").write_text(svg)
+        (outdir / f"{name}.svg").write_text(svg, encoding="utf-8")
         artifacts.append(f"{name}.svg")
         policy = PolicyAssignment(RiskPreference(label), actions, n_actions)
         shares[label] = policy.action_shares().tolist()
@@ -538,13 +526,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--input", help="input dataset (delimited text)")
     parser.add_argument("--outdir", help="output directory")
-    parser.add_argument(
-        "--pref",
-        action="append",
-        choices=_PREFERENCES,
-        dest="preferences",
-        help="risk preference (repeatable)",
-    )
     parser.add_argument("--clip", help="propensity clip bounds LOW,HIGH")
     parser.add_argument("--variance-floor", type=float)
     parser.add_argument("--format", choices=_FORMATS)

@@ -192,7 +192,8 @@ def load_dataset(
     columns, and its errors (ragged row or trailing delimiter, blank or
     non-numeric cell, rows numbered from 1 without blank lines) are raised
     as :class:`DataFormatError`, before those for a missing or repeated
-    schema column or a non-integer action.
+    schema column, a non-integer action, or a ``nan`` or ``inf`` outcome or
+    feature (read_csv accepts those spellings; the first such cell is named).
     """
     # imported here, like in save_dataset, so that a module importing data
     # (every layer does) does not load the artifact writers with it
@@ -220,6 +221,13 @@ def load_dataset(
         raise DataFormatError(
             f"non-integer action {float(raw_actions[i])!r} in column '{schema.action}' "
             f"at row {i + 1}"
+        )
+    # the action column holds whole numbers now, so only the others can be hit
+    bad = ~np.isfinite(table)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DataFormatError(
+            f"non-finite value {float(table[i, j])!r} in column '{header[j]}' at row {i + 1}"
         )
 
     levels, actions = np.unique(raw_actions, return_inverse=True)

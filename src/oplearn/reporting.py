@@ -436,7 +436,7 @@ def write_json_table(path: Path, header: Sequence[str], columns: Sequence[object
         "    " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys
     ) + "\n  }"
     order = [arrays[position[key]] for key in keys]
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         fh.write("[\n")
         for start in range(0, n_rows, ROW_BLOCK):
             block = [_json_text(col[start : start + ROW_BLOCK]) for col in order]
@@ -447,7 +447,7 @@ def write_json_table(path: Path, header: Sequence[str], columns: Sequence[object
 
 
 def write_json(path: Path, payload: object) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _is_number(cell: str) -> bool:

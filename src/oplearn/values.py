@@ -32,7 +32,7 @@ value under each estimator and its regret against the ``neutral`` policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -191,22 +191,18 @@ def score_policies(
     policies: Mapping[str, PolicyAssignment | np.ndarray],
     q_hat: np.ndarray,
     propensities: PropensityMatrix,
-    estimators: Sequence[str] = ESTIMATOR_KINDS,
 ) -> list[dict]:
     """The value table: one ``{policy_label, estimator, value, regret_vs_fb}``
     row per policy, in mapping order, and per estimator, in
     ``ESTIMATOR_KINDS`` order. ``regret_vs_fb`` is the :func:`regret` against
     the ``neutral`` policy under the same estimator, None without one."""
-    unknown = [kind for kind in estimators if kind not in ESTIMATOR_KINDS]
-    if unknown:
-        raise ValueError(f"estimators must be among {ESTIMATOR_KINDS}, got {unknown}")
     scorers = {
         "RA": lambda actions: value_ra(q_hat, actions),
         "IPW": lambda actions: value_ipw(dataset, actions, propensities),
         "DR": lambda actions: value_dr(dataset, actions, q_hat, propensities),
     }
     estimates = {
-        label: {kind: score(actions) for kind, score in scorers.items() if kind in estimators}
+        label: {kind: score(actions) for kind, score in scorers.items()}
         for label, actions in policies.items()
     }
     first_best = estimates.get("neutral")

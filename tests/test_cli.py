@@ -159,11 +159,9 @@ class TestConfig:
             "input": str(simdir / "dataset.csv"),
             "outdir": str(tmp_path / "fit"),
             "schema": {"outcome": "outcome", "action": "action", "features": ["x2", "x1"]},
-            "preferences": ["quadratic", "neutral"],
             "variance_floor": 0.001,
             "clip": [0.02, 0.9],
             "learner": {"ridge": 0.5, "max_iter": 7, "tol": 0.25},
-            "estimators": ["DR", "RA"],
             "seed": 5,
             "format": "json",
             "delimiter": ";",
@@ -190,6 +188,20 @@ class TestConfig:
         fragment = "unknown config option(s): ['learner.tolerance']"
         assert_fails_with_one_error(argv, capfd, fragment)
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("key", ["preferences", "estimators"])
+    def test_retired_filter_key_is_unknown(self, tmp_path, capfd, key):
+        # fit assigns under every preference and evaluate scores with every
+        # estimator; the keys that dropped some of them are gone
+        cfg = write_config(tmp_path, **{key: ["neutral", "RA"]})
+        argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "r")]
+        assert_fails_with_one_error(argv, capfd, f"unknown config option(s): ['{key}']")
+
+    def test_retired_pref_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--outdir", str(tmp_path / "r"), "--pref", "neutral"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pref neutral" in capsys.readouterr().err
 
     def test_clip_flag_sets_the_propensity_clip_bounds(self, tmp_path):
         code, evaldir = simulate_and_evaluate(tmp_path, CLIP_DGP, "--clip", "0.2,0.8")
@@ -228,8 +240,8 @@ class TestConfig:
             ({"clip": 5}, "clip"),
             ({"clip": [0.1]}, "clip"),
             ({"clip": None}, "clip"),
-            ({"preferences": 5}, "preferences"),
-            ({"estimators": 5}, "estimators"),
+            ({"format": "xml"}, "format"),
+            ({"allow_unconverged": 1}, "allow_unconverged"),
             ({"schema": 5}, "schema"),
             ({"learner": {"ridge": "x"}}, "ridge"),
             ({"variance_floor": "x"}, "variance_floor"),
@@ -241,12 +253,12 @@ class TestConfig:
             ({"seed": False}, "seed"),
             ({"variance_floor": True}, "variance_floor"),
             ({"delimiter": 5}, "delimiter"),
-            ({"estimators": "RA"}, "estimators"),
-            ({"preferences": []}, "preferences"),
-            ({"estimators": []}, "estimators"),
+            ({"dgp": [5]}, "dgp"),
+            ({"clip": [0.9, 0.1]}, "clip"),
+            ({"learner": {"tol": 0}}, "tol"),
             ({"learner": {"max_iter": 2.5}}, "max_iter"),
             ({"input": 5}, "input"),
-            ({"preferences": ["linear", "linear"]}, "preferences"),
+            ({"learner": {"max_iter": 0}}, "max_iter"),
             ({"schema": dict(SCHEMA, features="x1")}, "schema"),
             ({"schema": dict(SCHEMA, outcome=5)}, "schema"),
             ({"learner": {"ridge": float("inf")}}, "ridge"),
@@ -275,6 +287,17 @@ class TestConfig:
         argv = ["fit", "--config", str(cfg), "--outdir", str(tmp_path / "r")]
         assert_fails_with_one_error(argv, capfd, f"error: {cfg}: {fragment}")
 
+    def test_config_after_a_byte_order_mark_is_read(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 5}).encode())
+        assert load_config(cfg, {}).seed == 5
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capfd):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes('{"outdir": "caf\u00e9"}'.encode("latin-1"))
+        argv = ["fit", "--config", str(cfg)]
+        assert_fails_with_one_error(argv, capfd, f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
+
     def test_negative_variance_floor_flag_fails_before_fitting(self, sim_run, capfd):
         argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
         fragment = "invalid value for config option 'variance_floor': -1.0"
@@ -300,7 +323,7 @@ class TestConfig:
                 seed=3,
                 **payload,
             )
-            assert run(["fit", "--config", cfg, "--pref", "neutral", *flags]) == 0
+            assert run(["fit", "--config", cfg, *flags]) == 0
             records.append([(outdir / f).read_bytes() for f in ("config.json", "manifest.json")])
         written = json.loads(records[0][0])
         assert written["seed"] == 3
@@ -409,25 +432,6 @@ class TestFit:
         for shares in report["action_shares"].values():
             assert abs(sum(shares) - 1.0) < 1e-9
 
-    def test_single_preference_run(self, tmp_path, sim_run):
-        outdir = tmp_path / "neutral_only"
-        assert (
-            run(
-                [
-                    "fit",
-                    "--config",
-                    sim_run["fit_cfg"],
-                    "--outdir",
-                    str(outdir),
-                    "--pref",
-                    "neutral",
-                ]
-            )
-            == 0
-        )
-        header = (outdir / "assignments.csv").read_text().splitlines()[0]
-        assert header.split(",") == ["unit", "neutral_action"]
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fit_writes_assignments_and_wide_moments(self, tmp_path, sim_run, fmt):
         # moments has oracle.csv's layout: unit, mu_0..mu_{M-1}, sigma_0..sigma_{M-1}
@@ -505,8 +509,6 @@ class TestFit:
                 "action",
                 "--feature-cols",
                 "x1,x2",
-                "--pref",
-                "neutral",
             ]
         )
         assert code == 0
@@ -537,11 +539,9 @@ class TestFit:
         assert run(["simulate", "--config", cfg]) == 0
         data = str(simdir / "dataset.csv")
         cfg = write_config(tmp_path, name="fit.json", input=data, schema=ONE_FEATURE)
-        argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]
-        for flags, expected in (([], 1), (["--pref", "neutral"], 0)):
-            capsys.readouterr()
-            assert run([*argv, *flags]) == 0
-            assert capsys.readouterr().err.count("negative mean estimates") == expected
+        capsys.readouterr()
+        assert run(["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]) == 0
+        assert capsys.readouterr().err.count("negative mean estimates") == 1
 
 
 class TestEvaluate:
@@ -693,33 +693,37 @@ class TestEvaluate:
             assert run(argv) == 0
 
 
-class TestReport:
-    def test_scatter_svg_and_share_artifacts(self, tmp_path, sim_run):
-        # report adds 2 SVGs and summary.json to a 2-preference fit and
-        # leaves fit's files alone
-        outdir = tmp_path / "two_pref"
-        assert (
-            run(
-                [
-                    "fit",
-                    "--config",
-                    sim_run["fit_cfg"],
-                    "--outdir",
-                    str(outdir),
-                    "--pref",
-                    "neutral",
-                    "--pref",
-                    "linear",
-                ]
-            )
-            == 0
+    def test_diverging_propensity_fit_fails_with_one_error(self, tmp_path, capfd):
+        # a feature on a 1e-3 scale that separates the two arms: without a
+        # ridge the logit coefficients grow past the separation cap
+        rng = np.random.default_rng(1)
+        x = 1e-3 * rng.normal(size=400)
+        data = tmp_path / "data.csv"
+        write_csv(data, ["outcome", "action", "x1"], [5 + rng.normal(size=400), (x > 0).astype(int), x])
+        cfg = write_config(tmp_path, input=str(data), schema=ONE_FEATURE)
+        assert run(["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]) == 0
+        cfg = write_config(
+            tmp_path, name="eval.json", input=str(data), schema=ONE_FEATURE, learner={"ridge": 0}
         )
+        argv = ["evaluate", "--config", cfg, "--outdir", str(tmp_path / "eval")]
+        argv += ["--assignments", str(tmp_path / "fit" / "assignments.csv")]
+        message = "error: propensity model: logit coefficients exceeded 1e6 without converging"
+        assert_fails_with_one_error(argv, capfd, message)
+        assert not (tmp_path / "eval" / "values.json").exists()
+
+
+class TestReport:
+    def test_scatter_svg_and_share_artifacts(self, sim_run):
+        # report adds one SVG per preference and summary.json to a fit run
+        # and leaves fit's files alone
+        outdir = sim_run["run"]
         before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in outdir.iterdir()}
         assert run(["report", str(outdir)]) == 0
         after = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in outdir.iterdir()}
         assert sorted(set(after) - set(before)) == [
             "scatter_linear.svg",
             "scatter_neutral.svg",
+            "scatter_quadratic.svg",
             "summary.json",
         ]
         assert all(after[name] == before[name] for name in before)
@@ -751,7 +755,7 @@ class TestReport:
         assert run(["simulate", "--config", cfg]) == 0
         data = str(simdir / "dataset.csv")
         cfg = write_config(tmp_path, name="fit.json", input=data, schema=ONE_FEATURE)
-        assert run(["fit", "--config", cfg, "--outdir", str(fitdir), "--pref", "neutral"]) == 0
+        assert run(["fit", "--config", cfg, "--outdir", str(fitdir)]) == 0
         if n_actions == 12:
             assert run(["report", str(fitdir)]) == 0
             svg = (fitdir / "scatter_neutral.svg").read_text()
@@ -797,7 +801,7 @@ class TestReport:
         argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(evaldir)]
         assert run([*argv, "--assignments", str(sim_run["run"] / "assignments.csv")]) == 0
         argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(mixdir)]
-        assert run([*argv, "--pref", "neutral"]) == 0
+        assert run(argv) == 0
         shutil.copy(evaldir / "values.json", mixdir)
         assert run(["report", str(mixdir)]) == 0
         summary = json.loads((mixdir / "summary.json").read_text())
@@ -1000,6 +1004,28 @@ class TestRunRecord:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert (sim_run["run"] / "summary.json").exists()
 
+    @pytest.mark.parametrize("fmt", _FORMATS)
+    def test_no_file_is_opened_with_the_locale_codec(self, tmp_path, fmt):
+        # -X warn_default_encoding warns wherever a text file is opened
+        # without an encoding, and -W error makes that warning fail the command
+        env = dict(os.environ, PYTHONPATH=str(Path(oplearn.__file__).parents[1]))
+        cfg = write_config(
+            tmp_path, dgp=README_DGP, input="sim/dataset.csv", schema=ONE_FEATURE, format=fmt
+        )
+        commands = [
+            ["simulate", "--config", cfg, "--outdir", "sim"],
+            ["fit", "--config", cfg, "--outdir", "fit"],
+            ["evaluate", "--config", cfg, "--outdir", "eval", "--assignments", f"fit/assignments.{fmt}"],
+            ["report", "fit"],
+        ]
+        python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        for argv in commands:
+            proc = subprocess.run(
+                [*python, "-m", "oplearn", *argv],
+                cwd=tmp_path, env=env, capture_output=True, encoding="utf-8", timeout=120,
+            )
+            assert proc.returncode == 0, (argv, proc.stderr)
+
     def test_fit_and_evaluate_validate_the_dataset_once_each(self, tmp_path, sim_run, monkeypatch):
         calls = []
 
@@ -1083,6 +1109,19 @@ class TestJsonTables:
         rows = json.loads((evaldir / "values.json").read_text())
         labels = list(dict.fromkeys(row["policy_label"] for row in rows))
         assert labels == ["neutral", "quadratic", "zeta", "alpha"]
+
+    def test_json_assignments_after_a_byte_order_mark_score_the_same(self, tmp_path, sim_run):
+        fitdir = tmp_path / "jsonfit"
+        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(fitdir), "--format", "json"]
+        assert run(argv) == 0
+        marked = tmp_path / "assignments.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + (fitdir / "assignments.json").read_bytes())
+        values = []
+        for table, name in ((fitdir / "assignments.json", "plain"), (marked, "marked")):
+            argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(tmp_path / name)]
+            assert run([*argv, "--assignments", str(table)]) == 0
+            values.append((tmp_path / name / "values.json").read_bytes())
+        assert values[0] == values[1]
 
     @pytest.mark.parametrize(
         "damage, fragment",

@@ -141,6 +141,10 @@ class TestLoad:
             ("1e,1,0.1", "non-numeric value '1e' in column 'y' at row {row}"),
             ("7.0,0.5,0.1", "non-integer action 0.5 in column 'treat' at row {row}"),
             ("7.0,inf,0.1", "non-integer action inf in column 'treat' at row {row}"),
+            # read_csv takes these spellings; the first such cell is named
+            ("7.0,1,nan", "non-finite value nan in column 'x1' at row {row}"),
+            ("-inf,1,0.1", "non-finite value -inf in column 'y' at row {row}"),
+            ("nan,1,inf", "non-finite value nan in column 'y' at row {row}"),
         ],
     )
     def test_bad_row_message(self, tmp_path, cells, message, bad_row):

@@ -364,15 +364,3 @@ class TestScorePolicies:
         rows = score_policies(d, policies, q, props)
         assert len(rows) == 6
         assert all(r["regret_vs_fb"] is None for r in rows)
-
-    def test_estimator_subset_keeps_kind_order(self):
-        d, q, props, policies = self.inputs()
-        rows = score_policies(d, policies, q, props, estimators=("DR", "RA"))
-        assert [r["estimator"] for r in rows] == ["RA", "DR"] * 3
-        full = {(r["policy_label"], r["estimator"]): r for r in score_policies(d, policies, q, props)}
-        assert all(r == full[(r["policy_label"], r["estimator"])] for r in rows)
-
-    def test_unknown_estimator_rejected(self):
-        d, q, props, policies = self.inputs()
-        with pytest.raises(ValueError, match=r"estimators must be among .* got \['dr'\]"):
-            score_policies(d, policies, q, props, estimators=("RA", "dr"))

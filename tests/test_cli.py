@@ -189,11 +189,11 @@ class TestConfig:
         assert_fails_with_one_error(argv, capfd, fragment)
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("key", ["preferences", "estimators"])
-    def test_retired_filter_key_is_unknown(self, tmp_path, capfd, key):
+    @pytest.mark.parametrize("key, value", [("preferences", ["neutral"]), ("estimators", ["RA"])])
+    def test_retired_filter_key_is_unknown(self, tmp_path, capfd, key, value):
         # fit assigns under every preference and evaluate scores with every
         # estimator; the keys that dropped some of them are gone
-        cfg = write_config(tmp_path, **{key: ["neutral", "RA"]})
+        cfg = write_config(tmp_path, **{key: value})
         argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "r")]
         assert_fails_with_one_error(argv, capfd, f"unknown config option(s): ['{key}']")
 
@@ -296,7 +296,8 @@ class TestConfig:
         cfg = tmp_path / "config.json"
         cfg.write_bytes('{"outdir": "caf\u00e9"}'.encode("latin-1"))
         argv = ["fit", "--config", str(cfg)]
-        assert_fails_with_one_error(argv, capfd, f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
+        message = f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9"
+        assert_fails_with_one_error(argv, capfd, message)
 
     def test_negative_variance_floor_flag_fails_before_fitting(self, sim_run, capfd):
         argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
@@ -699,7 +700,8 @@ class TestEvaluate:
         rng = np.random.default_rng(1)
         x = 1e-3 * rng.normal(size=400)
         data = tmp_path / "data.csv"
-        write_csv(data, ["outcome", "action", "x1"], [5 + rng.normal(size=400), (x > 0).astype(int), x])
+        columns = [5 + rng.normal(size=400), (x > 0).astype(int), x]
+        write_csv(data, ["outcome", "action", "x1"], columns)
         cfg = write_config(tmp_path, input=str(data), schema=ONE_FEATURE)
         assert run(["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]) == 0
         cfg = write_config(
@@ -1015,7 +1017,10 @@ class TestRunRecord:
         commands = [
             ["simulate", "--config", cfg, "--outdir", "sim"],
             ["fit", "--config", cfg, "--outdir", "fit"],
-            ["evaluate", "--config", cfg, "--outdir", "eval", "--assignments", f"fit/assignments.{fmt}"],
+            [
+                "evaluate", "--config", cfg, "--outdir", "eval",
+                "--assignments", f"fit/assignments.{fmt}",
+            ],
             ["report", "fit"],
         ]
         python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]

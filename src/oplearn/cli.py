@@ -20,6 +20,7 @@ identical artifact bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -40,9 +41,8 @@ from .data import (
     validate_dataset,
 )
 from .policies import PolicyAssignment, RiskPreference, assign_policy
-# moments, regression and simulate are imported inside the commands that
-# run them, so that each command's process loads only the modules it needs
-from .values import clip_propensities, score_policies
+# moments, regression, simulate and values are imported inside the commands
+# that run them, so that each command's process loads only the modules it needs
 
 
 class PipelineError(RuntimeError):
@@ -360,6 +360,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
     """Score saved policy columns with the RA, IPW and DR welfare estimators."""
     from .moments import estimate_conditional_means
     from .regression import QuasiSeparationError, fit_mnlogit, predict_proba
+    from .values import clip_propensities, score_policies
 
     dataset, warnings = _load_valid_dataset(config)
     input_sha256 = reporting.sha256_file(Path(config.input))
@@ -600,3 +601,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "evaluate" and not record["diagnostics"]["propensity_converged"]:
         return 0 if allow_unconverged else 1
     return 0
+
+
+def entry() -> int:
+    """The ``oplearn`` program, both ``python -m oplearn`` and the console
+    script: :func:`main` on the command line, then ``gc.freeze()``.
+
+    Freezing moves the objects still alive, most of them made by imports, to
+    the collector's permanent generation, so interpreter shutdown no longer
+    walks them one at a time. Callers of :func:`main` in process keep their
+    collector state.
+    """
+    code = main()
+    gc.freeze()
+    return code

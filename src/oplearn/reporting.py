@@ -23,7 +23,6 @@ tables of its pixel coordinates and of its (arm, opacity) tail.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -528,6 +527,9 @@ def read_csv(
 
 
 def sha256_bytes(data: bytes) -> str:
+    # imported here: hashlib loads OpenSSL, which ``report`` has no use for
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 

@@ -26,13 +26,14 @@ same draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .data import Dataset, _freeze
-from .policies import RiskPreference, _smallest_maximisers, risk_utility
-from .values import _policy_actions
+
+if TYPE_CHECKING:
+    from .policies import RiskPreference
 
 FEATURE_DISTRIBUTIONS = ("normal", "uniform")
 
@@ -200,6 +201,10 @@ def generate(spec: DGPSpec) -> OracleData:
 
 def true_value(oracle: OracleData, actions: np.ndarray) -> float:
     """Finite-population welfare of a policy: mean realised potential outcome."""
+    # values and policies are imported here and in oracle_policy, so that
+    # importing this module, as the simulate command does, loads neither
+    from .values import _policy_actions
+
     actions = _policy_actions(actions, oracle.n_units, oracle.n_actions)
     return float(
         np.mean(oracle.potential_outcomes[np.arange(oracle.n_units), actions])
@@ -209,6 +214,8 @@ def true_value(oracle: OracleData, actions: np.ndarray) -> float:
 def oracle_policy(oracle: OracleData, preference: RiskPreference) -> np.ndarray:
     """Per-unit argmax of the *true* utility, smallest index on ties, by the
     rule :func:`oplearn.policies.assign_policy` applies to estimates."""
+    from .policies import _smallest_maximisers, risk_utility
+
     utility = risk_utility(
         oracle.true_mu, oracle.true_sigma, oracle.true_sigma**2, preference
     )

@@ -12,9 +12,9 @@ estimates plus regret against the first-best (neutral) column.
 
 Options come from a JSON config file and/or command flags; flags win.
 Every command prints a JSON run record of what it computed; ``simulate``,
-``fit`` and ``evaluate`` also write it as ``report.json`` under a manifest
-of config, input and artifact hashes, and identical inputs reproduce
-identical artifact bytes.
+``fit`` and ``evaluate`` also write it as ``report.json``, with the
+config as ``config.json``, under a manifest of the input's hash and the
+artifacts' hashes; identical inputs reproduce identical artifact bytes.
 """
 
 from __future__ import annotations
@@ -62,13 +62,11 @@ class RunConfig:
     input: str | None = None
     outdir: str = "run"
     schema: ColumnSchema | None = None
-    variance_floor: float | None = None
     clip: tuple[float, float] = (0.01, 0.99)
     ridge: float = field(default=1e-6, metadata=_LEARNER)
     max_iter: int = field(default=100, metadata=_LEARNER)
     # None: fit_mnlogit's default, which scales with N
     tol: float | None = field(default=None, metadata=_LEARNER)
-    seed: int | None = None
     format: str = "csv"
     delimiter: str = ","
     allow_unconverged: bool = False
@@ -134,17 +132,21 @@ _PREFERENCES = [p.value for p in RiskPreference]
 _FORMATS = ["csv", "json"]
 _MOMENTS = ("mu", "sigma")
 
+
+def _moments_header(n_actions: int) -> list[str]:
+    """The columns of a moments table: ``unit``, ``mu_<a>``, then ``sigma_<a>``."""
+    return ["unit", *(f"{stem}_{a}" for stem in _MOMENTS for a in range(n_actions))]
+
+
 # one converter per config key and per key under "learner"
 _CONVERTERS: dict[str, Callable[[Any], object]] = {
     "input": lambda v: _need(v is None or _is(v, str), v),
     "outdir": lambda v: _need(_is(v, str), v),
     "schema": lambda v: None if v is None else ColumnSchema.from_mapping(v),
-    "variance_floor": lambda v: None if v is None else float(_need(_positive(v), v)),
     "clip": _clip,
     "ridge": lambda v: float(_need(_is(v, int, float) and 0 <= v < math.inf, v)),
     "max_iter": lambda v: _need(_is(v, int) and v > 0, v),
     "tol": lambda v: None if v is None else float(_need(_positive(v), v)),
-    "seed": lambda v: _need(v is None or _is(v, int), v),
     "format": lambda v: _need(v in _FORMATS, v),
     "delimiter": reporting._check_delimiter,
     "allow_unconverged": lambda v: _need(_is(v, bool), v),
@@ -262,9 +264,7 @@ def _write_record(
     reporting.write_json(outdir / "report.json", record)
     reporting.write_json(outdir / "config.json", payload)
     names = [*artifacts, "report.json", "config.json"]
-    reporting.write_manifest(
-        outdir, config_payload=payload, input_sha256=input_sha256, artifact_names=names
-    )
+    reporting.write_manifest(outdir, input_sha256=input_sha256, artifact_names=names)
     return record
 
 
@@ -276,7 +276,7 @@ def cmd_fit(config: RunConfig) -> dict:
     dataset, warnings = _load_valid_dataset(config)
     outdir = _own_outdir(config, "fit")
 
-    moments = build_arm_moments(dataset, variance_floor=config.variance_floor)
+    moments = build_arm_moments(dataset)
     assignments = {pref.value: assign_policy(moments, pref) for pref in RiskPreference}
     negative = int((moments.mu < 0).any(axis=1).sum())
     if negative:
@@ -291,10 +291,7 @@ def cmd_fit(config: RunConfig) -> dict:
             ["unit", *(f"{label}_action" for label in assignments)],
             [idx, *(pol.actions for pol in assignments.values())],
         ),
-        "moments": (
-            ["unit", *(f"{stem}_{a}" for stem in _MOMENTS for a in range(dataset.n_actions))],
-            [idx, *moments.mu.T, *moments.sigma.T],
-        ),
+        "moments": (_moments_header(dataset.n_actions), [idx, *moments.mu.T, *moments.sigma.T]),
     }
     write = reporting.write_json_table if config.format == "json" else reporting.write_csv
     for stem, (header, columns) in tables.items():
@@ -413,10 +410,7 @@ def cmd_simulate(config: RunConfig) -> dict:
     from .simulate import DGPSpec, generate
 
     _require(config.dgp is not None, "no 'dgp' section configured for simulate")
-    dgp = dict(config.dgp)
-    if config.seed is not None:
-        dgp["seed"] = config.seed
-    spec = DGPSpec.from_dict(dgp)
+    spec = DGPSpec.from_dict(config.dgp)
     oracle = generate(spec)
     outdir = _own_outdir(config, "simulate")
 
@@ -450,7 +444,7 @@ def _read_moments(path: Path) -> tuple[np.ndarray, np.ndarray]:
     row count and M its number of ``mu_<a>`` columns."""
     names, cells = _read_table(path, lambda h: h == "unit" or h.startswith(_MOMENTS))
     n_actions = sum(name.startswith("mu_") for name in names)
-    expected = ["unit", *(f"{stem}_{a}" for stem in _MOMENTS for a in range(n_actions))]
+    expected = _moments_header(n_actions)
     _require(sorted(names) == sorted(expected), f"table {path}: columns {names}, not {expected}")
     cells = cells[:, [names.index(name) for name in expected[1:]]]
     _require(np.isfinite(cells).all(), f"table {path} has a non-finite mu or sigma")
@@ -473,7 +467,8 @@ def cmd_report(run_dir: str | Path) -> dict:
     listed, tables = _read_manifest(manifest_path)["artifacts"], {}
     for stem in ("moments", "assignments"):
         names = [f"{stem}.{fmt}" for fmt in _FORMATS if f"{stem}.{fmt}" in listed]
-        _require(len(names) == 1, f"{manifest_path}: lists no {stem} table")
+        _require(bool(names), f"{manifest_path}: lists no {stem} table")
+        _require(len(names) == 1, f"{manifest_path}: lists {len(names)} {stem} tables {names}")
         tables[stem] = outdir / names[0]
         _require(tables[stem].exists(), f"missing artifact {names[0]} listed in {manifest_path}")
     mu, sigma = _read_moments(tables["moments"])
@@ -528,7 +523,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="input dataset (delimited text)")
     parser.add_argument("--outdir", help="output directory")
     parser.add_argument("--clip", help="propensity clip bounds LOW,HIGH")
-    parser.add_argument("--variance-floor", type=float)
     parser.add_argument("--format", choices=_FORMATS)
     parser.add_argument("--delimiter")
     parser.add_argument("--outcome-col")
@@ -566,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="draw a synthetic dataset")
     _add_common_flags(simulate)
-    simulate.add_argument("--seed", type=int)
 
     report = sub.add_parser("report", help="render plots for a completed fit run")
     report.add_argument("run_dir", help="directory written by 'fit'")

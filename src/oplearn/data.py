@@ -270,6 +270,12 @@ def min_arm_units(n_features: int) -> int:
     return n_features + 2
 
 
+def _arms_pass(counts: np.ndarray, n_features: int) -> bool:
+    """The pass rule of :func:`validate_dataset`: every arm has at least
+    :func:`min_arm_units` observations."""
+    return bool(counts.min() >= min_arm_units(n_features))
+
+
 def validate_dataset(dataset: Dataset) -> ValidationReport:
     """Check empirical overlap and outcome sanity.
 
@@ -286,5 +292,5 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     ]
     if np.any(dataset.outcomes < 0):
         warnings.append("negative outcomes present")
-    passed = bool(counts.min() >= need)
+    passed = _arms_pass(counts, dataset.n_features)
     return ValidationReport(arm_counts=counts, warnings=warnings, passed=passed)

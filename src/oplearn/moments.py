@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _freeze, _require_units, min_arm_units
+from .data import Dataset, _arms_pass, _freeze, _require_units
 from .regression import fit_ols
 
 
@@ -92,11 +92,11 @@ def default_variance_floor(outcomes: np.ndarray) -> float:
 
 
 def _require_valid(dataset: Dataset) -> None:
-    """The condition of :func:`oplearn.data.validate_dataset`'s ``passed``,
-    checked without building its report, which a caller such as the CLI
-    has already built and shown."""
+    """The pass rule of :func:`oplearn.data.validate_dataset`, checked
+    without building its report, which a caller such as the CLI has already
+    built and shown."""
     counts = dataset.arm_counts()
-    if counts.min() < min_arm_units(dataset.n_features):
+    if not _arms_pass(counts, dataset.n_features):
         raise ValueError(
             "dataset fails validation (an arm is too thin for the learner); "
             f"arm counts: {counts.tolist()}"

@@ -4,7 +4,8 @@ Everything written here is byte-deterministic: floats use shortest
 round-trip formatting, JSON is sorted, SVG coordinates are fixed-precision,
 and nothing embeds timestamps or absolute paths. Re-running a command with
 identical inputs reproduces identical artifact bytes, which the run manifest
-(config hash, input hash, artifact hashes) makes checkable.
+(input hash, artifact hashes, ``config.json`` among the artifacts) makes
+checkable.
 
 Tables and plots are built in bulk, not one cell or one mark at a time.
 A CSV table is written a block of rows at a time, each block one byte
@@ -538,18 +539,12 @@ def sha256_file(path: Path) -> str:
 
 
 def write_manifest(
-    outdir: Path,
-    *,
-    config_payload: object,
-    input_sha256: str | None,
-    artifact_names: Sequence[str],
+    outdir: Path, *, input_sha256: str | None, artifact_names: Sequence[str]
 ) -> None:
-    """Write ``manifest.json``, the hashes of the run configuration, input and
-    artifacts; the caller passes the input's hash, which it may have checked."""
+    """Write ``manifest.json``, the hashes of the run's input and artifacts
+    (the caller's ``config.json`` among them); the caller passes the input's
+    hash, which it may have checked."""
     manifest = {
-        "config_sha256": sha256_bytes(
-            json.dumps(config_payload, sort_keys=True).encode()
-        ),
         "input_sha256": input_sha256,
         "artifacts": {
             name: sha256_file(outdir / name) for name in sorted(artifact_names)

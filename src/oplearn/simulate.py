@@ -50,11 +50,10 @@ class DGPSpec:
     ``mean_coeffs`` and ``noise_scale_coeffs`` are (M, p+1) matrices with
     the intercept first in each row. ``assignment`` is ``"uniform"`` or
     ``"logit"``; the logit rule draws actions with probabilities
-    ``softmax([1, x] @ assignment_coeffs.T)``. ``feature_dist`` is a single
-    distribution name or one per feature column, from ``"normal"``
-    (standard normal) and ``"uniform"`` (uniform on [0, 1]). Given
-    ``assignment_coeffs`` must be (M, p+1) under either rule; the uniform
-    rule ignores them.
+    ``softmax([1, x] @ assignment_coeffs.T)``. ``feature_dist`` names the
+    distribution of every feature column: ``"normal"`` (standard normal) or
+    ``"uniform"`` (uniform on [0, 1]). Given ``assignment_coeffs`` must be
+    (M, p+1) under either rule; the uniform rule ignores them.
     """
 
     n_units: int
@@ -64,7 +63,7 @@ class DGPSpec:
     noise_scale_coeffs: np.ndarray
     assignment: str = "uniform"
     assignment_coeffs: np.ndarray | None = None
-    feature_dist: str | tuple[str, ...] = "normal"
+    feature_dist: str = "normal"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -86,18 +85,12 @@ class DGPSpec:
         if self.assignment_coeffs is not None:
             if _freeze(self, "assignment_coeffs", np.float64).shape != shape:
                 raise ValueError(f"assignment_coeffs must have shape {shape}")
-        dists = self.feature_dist
-        if isinstance(dists, str):
-            dists = (dists,) * self.n_features
-        if not (isinstance(dists, (list, tuple)) and all(isinstance(d, str) for d in dists)):
-            raise ValueError("DGP option 'feature_dist' must be a name or a list of names")
-        dists = tuple(dists)
-        if len(dists) != self.n_features:
-            raise ValueError("feature_dist must name one distribution per column")
-        for d in dists:
-            if d not in FEATURE_DISTRIBUTIONS:
-                raise ValueError(f"unknown feature distribution {d!r}")
-        object.__setattr__(self, "feature_dist", dists)
+        dist = self.feature_dist
+        if not (isinstance(dist, str) and dist in FEATURE_DISTRIBUTIONS):
+            raise ValueError(
+                f"DGP option 'feature_dist' must be one of {list(FEATURE_DISTRIBUTIONS)}, "
+                f"got {dist!r}"
+            )
 
     @classmethod
     def from_dict(cls, cfg: Mapping[str, object]) -> "DGPSpec":
@@ -107,12 +100,11 @@ class DGPSpec:
         return cls(**cfg)  # type: ignore[arg-type]
 
     def to_dict(self) -> dict[str, object]:
-        """The spec as JSON-ready values: arrays and ``feature_dist`` as lists."""
+        """The spec as JSON-ready values: arrays as lists."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         for key, value in out.items():
             if isinstance(value, np.ndarray):
                 out[key] = value.tolist()
-        out["feature_dist"] = list(self.feature_dist)
         return out
 
 
@@ -153,20 +145,12 @@ class OracleData:
         return self.dataset.n_actions
 
 
-def _draw_features(spec: DGPSpec, rng: np.random.Generator) -> np.ndarray:
-    cols = []
-    for dist in spec.feature_dist:
-        if dist == "normal":
-            cols.append(rng.standard_normal(spec.n_units))
-        else:
-            cols.append(rng.random(spec.n_units))
-    return np.column_stack(cols)
-
-
 def generate(spec: DGPSpec) -> OracleData:
     """Draw one synthetic dataset with its counterfactual ground truth."""
     rng = np.random.default_rng(spec.seed)
-    features = _draw_features(spec, rng)
+    # one (p, N) draw: feature j takes the j-th run of N draws
+    draw = rng.standard_normal if spec.feature_dist == "normal" else rng.random
+    features = draw((spec.n_features, spec.n_units)).T
     design = np.column_stack([np.ones(spec.n_units), features])
     true_mu = design @ spec.mean_coeffs.T
     true_sigma = softplus(design @ spec.noise_scale_coeffs.T)

@@ -149,7 +149,6 @@ class TestConfig:
             "ridge": config.ridge, "max_iter": config.max_iter, "tol": config.tol
         }
         assert (clip["low"], clip["high"]) == config.clip
-        assert defaults(build_arm_moments)["variance_floor"] == config.variance_floor
 
     def test_every_key_is_echoed_in_config_json(self, tmp_path):
         simdir = tmp_path / "sim"
@@ -159,10 +158,8 @@ class TestConfig:
             "input": str(simdir / "dataset.csv"),
             "outdir": str(tmp_path / "fit"),
             "schema": {"outcome": "outcome", "action": "action", "features": ["x2", "x1"]},
-            "variance_floor": 0.001,
             "clip": [0.02, 0.9],
             "learner": {"ridge": 0.5, "max_iter": 7, "tol": 0.25},
-            "seed": 5,
             "format": "json",
             "delimiter": ";",
             "allow_unconverged": True,
@@ -196,6 +193,18 @@ class TestConfig:
         cfg = write_config(tmp_path, **{key: value})
         argv = ["fit", "--config", cfg, "--outdir", str(tmp_path / "r")]
         assert_fails_with_one_error(argv, capfd, f"unknown config option(s): ['{key}']")
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate"])
+    @pytest.mark.parametrize("key, value", [("seed", 5), ("variance_floor", 0.5)])
+    def test_retired_run_setting_is_unknown(self, tmp_path, capfd, command, key, value):
+        # the draw's seed is dgp.seed alone, and fit's variance floor is
+        # build_arm_moments' own default
+        cfg = write_config(tmp_path, dgp=LINEAR_DGP, **{key: value})
+        argv = [command, "--config", cfg, "--outdir", str(tmp_path / "r")]
+        if command == "evaluate":
+            argv += ["--assignments", str(tmp_path / "assignments.csv")]
+        assert_fails_with_one_error(argv, capfd, f"unknown config option(s): ['{key}']")
+        assert not (tmp_path / "r").exists()
 
     def test_retired_pref_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -244,14 +253,14 @@ class TestConfig:
             ({"allow_unconverged": 1}, "allow_unconverged"),
             ({"schema": 5}, "schema"),
             ({"learner": {"ridge": "x"}}, "ridge"),
-            ({"variance_floor": "x"}, "variance_floor"),
-            ({"variance_floor": 0}, "variance_floor"),
-            ({"variance_floor": -1.0}, "variance_floor"),
-            ({"variance_floor": float("nan")}, "variance_floor"),
-            ({"seed": "x"}, "seed"),
-            ({"seed": 1.5}, "seed"),
-            ({"seed": False}, "seed"),
-            ({"variance_floor": True}, "variance_floor"),
+            ({"learner": {"ridge": -1.0}}, "ridge"),
+            ({"learner": {"tol": -1.0}}, "tol"),
+            ({"learner": {"tol": True}}, "tol"),
+            ({"learner": {"max_iter": True}}, "max_iter"),
+            ({"format": None}, "format"),
+            ({"allow_unconverged": "true"}, "allow_unconverged"),
+            ({"input": ["data.csv"]}, "input"),
+            ({"clip": [0.0, 0.5]}, "clip"),
             ({"delimiter": 5}, "delimiter"),
             ({"dgp": [5]}, "dgp"),
             ({"clip": [0.9, 0.1]}, "clip"),
@@ -289,8 +298,8 @@ class TestConfig:
 
     def test_config_after_a_byte_order_mark_is_read(self, tmp_path):
         cfg = tmp_path / "config.json"
-        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 5}).encode())
-        assert load_config(cfg, {}).seed == 5
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"format": "json"}).encode())
+        assert load_config(cfg, {}).format == "json"
 
     def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capfd):
         cfg = tmp_path / "config.json"
@@ -299,21 +308,10 @@ class TestConfig:
         message = f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9"
         assert_fails_with_one_error(argv, capfd, message)
 
-    def test_negative_variance_floor_flag_fails_before_fitting(self, sim_run, capfd):
-        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
-        fragment = "invalid value for config option 'variance_floor': -1.0"
-        assert_fails_with_one_error([*argv, "--variance-floor", "-1"], capfd, fragment)
-        assert not (sim_run["tmp"] / "r").exists()
-
-    def test_variance_floor_is_hashed_as_a_float(self, tmp_path, sim_run):
-        # a floor of 1 hashes the same from a config int, a config float or the flag
-        runs = {
-            "config_int": ({"variance_floor": 1}, []),
-            "config_float": ({"variance_floor": 1.0}, []),
-            "flag": ({}, ["--variance-floor", "1"]),
-        }
+    def test_learner_numbers_are_hashed_as_floats(self, tmp_path, sim_run):
+        # a ridge and a tol of 1 hash the same from a config int or a config float
         records = []
-        for name, (payload, flags) in runs.items():
+        for name, one in (("int", 1), ("float", 1.0)):
             outdir = tmp_path / name
             cfg = write_config(
                 tmp_path,
@@ -321,15 +319,13 @@ class TestConfig:
                 input=str(sim_run["sim"] / "dataset.csv"),
                 outdir=str(outdir),
                 schema=SCHEMA,
-                seed=3,
-                **payload,
+                learner={"ridge": one, "tol": one},
             )
-            assert run(["fit", "--config", cfg, *flags]) == 0
+            assert run(["fit", "--config", cfg]) == 0
             records.append([(outdir / f).read_bytes() for f in ("config.json", "manifest.json")])
-        written = json.loads(records[0][0])
-        assert written["seed"] == 3
-        assert repr(written["variance_floor"]) == "1.0"
-        assert records[0] == records[1] == records[2]
+        learner = json.loads(records[0][0])["learner"]
+        assert (repr(learner["ridge"]), repr(learner["tol"])) == ("1.0", "1.0")
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])
     def test_multi_character_delimiter_fails(self, tmp_path, capfd, command):
@@ -366,11 +362,12 @@ class TestSimulate:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_seed_flag_changes_draw(self, tmp_path):
+    def test_dgp_seed_changes_draw(self, tmp_path):
         cfg = write_config(tmp_path, dgp=LINEAR_DGP, outdir=str(tmp_path / "a"))
         assert run(["simulate", "--config", cfg]) == 0
-        cfg2 = write_config(tmp_path, name="c2.json", dgp=LINEAR_DGP, outdir=str(tmp_path / "b"))
-        assert run(["simulate", "--config", cfg2, "--seed", "7"]) == 0
+        dgp = dict(LINEAR_DGP, seed=7)
+        cfg2 = write_config(tmp_path, name="c2.json", dgp=dgp, outdir=str(tmp_path / "b"))
+        assert run(["simulate", "--config", cfg2]) == 0
         assert (tmp_path / "a" / "dataset.csv").read_bytes() != (
             tmp_path / "b" / "dataset.csv"
         ).read_bytes()
@@ -408,6 +405,8 @@ class TestSimulate:
             ("seed", "x"),
             ("feature_dist", 5),
             ("feature_dist", ["normal", 5]),
+            # one name for every column; a list per column is refused
+            ("feature_dist", ["normal", "uniform"]),
         ],
     )
     def test_badly_typed_dgp_value_names_the_option(self, tmp_path, capfd, key, value):
@@ -484,16 +483,17 @@ class TestFit:
         )
         assert run(["fit", "--config", cfg]) == 1
 
-    @pytest.mark.parametrize("command", ["fit", "evaluate"])
-    def test_seed_flag_is_simulate_only(self, tmp_path, command, capsys):
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate"])
+    @pytest.mark.parametrize("flag", ["--seed", "--variance-floor"])
+    def test_retired_flag_is_a_usage_error(self, tmp_path, command, flag, capsys):
         cfg = write_config(tmp_path, outdir=str(tmp_path / "r"), schema=SCHEMA)
-        argv = [command, "--config", cfg, "--seed", "1"]
+        argv = [command, "--config", cfg, flag, "1"]
         if command == "evaluate":
             argv += ["--assignments", str(tmp_path / "assignments.csv")]
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_schema_flags_override(self, tmp_path, sim_run):
         outdir = tmp_path / "flags"
@@ -783,10 +783,14 @@ class TestReport:
         assert run(["report", str(tmp_path / "nothing")]) == 1
 
     def test_report_reads_the_tables_of_the_last_fit(self, tmp_path, sim_run):
-        # a JSON fit into the directory of a CSV fit leaves the CSV tables
-        # behind; report renders the JSON ones that the manifest lists
-        refit, fresh = sim_run["run"], tmp_path / "fresh"
-        flags = ["--format", "json", "--variance-floor", "5"]
+        # a JSON fit on one feature fewer into the directory of a CSV fit
+        # leaves the CSV tables behind; report renders the JSON ones that
+        # the manifest lists
+        refit, fresh, before = sim_run["run"], tmp_path / "fresh", tmp_path / "before"
+        shutil.copytree(refit, before)
+        assert run(["report", str(before)]) == 0
+        flags = ["--format", "json", "--outcome-col", "outcome", "--action-col", "action"]
+        flags += ["--feature-cols", "x1"]
         for outdir in (refit, fresh):
             argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(outdir)]
             assert run([*argv, *flags]) == 0
@@ -795,6 +799,8 @@ class TestReport:
         rendered = ["summary.json"] + [f"scatter_{p.value}.svg" for p in RiskPreference]
         for name in rendered:
             assert (refit / name).read_bytes() == (fresh / name).read_bytes(), name
+        # the two fits differ, so rendering the CSV tables would have shown
+        assert any((refit / n).read_bytes() != (before / n).read_bytes() for n in rendered)
 
     def test_summary_ignores_values_of_an_earlier_evaluate(self, tmp_path, sim_run):
         # a fit directory holding an evaluate run's values.json: the values
@@ -854,6 +860,8 @@ class TestReport:
             # no rows: N would be 0
             ("moments", "header_only", "empty table: "),
             ("assignments", "duplicate", "assignments.csv: duplicate column 'neutral_action'"),
+            # as after copying a JSON fit's files into a CSV fit's directory
+            ("moments", "list_both", "lists 2 moments tables ['moments.csv', 'moments.json']"),
         ],
     )
     def test_damaged_report_input_fails(self, sim_run, capfd, table, damage, fragment):
@@ -880,9 +888,13 @@ class TestReport:
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         if damage == "delete":
             path.unlink()
-        elif damage == "unlist":
+        elif damage in ("unlist", "list_both"):
             manifest = json.loads((rundir / "manifest.json").read_text())
-            del manifest["artifacts"]["moments.csv"]
+            listed = manifest["artifacts"]
+            if damage == "unlist":
+                del listed["moments.csv"]
+            else:
+                listed["moments.json"] = listed["moments.csv"]
             (rundir / "manifest.json").write_text(json.dumps(manifest))
         assert_fails_with_one_error(["report", str(rundir)], capfd, fragment)
         assert list(rundir.parent.rglob("*.svg")) == []

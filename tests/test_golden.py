@@ -2,10 +2,11 @@
 
 Two setups: the default CSV tables, and JSON tables with a ';' delimiter,
 action codes 10/20/40, an extra text column and reordered input columns.
-Every manifest entry (config, input and artifact hashes) and the sha256 of
-each file ``report`` writes must equal the committed values in
-``golden_hashes.json``. An intended artifact change updates that file and
-says why in CHANGES.md; rewrite it from the current code with
+Every manifest entry (the input and artifact hashes, ``config.json`` among
+the artifacts) and the sha256 of each file ``report`` writes must equal the
+committed values in ``golden_hashes.json``. An intended artifact change
+updates that file and says why in CHANGES.md; rewrite it from the current
+code with
 
     PYTHONPATH=src python tests/test_golden.py
 """

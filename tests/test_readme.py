@@ -1,9 +1,12 @@
-"""README's library example runs as written."""
+"""README's library example runs as written, and its options table lists
+the CLI's config keys."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from oplearn import DGPSpec, generate
+from oplearn.cli import RunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +31,15 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(block.group(1), str(README), "exec"), {})
     assert "regret:" in capsys.readouterr().out
+
+
+def test_options_table_lists_exactly_the_config_keys():
+    # the first cell of each row opens with the key; the learner keys are
+    # spelled out as learner.<key>, in RunConfig's field order
+    header = r"\n\| key \| flag \| default \|\n\|[-|]+\|\n"
+    table = re.search(header + r"((?:\|.*\n)+)", README.read_text())
+    listed = [re.match(r"\| `([\w.]+)`", row).group(1) for row in table.group(1).splitlines()]
+    keys = [
+        f"learner.{f.name}" if f.metadata.get("learner") else f.name for f in fields(RunConfig)
+    ]
+    assert listed == keys

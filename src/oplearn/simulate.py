@@ -150,7 +150,7 @@ def generate(spec: DGPSpec) -> OracleData:
     rng = np.random.default_rng(spec.seed)
     # one (p, N) draw: feature j takes the j-th run of N draws
     draw = rng.standard_normal if spec.feature_dist == "normal" else rng.random
-    features = draw((spec.n_features, spec.n_units)).T
+    features = np.ascontiguousarray(draw((spec.n_features, spec.n_units)).T)
     design = np.column_stack([np.ones(spec.n_units), features])
     true_mu = design @ spec.mean_coeffs.T
     true_sigma = softplus(design @ spec.noise_scale_coeffs.T)

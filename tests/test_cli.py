@@ -212,6 +212,18 @@ class TestConfig:
         assert exc.value.code == 2
         assert "unrecognized arguments: --pref neutral" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate"])
+    @pytest.mark.parametrize("flag", ["--seed", "--variance-floor"])
+    def test_retired_flag_is_a_usage_error(self, tmp_path, command, flag, capsys):
+        cfg = write_config(tmp_path, outdir=str(tmp_path / "r"), schema=SCHEMA)
+        argv = [command, "--config", cfg, flag, "1"]
+        if command == "evaluate":
+            argv += ["--assignments", str(tmp_path / "assignments.csv")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     def test_clip_flag_sets_the_propensity_clip_bounds(self, tmp_path):
         code, evaldir = simulate_and_evaluate(tmp_path, CLIP_DGP, "--clip", "0.2,0.8")
         assert code == 0
@@ -482,18 +494,6 @@ class TestFit:
             tmp_path, input=str(tmp_path / "nope.csv"), outdir=str(tmp_path / "r"), schema=SCHEMA
         )
         assert run(["fit", "--config", cfg]) == 1
-
-    @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate"])
-    @pytest.mark.parametrize("flag", ["--seed", "--variance-floor"])
-    def test_retired_flag_is_a_usage_error(self, tmp_path, command, flag, capsys):
-        cfg = write_config(tmp_path, outdir=str(tmp_path / "r"), schema=SCHEMA)
-        argv = [command, "--config", cfg, flag, "1"]
-        if command == "evaluate":
-            argv += ["--assignments", str(tmp_path / "assignments.csv")]
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_schema_flags_override(self, tmp_path, sim_run):
         outdir = tmp_path / "flags"

@@ -148,7 +148,8 @@ class OracleData:
 def generate(spec: DGPSpec) -> OracleData:
     """Draw one synthetic dataset with its counterfactual ground truth."""
     rng = np.random.default_rng(spec.seed)
-    # one (p, N) draw: feature j takes the j-th run of N draws
+    # one (p, N) draw, so feature j takes the j-th run of N draws; copied to
+    # C order here, so that Dataset holds it without a second copy
     draw = rng.standard_normal if spec.feature_dist == "normal" else rng.random
     features = np.ascontiguousarray(draw((spec.n_features, spec.n_units)).T)
     design = np.column_stack([np.ones(spec.n_units), features])

@@ -19,14 +19,13 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in {
-        "data": "ColumnSchema DataFormatError Dataset ValidationReport canonical_schema "
-        "load_dataset save_dataset validate_dataset",
-        "moments": "ArmMoments build_arm_moments default_variance_floor "
-        "estimate_conditional_means",
+        "data": "ColumnSchema DataFormatError Dataset ValidationReport load_dataset "
+        "save_dataset validate_dataset",
+        "moments": "ArmMoments build_arm_moments estimate_conditional_means",
         "policies": "PolicyAssignment RiskPreference assign_policy risk_utility",
-        "regression": "LinearModel MultinomialLogitModel QuasiSeparationError "
-        "RankDeficiencyError fit_mnlogit fit_ols predict_ols predict_proba",
-        "simulate": "DGPSpec OracleData generate oracle_policy softplus true_value",
+        "regression": "MultinomialLogitModel QuasiSeparationError RankDeficiencyError "
+        "fit_mnlogit fit_ols predict_proba",
+        "simulate": "DGPSpec OracleData generate oracle_policy true_value",
         "values": "PropensityMatrix ValueEstimate clip_propensities regret score_policies "
         "value_dr value_ipw value_ra",
     }.items()

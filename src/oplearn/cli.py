@@ -11,10 +11,13 @@ estimates plus regret against the first-best (neutral) column.
 ``moments`` and ``assignments`` tables that a fit run's manifest lists.
 
 Options come from a JSON config file and/or command flags; flags win.
-Every command prints a JSON run record of what it computed; ``simulate``,
-``fit`` and ``evaluate`` also write it as ``report.json``, with the
-config as ``config.json``, under a manifest of the input's hash and the
-artifacts' hashes; identical inputs reproduce identical artifact bytes.
+Every command accepts and checks every config key, but ``_READS`` lists the
+keys each one reads. Every command prints a JSON run record of what it
+computed; ``simulate``, ``fit`` and ``evaluate`` also write it as
+``report.json``, with the keys they read as ``config.json``, under a
+manifest of the input's hash and the artifacts' hashes. So identical
+inputs reproduce identical artifact bytes, and a key a command does not
+read changes none of them.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ _LEARNER = {"learner": True}
 class RunConfig:
     """Resolved options for one command invocation: each field is the
     config key of its name, except that ``ridge``, ``max_iter`` and ``tol``
-    nest under ``learner``. These are the only defaults."""
+    nest under ``learner``. These are the only defaults. One config serves
+    every command; each command reads, and hashes, only its ``_READS`` keys."""
 
     input: str | None = None
     outdir: str = "run"
@@ -72,17 +76,24 @@ class RunConfig:
     allow_unconverged: bool = False
     dgp: dict | None = None
 
-    def hash_payload(self) -> dict:
-        """Config as hashed into the manifest; outdir is excluded so the
-        same run into two directories hashes identically."""
+    def hash_payload(self, command: str) -> dict:
+        """The keys ``command`` reads, as hashed into its manifest; outdir is
+        never among them, so the same run into two directories hashes
+        identically."""
         payload = asdict(self)
-        del payload["outdir"]
         payload["learner"] = {key: payload.pop(key) for key in _LEARNER_KEYS}
-        return payload
+        return {key: payload[key] for key in _READS[command]}
 
 
 _LEARNER_KEYS = tuple(f.name for f in fields(RunConfig) if f.metadata.get("learner"))
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - set(_LEARNER_KEYS) | {"learner"}
+
+# the config keys each command reads besides outdir, in RunConfig's order
+_READS = {
+    "simulate": ("delimiter", "dgp"),
+    "fit": ("input", "schema", "format", "delimiter"),
+    "evaluate": ("input", "schema", "clip", "learner", "delimiter", "allow_unconverged"),
+}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -315,7 +326,7 @@ def cmd_fit(config: RunConfig) -> dict:
         "warnings": warnings,
     }
     input_sha256 = reporting.sha256_file(Path(config.input))
-    return _write_record(outdir, record, config.hash_payload(), input_sha256, artifacts)
+    return _write_record(outdir, record, config.hash_payload("fit"), input_sha256, artifacts)
 
 
 def _read_assignments(path: Path, n_units: int, n_actions: int) -> dict[str, np.ndarray]:
@@ -402,7 +413,8 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
         },
         "warnings": warnings,
     }
-    return _write_record(outdir, record, config.hash_payload(), input_sha256, ["values.json"])
+    payload = config.hash_payload("evaluate")
+    return _write_record(outdir, record, payload, input_sha256, ["values.json"])
 
 
 def cmd_simulate(config: RunConfig) -> dict:
@@ -435,7 +447,7 @@ def cmd_simulate(config: RunConfig) -> dict:
         },
         "warnings": [],
     }
-    payload = {**config.hash_payload(), "dgp": spec.to_dict()}
+    payload = {**config.hash_payload("simulate"), "dgp": spec.to_dict()}
     return _write_record(outdir, record, payload, None, ["dataset.csv", "oracle.csv"])
 
 

@@ -259,11 +259,6 @@ def save_dataset(dataset: Dataset, path: str | Path, *, delimiter: str = ",") ->
     )
 
 
-def canonical_schema(dataset: Dataset) -> ColumnSchema:
-    """Schema matching the header written by :func:`save_dataset`."""
-    return ColumnSchema("outcome", "action", dataset.feature_names)
-
-
 def min_arm_units(n_features: int) -> int:
     """Fewest observations an arm needs for a per-arm regression fit with
     intercept on ``n_features`` features to be meaningful: ``p + 2``."""

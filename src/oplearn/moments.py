@@ -85,7 +85,7 @@ class ArmMoments:
         return int(self.clamped.sum())
 
 
-def default_variance_floor(outcomes: np.ndarray) -> float:
+def _default_variance_floor(outcomes: np.ndarray) -> float:
     """1e-8 times the outcome variance, or 1e-8 for constant outcomes."""
     spread = float(np.var(np.asarray(outcomes, dtype=np.float64)))
     return 1e-8 * (spread if spread > 0 else 1.0)
@@ -115,7 +115,7 @@ def _fit_per_arm(dataset: Dataset, *targets: np.ndarray) -> list[np.ndarray]:
         rows = np.flatnonzero(dataset.actions == a)
         features = dataset.features.take(rows, axis=0)
         for t, target in enumerate(targets):
-            coef[t, a] = fit_ols(features, target.take(rows)).coefficients
+            coef[t, a] = fit_ols(features, target.take(rows))
     for out, fitted in zip(outs, coef):
         np.matmul(fitted[:, 1:], dataset.features.T, out=out.T)
         out += fitted[:, 0]
@@ -140,7 +140,7 @@ def build_arm_moments(dataset: Dataset, *, variance_floor: float | None = None) 
     """
     _require_valid(dataset)
     if variance_floor is None:
-        variance_floor = default_variance_floor(dataset.outcomes)
+        variance_floor = _default_variance_floor(dataset.outcomes)
     mu, second = _fit_per_arm(dataset, dataset.outcomes, dataset.outcomes**2)
     raw = second - mu**2
     clamped = raw < variance_floor

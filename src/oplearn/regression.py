@@ -12,10 +12,12 @@ which tests the Cholesky factor of the matrix rescaled to a unit diagonal,
 so that no feature's units decide it.
 
 The least-squares fit solves the normal equations ``(X'X) b = X'y`` over a
-design matrix with a leading intercept column. A singular ``X'X`` falls
-back to a ridge-stabilised solve with ``lambda = 1e-8 * trace(X'X) / d`` on
-the feature coefficients; designs whose ridged matrix is still singular
-raise :class:`RankDeficiencyError` naming the collinear columns.
+design matrix with a leading intercept column and returns the coefficient
+array ``b``, intercept first; its caller predicts with it. A singular
+``X'X`` falls back to a ridge-stabilised solve with
+``lambda = 1e-8 * trace(X'X) / d`` on the feature coefficients; designs
+whose ridged matrix is still singular raise :class:`RankDeficiencyError`
+naming the collinear columns.
 
 The multinomial logit maximises the log-likelihood by Newton ascent with
 step halving, softmax probabilities with class 0 as the zero-score baseline,
@@ -96,21 +98,6 @@ class QuasiSeparationError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class LinearModel:
-    """Fitted least-squares coefficients, intercept first."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(_freeze(self, "coefficients", np.float64)).all():
-            raise ValueError("coefficients must be finite")
-
-    @property
-    def n_features(self) -> int:
-        return self.coefficients.shape[0] - 1
-
-
-@dataclass(frozen=True, eq=False)
 class MultinomialLogitModel:
     """Fitted multinomial logit with class 0 as the softmax baseline.
 
@@ -187,8 +174,10 @@ def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
     return chol if (r.min() / r.max()) ** 2 >= SINGULAR_RATIO * matrix.shape[0] else None
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> LinearModel:
-    """Least-squares fit of ``y`` on ``X`` with an intercept.
+def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> np.ndarray:
+    """Least-squares coefficients of ``y`` on ``X`` with an intercept, shape
+    (p+1,), intercept first; coefficients that are not all finite, as from
+    a non-finite ``y``, raise ValueError.
 
     Parameters
     ----------
@@ -221,19 +210,10 @@ def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> Line
             raise RankDeficiencyError(
                 f"design is rank-deficient; collinear columns: {_column_names(cols)}"
             )
-    return LinearModel(coefficients=np.linalg.solve(gram, design.T @ y))
-
-
-def predict_ols(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    """Intercept plus dot product, one prediction per row of ``X``."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("feature matrix must be 2-d")
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"model was fit with {model.n_features} features, got {X.shape[1]}"
-        )
-    return model.coefficients[0] + X @ model.coefficients[1:]
+    coefficients = np.linalg.solve(gram, design.T @ y)
+    if not np.isfinite(coefficients).all():
+        raise ValueError("coefficients must be finite")
+    return coefficients
 
 
 def _design_rows(X: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 FEATURE_DISTRIBUTIONS = ("normal", "uniform")
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
+def _softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)), computed stably; strictly positive."""
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
@@ -154,7 +154,7 @@ def generate(spec: DGPSpec) -> OracleData:
     features = np.ascontiguousarray(draw((spec.n_features, spec.n_units)).T)
     design = np.column_stack([np.ones(spec.n_units), features])
     true_mu = design @ spec.mean_coeffs.T
-    true_sigma = softplus(design @ spec.noise_scale_coeffs.T)
+    true_sigma = _softplus(design @ spec.noise_scale_coeffs.T)
     noise = rng.standard_normal((spec.n_units, spec.n_actions))
     potential = true_mu + true_sigma * noise
 

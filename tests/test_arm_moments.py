@@ -11,10 +11,8 @@ from oplearn import (
     RiskPreference,
     assign_policy,
     build_arm_moments,
-    default_variance_floor,
     estimate_conditional_means,
     fit_ols,
-    predict_ols,
     risk_utility,
 )
 from oplearn import moments
@@ -195,13 +193,14 @@ class TestBuildArmMoments:
 
     @pytest.mark.parametrize("m", [2, 5, 12])
     def test_each_arm_predicts_like_its_own_fit(self, m):
-        # the one all-arm product gives each arm's column as predict_ols of
+        # the one all-arm product gives each arm's column as predicting with
         # that arm's own fit does, up to the rounding of the product
         d = make_dataset(np.random.default_rng(m), n=60 * m, m=m, p=4)
         built = build_arm_moments(d)
         for a in range(m):
             rows = d.actions == a
-            want = predict_ols(fit_ols(d.features[rows], d.outcomes[rows]), d.features)
+            coef = fit_ols(d.features[rows], d.outcomes[rows])
+            want = coef[0] + d.features @ coef[1:]
             assert np.abs(built.mu[:, a] - want).max() <= 1e-13 * np.abs(want).max()
         for arr in (built.mu, built.sigma2):
             assert arr.flags.f_contiguous and not arr.flags.writeable
@@ -269,6 +268,10 @@ class TestBuildArmMoments:
         assert np.abs(scaled.sigma[keep] - 3.0 * base.sigma[keep]).max() < 1e-6
 
     def test_default_floor_tracks_outcome_scale(self):
-        out = np.array([1.0, 2.0, 3.0, 4.0])
-        assert default_variance_floor(out) == pytest.approx(1e-8 * np.var(out))
-        assert default_variance_floor(np.ones(5)) == pytest.approx(1e-8)
+        d = make_dataset(np.random.default_rng(9), n=100, m=2, p=2, noise=1.0)
+        for scale in (1.0, 1e-3, 1e3):
+            outcomes = scale * d.outcomes
+            floor = build_arm_moments(replace(d, outcomes=outcomes)).variance_floor
+            assert floor == pytest.approx(1e-8 * np.var(outcomes))
+        # constant outcomes have no spread to scale by
+        assert build_arm_moments(replace(d, outcomes=np.ones(100))).variance_floor == 1e-8

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import oplearn
 from oplearn import (
+    Dataset,
     DGPSpec,
     RiskPreference,
     assign_policy,
@@ -25,10 +27,19 @@ from oplearn import (
     oracle_policy,
     predict_proba,
     risk_utility,
+    save_dataset,
     true_value,
     validate_dataset,
 )
-from oplearn.cli import _CONFIG_KEYS, _FORMATS, PipelineError, RunConfig, load_config, main
+from oplearn.cli import (
+    _CONFIG_KEYS,
+    _FORMATS,
+    _READS,
+    PipelineError,
+    RunConfig,
+    load_config,
+    main,
+)
 from oplearn.reporting import PALETTE, read_csv, write_csv, write_json_table
 
 from helpers import reference_marks, svg_marks
@@ -73,6 +84,27 @@ CLIP_DGP = {
 
 SCHEMA = {"outcome": "outcome", "action": "action", "features": ["x1", "x2"]}
 ONE_FEATURE = {"outcome": "outcome", "action": "action", "features": ["x1"]}
+
+# one value away from the default for each config key but outdir, named as
+# in README's options table, valid for a command that does not read the key
+CHANGED = {
+    "input": "nothere.csv",
+    "schema": {"outcome": "y", "action": "a", "features": ["z"]},
+    "clip": [0.2, 0.8],
+    "learner.ridge": 0.5,
+    "learner.max_iter": 1,
+    "learner.tol": 0.25,
+    "format": "json",
+    "delimiter": ";",
+    "allow_unconverged": True,
+    "dgp": {"n_units": 3},
+}
+UNREAD = [
+    pytest.param(command, name, id=f"{command}-{name}")
+    for command, keys in _READS.items()
+    for name in CHANGED
+    if name.split(".")[0] not in keys
+]
 
 
 def write_config(tmp_path, name="config.json", **payload):
@@ -132,7 +164,11 @@ def simulate_and_evaluate(tmp_path, dgp, *flags, **payload):
 class TestConfig:
     def test_defaults_are_declared_once(self):
         assert load_config(None, {}) == RunConfig()
-        assert set(RunConfig().hash_payload()) == _CONFIG_KEYS - {"outdir"}
+        # every key but outdir is read, and so hashed, by some command
+        read = {key for keys in _READS.values() for key in keys}
+        assert read == _CONFIG_KEYS - {"outdir"}
+        for command, keys in _READS.items():
+            assert list(RunConfig().hash_payload(command)) == list(keys)
 
     def test_defaults_equal_the_library_defaults(self):
         # a library run with default arguments computes what a default
@@ -151,30 +187,36 @@ class TestConfig:
         assert (clip["low"], clip["high"]) == config.clip
 
     def test_every_key_is_echoed_in_config_json(self, tmp_path):
-        simdir = tmp_path / "sim"
-        cfg = write_config(tmp_path, dgp=LINEAR_DGP, outdir=str(simdir), delimiter=";")
-        assert run(["simulate", "--config", cfg]) == 0
+        # one config with every key away from its default serves all three
+        # commands; each echoes exactly the keys it reads
+        simdir, fitdir = tmp_path / "simulate", tmp_path / "fit"
         payload = {
             "input": str(simdir / "dataset.csv"),
-            "outdir": str(tmp_path / "fit"),
             "schema": {"outcome": "outcome", "action": "action", "features": ["x2", "x1"]},
             "clip": [0.02, 0.9],
             "learner": {"ridge": 0.5, "max_iter": 7, "tol": 0.25},
             "format": "json",
             "delimiter": ";",
             "allow_unconverged": True,
-            "dgp": {"n_units": 3},
+            "dgp": LINEAR_DGP,
         }
-        assert set(payload) == _CONFIG_KEYS
-        assert run(["fit", "--config", write_config(tmp_path, name="fit.json", **payload)]) == 0
-        written = json.loads((tmp_path / "fit" / "config.json").read_text())
-        default = RunConfig().hash_payload()
-        assert set(written) == set(payload) - {"outdir"}
-        for key, value in written.items():
-            assert value == payload[key], key
-            assert value != default[key], key
-        for key, value in written["learner"].items():
-            assert value != default["learner"][key], key
+        assert set(payload) == _CONFIG_KEYS - {"outdir"}
+        cfg = write_config(tmp_path, **payload)
+        assert run(["simulate", "--config", cfg, "--outdir", str(simdir)]) == 0
+        assert run(["fit", "--config", cfg, "--outdir", str(fitdir)]) == 0
+        argv = ["evaluate", "--config", cfg, "--outdir", str(tmp_path / "evaluate")]
+        assert run([*argv, "--assignments", str(fitdir / "assignments.json")]) == 0
+        # simulate echoes the dgp with every field filled in
+        echoed = dict(payload, dgp=DGPSpec.from_dict(LINEAR_DGP).to_dict())
+        for command, keys in _READS.items():
+            written = json.loads((tmp_path / command / "config.json").read_text())
+            default = RunConfig().hash_payload(command)
+            assert list(written) == sorted(keys), command
+            for key, value in written.items():
+                assert value == echoed[key], (command, key)
+                assert value != default[key], (command, key)
+            for key, value in written.get("learner", {}).items():
+                assert value != default["learner"][key], key
 
     def test_unknown_learner_key_is_an_error(self, sim_run, capfd):
         base = json.loads((sim_run["tmp"] / "fit.json").read_text())
@@ -250,7 +292,7 @@ class TestConfig:
     def test_logit_tolerance_defaults_to_per_unit_scaling(self, tmp_path):
         default = load_config(None, {})
         assert default.tol is None
-        assert default.hash_payload()["learner"]["tol"] is None
+        assert default.hash_payload("evaluate")["learner"]["tol"] is None
         cfg = write_config(tmp_path, learner={"tol": 1e-8})
         assert load_config(cfg, {}).tol == 1e-8
 
@@ -333,7 +375,8 @@ class TestConfig:
                 schema=SCHEMA,
                 learner={"ridge": one, "tol": one},
             )
-            assert run(["fit", "--config", cfg]) == 0
+            argv = ["evaluate", "--config", cfg]
+            assert run([*argv, "--assignments", str(sim_run["run"] / "assignments.csv")]) == 0
             records.append([(outdir / f).read_bytes() for f in ("config.json", "manifest.json")])
         learner = json.loads(records[0][0])["learner"]
         assert (repr(learner["ridge"]), repr(learner["tol"])) == ("1.0", "1.0")
@@ -351,6 +394,42 @@ class TestConfig:
         argv = [command, "--config", cfg, "--delimiter", ";;"]
         assert_fails_with_one_error(argv, capfd, "delimiter must be one character")
         assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """One default simulate, fit and evaluate of README's DGP; returns each
+    command's base config and argv, and each run's directory."""
+    root = tmp_path_factory.mktemp("default")
+    data = {"input": str(root / "simulate" / "dataset.csv"), "schema": ONE_FEATURE}
+    configs = {"simulate": {"dgp": README_DGP}, "fit": data, "evaluate": data}
+    extra = {"evaluate": ["--assignments", str(root / "fit" / "assignments.csv")]}
+    for command, config in configs.items():
+        cfg = write_config(root, name=f"{command}.json", **config)
+        argv = [command, "--config", cfg, "--outdir", str(root / command)]
+        assert run([*argv, *extra.get(command, [])]) == 0
+    return {"root": root, "configs": configs, "extra": extra}
+
+
+def run_files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestUnreadKeys:
+    def test_every_key_but_outdir_is_changed(self):
+        learner = [f"learner.{f.name}" for f in fields(RunConfig) if f.metadata.get("learner")]
+        assert set(CHANGED) == _CONFIG_KEYS - {"outdir", "learner"} | set(learner)
+
+    @pytest.mark.parametrize("command, name", UNREAD)
+    def test_unread_key_changes_no_artifact_byte(self, tmp_path, default_runs, command, name):
+        # the key is accepted, checked and left out of config.json, so every
+        # artifact, config.json and manifest.json included, keeps its bytes
+        key, _, sub = name.partition(".")
+        value = {sub: CHANGED[name]} if sub else CHANGED[name]
+        cfg = write_config(tmp_path, **default_runs["configs"][command], **{key: value})
+        argv = [command, "--config", cfg, "--outdir", str(tmp_path / "run")]
+        assert run([*argv, *default_runs["extra"].get(command, [])]) == 0
+        assert run_files(tmp_path / "run") == run_files(default_runs["root"] / command)
 
 
 class TestSimulate:
@@ -963,6 +1042,46 @@ class TestRunRecord:
             assert set(json.loads(printed)) == keys[command], command
         assert run(["report", str(fitdir)]) == 0
         assert set(json.loads(capsys.readouterr().out)) == keys["report"]
+
+    def test_fit_counts_clamped_cells_and_broken_ties(self, tmp_path):
+        # arms 0 and 1 hold the outcome 0.0 exactly, so both fit to a mean
+        # and a raw variance of exactly 0, under the floor; arm 2's means are
+        # negative, so under every rule each unit's best utility, 0, is tied
+        n = 30
+        x = np.linspace(-1.0, 1.0, n)
+        actions = np.arange(n) % 3
+        outcomes = np.where(actions == 2, -2.0 + 0.1 * x, 0.0)
+        rows = zip(outcomes.tolist(), actions.tolist(), x.tolist())
+        data = tmp_path / "data.csv"
+        lines = ["outcome,action,x1", *(f"{y!r},{a},{v!r}" for y, a, v in rows)]
+        data.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, input=str(data), schema=ONE_FEATURE)
+        assert run(["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]) == 0
+        record = json.loads((tmp_path / "fit" / "report.json").read_text())
+        moments = build_arm_moments(load_dataset(data, ONE_FEATURE))
+        assert record["clamp_count"] == moments.n_clamped >= 2 * n
+        assert record["diagnostics"]["ties_broken"] == {pref.value: n for pref in RiskPreference}
+
+    def test_evaluate_counts_least_squares_steps(self, tmp_path):
+        # twin feature columns and no ridge make every logit Hessian singular,
+        # so each Newton step comes from least squares
+        d = generate(DGPSpec.from_dict(README_DGP)).dataset
+        twin = Dataset(
+            outcomes=d.outcomes,
+            actions=d.actions,
+            features=np.column_stack([d.features, d.features]),
+            n_actions=d.n_actions,
+        )
+        data = tmp_path / "data.csv"
+        save_dataset(twin, data)
+        cfg = write_config(tmp_path, input=str(data), schema=SCHEMA, learner={"ridge": 0.0})
+        assert run(["fit", "--config", cfg, "--outdir", str(tmp_path / "fit")]) == 0
+        argv = ["evaluate", "--config", cfg, "--outdir", str(tmp_path / "eval")]
+        assert run([*argv, "--assignments", str(tmp_path / "fit" / "assignments.csv")]) == 0
+        diagnostics = json.loads((tmp_path / "eval" / "report.json").read_text())["diagnostics"]
+        steps = fit_mnlogit(twin.features, twin.actions, ridge=0.0).lstsq_steps
+        assert diagnostics["propensity_lstsq_steps"] == steps > 0
+        assert diagnostics["propensity_iterations"] == steps
 
     @pytest.mark.parametrize(
         "command, into", [("evaluate", "fit"), ("simulate", "fit"), ("fit", "sim"), ("fit", "eval")]

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from oplearn import (
+    ArmMoments,
     DGPSpec,
     Dataset,
     OracleData,
     RiskPreference,
+    assign_policy,
     generate,
     oracle_policy,
-    softplus,
     true_value,
 )
+from oplearn.simulate import _softplus
 
 
 def constant_spec(seed=0, n=600, noise_raw=-40.0):
@@ -80,7 +82,7 @@ class TestGenerate:
 
     def test_softplus_positive_everywhere(self):
         grid = np.array([-100.0, -5.0, 0.0, 5.0, 100.0])
-        out = softplus(grid)
+        out = _softplus(grid)
         assert (out > 0).all()
         assert np.isclose(out[2], np.log(2.0))
 
@@ -201,6 +203,34 @@ class TestOraclePolicy:
         assert oracle_policy(oracle, RiskPreference.NEUTRAL).tolist() == [1] * 4
         assert oracle_policy(oracle, RiskPreference.LINEAR).tolist() == [0] * 4
         assert oracle_policy(oracle, RiskPreference.QUADRATIC).tolist() == [0] * 4
+
+    def test_three_rules_pick_three_arms(self):
+        # every unit has arms (mu, sigma) = (1, 0.25), (3, 0.6), (4, 1): mu/sigma
+        # is 4, 5, 4 and mu/sigma^2 is 16, 8.33, 4, so neutral picks arm 2,
+        # linear arm 1 and quadratic arm 0; a rule that squares the wrong
+        # sigma picks another rule's arm. Three units, so each arm is observed
+        mu = np.tile([1.0, 3.0, 4.0], (3, 1))
+        sigma = np.tile([0.25, 0.6, 1.0], (3, 1))
+        actions = np.arange(3)
+        oracle = OracleData(
+            dataset=Dataset(
+                outcomes=mu[actions, actions],
+                actions=actions,
+                features=np.zeros((3, 1)),
+                n_actions=3,
+            ),
+            potential_outcomes=mu,
+            true_mu=mu,
+            true_sigma=sigma,
+            true_propensity=np.full((3, 3), 1 / 3),
+        )
+        moments = ArmMoments(
+            mu=mu, sigma2=sigma**2, variance_floor=1e-8, clamped=np.zeros((3, 3), dtype=bool)
+        )
+        picks = {RiskPreference.NEUTRAL: 2, RiskPreference.LINEAR: 1, RiskPreference.QUADRATIC: 0}
+        for pref, arm in picks.items():
+            assert oracle_policy(oracle, pref).tolist() == [arm] * 3, pref
+            assert assign_policy(moments, pref).actions.tolist() == [arm] * 3, pref
 
     def test_constant_sigma_matches_neutral(self):
         spec = DGPSpec(

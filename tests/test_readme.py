@@ -1,12 +1,12 @@
 """README's library example runs as written, and its options table lists
-the CLI's config keys."""
+the CLI's config keys and the commands that read each."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
 from oplearn import DGPSpec, generate
-from oplearn.cli import RunConfig
+from oplearn.cli import _READS, RunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,12 +34,19 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
 
 
 def test_options_table_lists_exactly_the_config_keys():
-    # the first cell of each row opens with the key; the learner keys are
-    # spelled out as learner.<key>, in RunConfig's field order
-    header = r"\n\| key \| flag \| default \|\n\|[-|]+\|\n"
+    # the first cell of each row opens with the key, and the last names the
+    # commands that read it; the learner keys are spelled out as
+    # learner.<key>, in RunConfig's field order, and outdir is read by all
+    header = r"\n\| key \| flag \| default \| read by \|\n\|[-|]+\|\n"
     table = re.search(header + r"((?:\|.*\n)+)", README.read_text())
-    listed = [re.match(r"\| `([\w.]+)`", row).group(1) for row in table.group(1).splitlines()]
+    rows = table.group(1).splitlines()
+    listed = [re.match(r"\| `([\w.]+)`", row).group(1) for row in rows]
     keys = [
         f"learner.{f.name}" if f.metadata.get("learner") else f.name for f in fields(RunConfig)
     ]
     assert listed == keys
+    read_by = {key: row.rstrip(" |").rsplit("| ", 1)[1] for key, row in zip(listed, rows)}
+    for key in keys:
+        name = key.partition(".")[0]
+        readers = [c for c, read in _READS.items() if name in read or name == "outdir"]
+        assert read_by[key] == ", ".join(readers), key

@@ -8,14 +8,12 @@ from hypothesis.extra import numpy as hnp
 
 from oplearn import (
     DGPSpec,
-    LinearModel,
     MultinomialLogitModel,
     QuasiSeparationError,
     RankDeficiencyError,
     fit_mnlogit,
     fit_ols,
     generate,
-    predict_ols,
     predict_proba,
 )
 from oplearn import regression
@@ -82,27 +80,25 @@ def wide_dgp(seed: int) -> dict:
 class TestOls:
     def test_noiseless_line(self):
         x = np.linspace(-3, 3, 20)
-        model = fit_ols(x[:, None], 2.0 * x)
-        assert np.allclose(model.coefficients, [0.0, 2.0], atol=1e-10)
+        assert np.allclose(fit_ols(x[:, None], 2.0 * x), [0.0, 2.0], atol=1e-10)
 
     def test_constant_outcome_is_intercept_only(self):
         rng = np.random.default_rng(0)
-        model = fit_ols(rng.standard_normal((30, 4)), np.full(30, 7.0))
-        assert np.allclose(model.coefficients, [7.0, 0, 0, 0, 0], atol=1e-10)
+        coef = fit_ols(rng.standard_normal((30, 4)), np.full(30, 7.0))
+        assert np.allclose(coef, [7.0, 0, 0, 0, 0], atol=1e-10)
 
     def test_matches_elimination_oracle(self):
         rng = np.random.default_rng(42)
         X = rng.standard_normal((50, 3))
         y = rng.standard_normal(50)
-        model = fit_ols(X, y)
-        assert np.abs(model.coefficients - ols_oracle(X, y)).max() < 1e-8
+        assert np.abs(fit_ols(X, y) - ols_oracle(X, y)).max() < 1e-8
 
     def test_residuals_orthogonal_and_centred(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((80, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(80)
-        model = fit_ols(X, y)
-        fitted = predict_ols(model, X)
+        coef = fit_ols(X, y)
+        fitted = coef[0] + X @ coef[1:]
         residuals = y - fitted
         assert abs(residuals.mean()) < 1e-10
         assert np.abs(X.T @ residuals).max() < 1e-8 * 80
@@ -113,8 +109,8 @@ class TestOls:
         X = rng.standard_normal((60, 2))
         y = rng.standard_normal(60)
         perm = rng.permutation(60)
-        a = fit_ols(X, y).coefficients
-        b = fit_ols(X[perm], y[perm]).coefficients
+        a = fit_ols(X, y)
+        b = fit_ols(X[perm], y[perm])
         assert np.abs(a - b).max() < 1e-8
 
     def test_duplicate_column_falls_back_to_ridge(self):
@@ -122,10 +118,10 @@ class TestOls:
         x = rng.standard_normal(40)
         X = np.column_stack([x, x])
         y = 1.0 + 2.0 * x + 0.1 * rng.standard_normal(40)
-        model = fit_ols(X, y)
-        assert np.isfinite(model.coefficients).all()
+        coef = fit_ols(X, y)
+        assert np.isfinite(coef).all()
         # ridge splits the weight across the twin columns
-        assert np.isclose(model.coefficients[1], model.coefficients[2], atol=1e-6)
+        assert np.isclose(coef[1], coef[2], atol=1e-6)
 
     @pytest.mark.parametrize("scale, offset", [(1e-8, 0.0), (1e-4, 0.0), (1e4, 1e5), (1e8, 0.0)])
     def test_feature_units_do_not_trigger_the_ridge(self, scale, offset):
@@ -137,7 +133,7 @@ class TestOls:
         X[:, 1] = scale * X[:, 1] + offset
         design = np.column_stack([np.ones(200), X])
         exact = np.linalg.solve(design.T @ design, design.T @ y)
-        assert np.array_equal(fit_ols(X, y).coefficients, exact)
+        assert np.array_equal(fit_ols(X, y), exact)
 
     def test_rank_deficiency_error_names_columns(self):
         x = np.linspace(0, 1, 25)
@@ -149,20 +145,11 @@ class TestOls:
         with pytest.raises(ValueError, match="rows"):
             fit_ols(np.ones((2, 3)), np.ones(2))
 
-
-class TestPredictOls:
-    def test_intercept_plus_dot(self):
-        model = LinearModel(coefficients=np.array([1.0, 2.0]))
-        assert predict_ols(model, np.array([[3.0]])) == pytest.approx(7.0)
-
-    def test_zero_coefficients(self):
-        model = LinearModel(coefficients=np.zeros(3))
-        assert np.all(predict_ols(model, np.random.default_rng(0).random((6, 2))) == 0)
-
-    def test_dimension_mismatch(self):
-        model = LinearModel(coefficients=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="features"):
-            predict_ols(model, np.ones((4, 3)))
+    def test_non_finite_coefficients_rejected(self):
+        y = np.ones(10)
+        y[3] = np.inf
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            fit_ols(np.linspace(0, 1, 10)[:, None], y)
 
 
 class TestMnlogit:

@@ -11,13 +11,13 @@ estimates plus regret against the first-best (neutral) column.
 ``moments`` and ``assignments`` tables that a fit run's manifest lists.
 
 Options come from a JSON config file and/or command flags; flags win.
-Every command accepts and checks every config key, but ``_READS`` lists the
-keys each one reads. Every command prints a JSON run record of what it
-computed; ``simulate``, ``fit`` and ``evaluate`` also write it as
+``simulate``, ``fit`` and ``evaluate`` each accept and check every config
+key, but read only the keys ``_READS`` lists for them. Every command prints
+a JSON run record of what it computed; those three also write it as
 ``report.json``, with the keys they read as ``config.json``, under a
-manifest of the input's hash and the artifacts' hashes. So identical
-inputs reproduce identical artifact bytes, and a key a command does not
-read changes none of them.
+manifest of the input's hash and the artifacts' hashes. Identical inputs
+reproduce identical artifact bytes, and a key that a command does not read
+changes none of them.
 """
 
 from __future__ import annotations

@@ -167,8 +167,6 @@ class TestConfig:
         # every key but outdir is read, and so hashed, by some command
         read = {key for keys in _READS.values() for key in keys}
         assert read == _CONFIG_KEYS - {"outdir"}
-        for command, keys in _READS.items():
-            assert list(RunConfig().hash_payload(command)) == list(keys)
 
     def test_defaults_equal_the_library_defaults(self):
         # a library run with default arguments computes what a default

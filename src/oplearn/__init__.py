@@ -23,8 +23,8 @@ _SUBMODULE = {
         "save_dataset validate_dataset",
         "moments": "ArmMoments build_arm_moments estimate_conditional_means",
         "policies": "PolicyAssignment RiskPreference assign_policy risk_utility",
-        "regression": "MultinomialLogitModel QuasiSeparationError RankDeficiencyError "
-        "fit_mnlogit fit_ols predict_proba",
+        "regression": "MultinomialLogitModel QuasiSeparationError fit_mnlogit fit_ols "
+        "predict_proba",
         "simulate": "DGPSpec OracleData generate oracle_policy true_value",
         "values": "PropensityMatrix ValueEstimate clip_propensities regret score_policies "
         "value_dr value_ipw value_ra",

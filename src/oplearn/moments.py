@@ -4,9 +4,10 @@ For every unit i and every action a the pipeline needs the return/risk pair
 (mu[i, a], sigma[i, a]): the conditional mean outcome under action a and its
 conditional standard deviation. Because treatment is unconfounded given the
 features, the mean is estimated by a least-squares fit
-(:func:`oplearn.regression.fit_ols`, with its ridge fallback for singular
-designs) on the subsample that actually received arm a, predicted for all
-N units (counterfactual imputation). The variance is the plug-in difference
+(:func:`oplearn.regression.fit_ols`, which takes no keyword) on the
+subsample that actually received arm a, predicted for all N units
+(counterfactual imputation). A singular design is always ridged, never
+refused, and the ridge acts in each feature's own units. The variance is the plug-in difference
 of two conditional means,
 
     sigma2(a, x) = E[Y^2 | A=a, x] - E[Y | A=a, x]^2,

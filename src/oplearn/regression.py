@@ -14,10 +14,12 @@ so that no feature's units decide it.
 The least-squares fit solves the normal equations ``(X'X) b = X'y`` over a
 design matrix with a leading intercept column and returns the coefficient
 array ``b``, intercept first; its caller predicts with it. A singular
-``X'X`` falls back to a ridge-stabilised solve with
-``lambda = 1e-8 * trace(X'X) / d`` on the feature coefficients; designs
-whose ridged matrix is still singular raise :class:`RankDeficiencyError`
-naming the collinear columns.
+``X'X`` is always ridged, never refused: each feature coefficient is
+penalised by ``1e-8`` times its own diagonal entry of ``X'X``, so the
+ridge acts in each feature's own units, and the intercept is left
+unpenalised. One refinement step against the unridged equations (Riley,
+1955) then takes the ridge's shrinkage off the directions the design does
+determine, so the fitted values are the least-squares projection of ``y``.
 
 The multinomial logit maximises the log-likelihood by Newton ascent with
 step halving, softmax probabilities with class 0 as the zero-score baseline,
@@ -86,11 +88,10 @@ FLAT_STEP = 64 * np.finfo(np.float64).eps
 # A symmetric matrix counts as singular when, rescaled to a unit diagonal,
 # its Cholesky factor's squared ratio of smallest to largest diagonal entry,
 # about its inverse condition number, is below SINGULAR_RATIO times its size.
-SINGULAR_RATIO = np.finfo(np.float64).eps
-
-
-class RankDeficiencyError(ValueError):
-    """The regression design stayed rank-deficient after regularization."""
+# Rounding leaves an exactly singular Gram matrix's last pivot at up to a
+# few eps times its size (7.2 seen, with a constant column and 2 rows), so
+# the bar sits well above that.
+SINGULAR_RATIO = 64 * np.finfo(np.float64).eps
 
 
 class QuasiSeparationError(RuntimeError):
@@ -135,31 +136,6 @@ def _design(X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
-def _dependent_columns(design: np.ndarray, rel_tol: float = 1e-10) -> list[int]:
-    """Indices of design columns linearly dependent on earlier ones.
-
-    Modified Gram-Schmidt; column 0 is the intercept.
-    """
-    basis: list[np.ndarray] = []
-    dependent: list[int] = []
-    for j in range(design.shape[1]):
-        v = design[:, j].astype(np.float64, copy=True)
-        norm0 = float(np.linalg.norm(v))
-        for q in basis:
-            v -= (q @ v) * q
-        norm = float(np.linalg.norm(v))
-        if norm <= rel_tol * (norm0 + 1.0):
-            dependent.append(j)
-        else:
-            basis.append(v / norm)
-    return dependent
-
-
-def _column_names(indices: list[int]) -> str:
-    names = ["intercept" if j == 0 else f"feature {j}" for j in indices]
-    return ", ".join(names)
-
-
 def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
     """Cholesky factor ``L`` of the symmetric ``matrix``, or None when the
     factorisation fails or ``(min r / max r)**2 < SINGULAR_RATIO * size``.
@@ -174,25 +150,18 @@ def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
     return chol if (r.min() / r.max()) ** 2 >= SINGULAR_RATIO * matrix.shape[0] else None
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> np.ndarray:
+def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of ``y`` on ``X`` with an intercept, shape
     (p+1,), intercept first; coefficients that are not all finite, as from
     a non-finite ``y``, raise ValueError.
 
-    Parameters
-    ----------
-    X : ndarray, shape (N, p)
-    y : ndarray, shape (N,)
-    ridge : float or None
-        Penalty on the feature coefficients, not the intercept, used only
-        as a fallback when ``_cholesky`` finds the normal-equation matrix
-        singular. ``None`` picks the automatic value ``1e-8 * trace(X'X) / d``;
-        an explicit ``0.0`` disables the fallback so that rank-deficient
-        designs raise instead. A negative or non-finite ``ridge`` raises
-        ValueError before any work.
+    When ``_cholesky`` finds ``X'X`` singular, each feature coefficient is
+    penalised by ``1e-8`` times its own diagonal entry of ``X'X``, so no
+    feature's units decide how far it shrinks. An all-zero column, whose
+    coefficient is 0 at any penalty, takes ``1e-8``; the intercept is not
+    penalised. One refinement step then solves the ridged system for the
+    residual of the unridged one.
     """
-    if ridge is not None and not 0 <= ridge < np.inf:
-        raise ValueError(f"ridge must be finite and non-negative, not {ridge!r}")
     design = _design(X)
     y = np.asarray(y, dtype=np.float64)
     n, d = design.shape
@@ -202,15 +171,20 @@ def fit_ols(X: np.ndarray, y: np.ndarray, *, ridge: float | None = None) -> np.n
         raise ValueError(f"need at least {d} rows to fit {d} coefficients, got {n}")
 
     gram = design.T @ design
-    if _cholesky(gram) is None:
-        lam = 1e-8 * float(np.trace(gram)) / d if ridge is None else float(ridge)
-        gram = gram + np.diag(np.r_[0.0, np.full(d - 1, lam)])
-        if lam == 0.0 or _cholesky(gram) is None:
-            cols = _dependent_columns(design)
-            raise RankDeficiencyError(
-                f"design is rank-deficient; collinear columns: {_column_names(cols)}"
-            )
-    coefficients = np.linalg.solve(gram, design.T @ y)
+    rhs = design.T @ y
+    if _cholesky(gram) is not None:
+        coefficients = np.linalg.solve(gram, rhs)
+    else:
+        diagonal = np.diagonal(gram)
+        penalty = 1e-8 * np.where(diagonal > 0, diagonal, 1.0)
+        penalty[0] = 0.0
+        ridged = gram + np.diag(penalty)
+        # positive definite by construction; kept as a guard for rounding
+        if _cholesky(ridged) is None:
+            raise ValueError("normal-equation matrix is singular even with the ridge")
+        coefficients = np.linalg.solve(ridged, rhs)
+        # one refinement step against the unridged equations (Riley, 1955)
+        coefficients += np.linalg.solve(ridged, rhs - gram @ coefficients)
     if not np.isfinite(coefficients).all():
         raise ValueError("coefficients must be finite")
     return coefficients

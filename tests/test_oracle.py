@@ -54,6 +54,26 @@ class TestGenerate:
         bound = 3.0 * np.sqrt(2.0 / (9.0 * n))
         assert np.abs(shares - 1.0 / 3.0).max() < bound
 
+    def test_noise_has_unit_scale_per_arm(self):
+        # (Y(a) - mu_a) / sigma_a is arm a's standard normal draw; arm 0's
+        # sigma is near 0.2, arm 1's near 1.7 and arm 2's varies about 0.9,
+        # so a noise scale of sigma**2 moves every arm's sd well off 1
+        oracle = generate(
+            DGPSpec(
+                n_units=20_000,
+                n_actions=3,
+                n_features=2,
+                mean_coeffs=np.array([[1.0, 0.5, 0.0], [2.0, 0.0, -0.3], [0.0, 0.4, 0.4]]),
+                noise_scale_coeffs=np.array(
+                    [[-1.5, 0.5, 0.0], [1.5, 0.0, -0.4], [0.3, 0.2, 0.2]]
+                ),
+                seed=9,
+            )
+        )
+        z = (oracle.potential_outcomes - oracle.true_mu) / oracle.true_sigma
+        assert np.abs(z.mean(axis=0)).max() < 0.05
+        assert np.abs(z.std(axis=0) - 1.0).max() < 0.05
+
     def test_consistency_rule_holds(self):
         oracle = generate(constant_spec(seed=3, noise_raw=1.0))
         idx = np.arange(oracle.n_units)

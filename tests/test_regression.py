@@ -10,7 +10,6 @@ from oplearn import (
     DGPSpec,
     MultinomialLogitModel,
     QuasiSeparationError,
-    RankDeficiencyError,
     fit_mnlogit,
     fit_ols,
     generate,
@@ -77,6 +76,50 @@ def wide_dgp(seed: int) -> dict:
     }
 
 
+@st.composite
+def singular_designs(draw):
+    """An (X, y) pair with at least as many rows as design columns, whose
+    feature columns are fresh normal draws, copies of an earlier column,
+    all zeros or constants, each then scaled by a power of ten in 1e-8..1e8."""
+    kinds = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["fresh", "copy", "zero", "constant"]),
+                st.integers(0, 7),
+                st.integers(-8, 8),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    n = draw(st.integers(len(kinds) + 1, len(kinds) + 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind, source, exponent in kinds:
+        if kind == "copy" and columns:
+            column = columns[source % len(columns)]
+        elif kind == "zero":
+            column = np.zeros(n)
+        elif kind == "constant":
+            column = np.full(n, rng.normal())
+        else:
+            column = rng.standard_normal(n)
+        columns.append(10.0**exponent * column)
+    y = 1.0 + rng.standard_normal(n)
+    return np.column_stack(columns), y
+
+
+def assert_least_squares_fit(X, y, coef):
+    """The fitted values are within 1e-6 * max|y| of the least-squares
+    projection of ``y``, taken from equilibrated columns: at raw scale,
+    lstsq's rcond would truncate a small-unit column that carries the fit."""
+    design = np.column_stack([np.ones(len(y)), X])
+    norms = np.linalg.norm(design, axis=0)
+    unit = design / np.where(norms > 0, norms, 1.0)
+    projection = unit @ np.linalg.lstsq(unit, y, rcond=None)[0]
+    assert np.abs(design @ coef - projection).max() <= 1e-6 * np.abs(y).max()
+
+
 class TestOls:
     def test_noiseless_line(self):
         x = np.linspace(-3, 3, 20)
@@ -135,11 +178,51 @@ class TestOls:
         exact = np.linalg.solve(design.T @ design, design.T @ y)
         assert np.array_equal(fit_ols(X, y), exact)
 
-    def test_rank_deficiency_error_names_columns(self):
-        x = np.linspace(0, 1, 25)
-        X = np.column_stack([x, x])
-        with pytest.raises(RankDeficiencyError, match="feature 2"):
-            fit_ols(X, x, ridge=0.0)
+    @pytest.mark.parametrize("scale", [1e4, 1.0, 1e-4, 1e-8])
+    def test_ridge_acts_in_each_features_own_units(self, scale):
+        # the twin column makes the design singular; a single ridge set by
+        # trace(X'X) / d shrank b at 1e-4 of its units to a slope of 1.60
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((2, 500))
+        y = 1.0 + 2.0 * a + 3.0 * b + 0.1 * rng.standard_normal(500)
+
+        def fit(s):
+            X = np.column_stack([a, a, s * b])
+            coef = fit_ols(X, y)
+            return coef[0] + X @ coef[1:], s * coef[3]
+
+        reference_fitted, reference_slope = fit(1.0)
+        fitted, slope = fit(scale)
+        assert abs(reference_slope - 3.0) < 0.05
+        assert np.abs(fitted - reference_fitted).max() <= 1e-6 * np.abs(y).max()
+        assert np.isclose(slope, reference_slope, rtol=1e-6, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(singular_designs())
+    def test_fallback_returns_the_least_squares_fit(self, case):
+        X, y = case
+        coef = fit_ols(X, y)
+        assert np.isfinite(coef).all()
+        assert_least_squares_fit(X, y, coef)
+
+    def test_fallback_keeps_a_weakly_determined_direction(self):
+        # w - x is a direction the design determines, but with a small
+        # singular value; the ridge alone shrank its share of the fit by
+        # about lambda / s**2, and the refinement step takes that out
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(40)
+        w = x + 0.01 * rng.standard_normal(40)
+        X = np.column_stack([x, x, w])
+        y = 1.0 + x + 50.0 * (w - x) + 0.1 * rng.standard_normal(40)
+        assert_least_squares_fit(X, y, fit_ols(X, y))
+
+    @pytest.mark.parametrize("c", [0.21301568260923098, 0.42438422022236066, 0.000843788477395181])
+    def test_constant_column_on_two_rows_is_singular(self, c):
+        # rounding left these Gram matrices' last rescaled Cholesky pivot at
+        # about 2 eps times their size, which passed as non-singular, and
+        # the LU solve then raised LinAlgError
+        coef = fit_ols(np.full((2, 1), c), np.array([1.0, 2.0]))
+        assert abs(coef[0] + c * coef[1] - 1.5) < 1e-12
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="rows"):
@@ -433,17 +516,13 @@ class TestMnlogit:
         with pytest.raises(ValueError, match=message):
             fit_mnlogit(X, a)
 
-    @pytest.mark.parametrize(
-        "fit, ridge",
-        [pytest.param(fit_mnlogit, r, id=str(r)) for r in (-1.0, np.nan, np.inf)]
-        + [pytest.param(fit_ols, r, id=f"fit_ols-{r}") for r in (-1.0, np.nan, np.inf)],
-    )
-    def test_ridge_must_be_finite_and_non_negative(self, fit, ridge, capfd):
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf], ids=str)
+    def test_ridge_must_be_finite_and_non_negative(self, ridge, capfd):
         # before the check, the logit printed LAPACK errors on inf and
-        # "converged" with -1.0, and fit_ols took either on a full-rank design
+        # "converged" with -1.0
         X = np.random.default_rng(2).standard_normal((60, 1))
         with pytest.raises(ValueError, match="ridge must be finite and non-negative"):
-            fit(X, np.arange(60) % 3, ridge=ridge)
+            fit_mnlogit(X, np.arange(60) % 3, ridge=ridge)
         assert capfd.readouterr().out == ""
 
     def test_predict_dimension_mismatch(self):

@@ -7,8 +7,8 @@ features, the mean is estimated by a least-squares fit
 (:func:`oplearn.regression.fit_ols`, which takes no keyword) on the
 subsample that actually received arm a, predicted for all N units
 (counterfactual imputation). A singular design is always ridged, never
-refused, and the ridge acts in each feature's own units. The variance is the plug-in difference
-of two conditional means,
+refused, and the ridge acts in each feature's own units. The variance is
+the plug-in difference of two conditional means,
 
     sigma2(a, x) = E[Y^2 | A=a, x] - E[Y | A=a, x]^2,
 

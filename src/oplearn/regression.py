@@ -88,9 +88,9 @@ FLAT_STEP = 64 * np.finfo(np.float64).eps
 # A symmetric matrix counts as singular when, rescaled to a unit diagonal,
 # its Cholesky factor's squared ratio of smallest to largest diagonal entry,
 # about its inverse condition number, is below SINGULAR_RATIO times its size.
-# Rounding leaves an exactly singular Gram matrix's last pivot at up to a
-# few eps times its size (7.2 seen, with a constant column and 2 rows), so
-# the bar sits well above that.
+# Rounding can leave an exactly singular Gram matrix's squared ratio at a few
+# eps times its size (up to 7.2 for a constant column on 2 rows), so the bar
+# sits well above that.
 SINGULAR_RATIO = 64 * np.finfo(np.float64).eps
 
 

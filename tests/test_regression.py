@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -109,15 +109,15 @@ def singular_designs(draw):
     return np.column_stack(columns), y
 
 
-def assert_least_squares_fit(X, y, coef):
-    """The fitted values are within 1e-6 * max|y| of the least-squares
-    projection of ``y``, taken from equilibrated columns: at raw scale,
-    lstsq's rcond would truncate a small-unit column that carries the fit."""
-    design = np.column_stack([np.ones(len(y)), X])
-    norms = np.linalg.norm(design, axis=0)
-    unit = design / np.where(norms > 0, norms, 1.0)
-    projection = unit @ np.linalg.lstsq(unit, y, rcond=None)[0]
-    assert np.abs(design @ coef - projection).max() <= 1e-6 * np.abs(y).max()
+def weakly_determined_design():
+    """Twin columns and a direction ``w - x`` that the design determines
+    with a small singular value s: a ridge alone shrinks that direction's
+    share of the fit by about lambda / s**2."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(40)
+    w = x + 0.01 * rng.standard_normal(40)
+    y = 1.0 + x + 50.0 * (w - x) + 0.1 * rng.standard_normal(40)
+    return np.column_stack([x, x, w]), y
 
 
 class TestOls:
@@ -199,30 +199,24 @@ class TestOls:
 
     @settings(max_examples=200, deadline=None)
     @given(singular_designs())
+    @example(weakly_determined_design())
+    # rounding left these constant columns' last rescaled Cholesky pivot at
+    # about 2 eps times the size, which passed as non-singular, and the LU
+    # solve then raised LinAlgError
+    @example((np.full((2, 1), 0.21301568260923098), np.array([1.0, 2.0])))
+    @example((np.full((2, 1), 0.42438422022236066), np.array([1.0, 2.0])))
+    @example((np.full((2, 1), 0.000843788477395181), np.array([1.0, 2.0])))
     def test_fallback_returns_the_least_squares_fit(self, case):
         X, y = case
         coef = fit_ols(X, y)
         assert np.isfinite(coef).all()
-        assert_least_squares_fit(X, y, coef)
-
-    def test_fallback_keeps_a_weakly_determined_direction(self):
-        # w - x is a direction the design determines, but with a small
-        # singular value; the ridge alone shrank its share of the fit by
-        # about lambda / s**2, and the refinement step takes that out
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(40)
-        w = x + 0.01 * rng.standard_normal(40)
-        X = np.column_stack([x, x, w])
-        y = 1.0 + x + 50.0 * (w - x) + 0.1 * rng.standard_normal(40)
-        assert_least_squares_fit(X, y, fit_ols(X, y))
-
-    @pytest.mark.parametrize("c", [0.21301568260923098, 0.42438422022236066, 0.000843788477395181])
-    def test_constant_column_on_two_rows_is_singular(self, c):
-        # rounding left these Gram matrices' last rescaled Cholesky pivot at
-        # about 2 eps times their size, which passed as non-singular, and
-        # the LU solve then raised LinAlgError
-        coef = fit_ols(np.full((2, 1), c), np.array([1.0, 2.0]))
-        assert abs(coef[0] + c * coef[1] - 1.5) < 1e-12
+        # the projection from equilibrated columns: at raw scale, lstsq's
+        # rcond would truncate a small-unit column that carries the fit
+        design = np.column_stack([np.ones(len(y)), X])
+        norms = np.linalg.norm(design, axis=0)
+        unit = design / np.where(norms > 0, norms, 1.0)
+        projection = unit @ np.linalg.lstsq(unit, y, rcond=None)[0]
+        assert np.abs(design @ coef - projection).max() <= 1e-6 * np.abs(y).max()
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="rows"):

@@ -6,8 +6,9 @@ conditional standard deviation. Because treatment is unconfounded given the
 features, the mean is estimated by a least-squares fit
 (:func:`oplearn.regression.fit_ols`, which takes no keyword) on the
 subsample that actually received arm a, predicted for all N units
-(counterfactual imputation). A singular design is always ridged, never
-refused, and the ridge acts in each feature's own units. The variance is
+(counterfactual imputation). A singular design is never refused: it gets
+the minimum-norm least-squares fit of its columns rescaled to unit length,
+so no feature's units decide which directions are cut. The variance is
 the plug-in difference of two conditional means,
 
     sigma2(a, x) = E[Y^2 | A=a, x] - E[Y | A=a, x]^2,

@@ -7,19 +7,18 @@ Two estimators cover everything the policy pipeline needs:
 * multinomial logistic regression, for the probability of receiving each
   action given the features.
 
-Both fits call a symmetric system singular by one rule, ``_cholesky``,
-which tests the Cholesky factor of the matrix rescaled to a unit diagonal,
-so that no feature's units decide it.
+Both fits solve their symmetric systems with ``_solve``. It tests the
+Cholesky factor of the matrix rescaled to a unit diagonal, solves a regular
+system with one LU solve and answers a singular one with the truncated
+minimum-norm least-squares solution of the rescaled system (Golub & Van
+Loan, *Matrix Computations*, 5.5; van der Sluis, 1969), so no feature's
+units decide either the test or the answer.
 
 The least-squares fit solves the normal equations ``(X'X) b = X'y`` over a
 design matrix with a leading intercept column and returns the coefficient
 array ``b``, intercept first; its caller predicts with it. A singular
-``X'X`` is always ridged, never refused: each feature coefficient is
-penalised by ``1e-8`` times its own diagonal entry of ``X'X``, so the
-ridge acts in each feature's own units, and the intercept is left
-unpenalised. One refinement step against the unridged equations (Riley,
-1955) then takes the ridge's shrinkage off the directions the design does
-determine, so the fitted values are the least-squares projection of ``y``.
+``X'X`` is never refused: twin columns split their weight evenly, and the
+fitted values are the least-squares projection of ``y``.
 
 The multinomial logit maximises the log-likelihood by Newton ascent with
 step halving, softmax probabilities with class 0 as the zero-score baseline,
@@ -57,9 +56,9 @@ the summed log-likelihood, and a step that lands at most that much lower
 is accepted. Without it, step halving near the optimum can reject
 a full step over a rounding step and crawl for many iterations. The
 gradient is a sum over all N units, so the default convergence tolerance,
-``LOGIT_TOL_PER_UNIT * N``, grows with N. The Newton system is solved by
-Cholesky; a step whose Hessian ``_cholesky`` finds singular comes from
-least squares instead and is counted in ``lstsq_steps``.
+``LOGIT_TOL_PER_UNIT * N``, grows with N. Each Newton direction comes from
+``_solve``; a step whose Hessian it finds singular takes the truncated
+least-squares direction and is counted in ``lstsq_steps``.
 """
 
 from __future__ import annotations
@@ -90,7 +89,8 @@ FLAT_STEP = 64 * np.finfo(np.float64).eps
 # about its inverse condition number, is below SINGULAR_RATIO times its size.
 # Rounding can leave an exactly singular Gram matrix's squared ratio at a few
 # eps times its size (up to 7.2 for a constant column on 2 rows), so the bar
-# sits well above that.
+# sits well above that. The singular answer cuts the singular values of the
+# rescaled matrix below the same multiple of the largest.
 SINGULAR_RATIO = 64 * np.finfo(np.float64).eps
 
 
@@ -105,8 +105,8 @@ class MultinomialLogitModel:
     ``coefficients`` has shape (M-1, p+1), intercept first in each row;
     class ``m >= 1`` gets the linear score ``coefficients[m-1] @ [1, x]``
     while class 0 is pinned at score zero. ``lstsq_steps`` counts the Newton
-    steps whose Hessian was numerically singular, so that the step came from
-    ``np.linalg.lstsq`` instead of a Cholesky solve.
+    steps whose Hessian was numerically singular, so that the step was the
+    truncated minimum-norm least-squares direction instead of an LU solve.
     """
 
     coefficients: np.ndarray
@@ -136,18 +136,32 @@ def _design(X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
-def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor ``L`` of the symmetric ``matrix``, or None when the
-    factorisation fails or ``(min r / max r)**2 < SINGULAR_RATIO * size``.
-    ``r = diag(L) / sqrt(diag(matrix))`` is the factor diagonal of the matrix
-    rescaled to a unit diagonal, as ``S M S = (S L)(S L)'`` for diagonal ``S``.
+def _solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve the symmetric system ``matrix @ x = rhs``; True when it is singular.
+
+    ``matrix`` counts as singular when its Cholesky factorisation fails or
+    ``(min r / max r)**2 < SINGULAR_RATIO * size``, where
+    ``r = diag(L) / sqrt(diag(matrix))`` is the factor diagonal of the
+    matrix rescaled to a unit diagonal, as ``S M S = (S L)(S L)'`` for
+    diagonal ``S``. A regular system is solved with one LU solve of
+    ``matrix``. A singular one gets the minimum-norm least-squares solution
+    of the system rescaled to a unit diagonal (a zero diagonal entry scaled
+    by 1), with singular values below ``SINGULAR_RATIO * size`` times the
+    largest truncated, mapped back to the original units.
     """
+    size = matrix.shape[0]
+    diagonal = np.diagonal(matrix)
     try:
-        chol = np.linalg.cholesky(matrix)
+        r = np.diagonal(np.linalg.cholesky(matrix)) / np.sqrt(diagonal)
     except np.linalg.LinAlgError:
-        return None
-    r = np.diagonal(chol) / np.sqrt(np.diagonal(matrix))
-    return chol if (r.min() / r.max()) ** 2 >= SINGULAR_RATIO * matrix.shape[0] else None
+        pass
+    else:
+        if (r.min() / r.max()) ** 2 >= SINGULAR_RATIO * size:
+            return np.linalg.solve(matrix, rhs), False
+    scale = np.sqrt(np.where(diagonal > 0, diagonal, 1.0))
+    unit = matrix / np.outer(scale, scale)
+    solution = np.linalg.lstsq(unit, rhs / scale, rcond=SINGULAR_RATIO * size)[0]
+    return solution / scale, True
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -155,12 +169,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     (p+1,), intercept first; coefficients that are not all finite, as from
     a non-finite ``y``, raise ValueError.
 
-    When ``_cholesky`` finds ``X'X`` singular, each feature coefficient is
-    penalised by ``1e-8`` times its own diagonal entry of ``X'X``, so no
-    feature's units decide how far it shrinks. An all-zero column, whose
-    coefficient is 0 at any penalty, takes ``1e-8``; the intercept is not
-    penalised. One refinement step then solves the ridged system for the
-    residual of the unridged one.
+    The normal equations go through ``_solve``, so a singular ``X'X`` gets
+    the minimum-norm least-squares coefficients of the columns rescaled to
+    unit length, and no feature's units decide which directions are cut.
     """
     design = _design(X)
     y = np.asarray(y, dtype=np.float64)
@@ -169,22 +180,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
     if n < d:
         raise ValueError(f"need at least {d} rows to fit {d} coefficients, got {n}")
-
-    gram = design.T @ design
-    rhs = design.T @ y
-    if _cholesky(gram) is not None:
-        coefficients = np.linalg.solve(gram, rhs)
-    else:
-        diagonal = np.diagonal(gram)
-        penalty = 1e-8 * np.where(diagonal > 0, diagonal, 1.0)
-        penalty[0] = 0.0
-        ridged = gram + np.diag(penalty)
-        # positive definite by construction; kept as a guard for rounding
-        if _cholesky(ridged) is None:
-            raise ValueError("normal-equation matrix is singular even with the ridge")
-        coefficients = np.linalg.solve(ridged, rhs)
-        # one refinement step against the unridged equations (Riley, 1955)
-        coefficients += np.linalg.solve(ridged, rhs - gram @ coefficients)
+    coefficients, _ = _solve(design.T @ design, design.T @ y)
     if not np.isfinite(coefficients).all():
         raise ValueError("coefficients must be finite")
     return coefficients
@@ -271,20 +267,6 @@ def _logit_information(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return full.reshape(k * d, k * d)
 
 
-def _newton_direction(
-    neg_hess: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Solve ``neg_hess @ direction = grad``; True with a least-squares solve.
-
-    The direction comes from the Cholesky factor, or from
-    ``np.linalg.lstsq`` when ``_cholesky`` finds ``neg_hess`` singular.
-    """
-    chol = _cholesky(neg_hess)
-    if chol is None:
-        return np.linalg.lstsq(neg_hess, grad, rcond=None)[0], True
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, grad)), False
-
-
 def fit_mnlogit(
     X: np.ndarray,
     actions: np.ndarray,
@@ -367,7 +349,7 @@ def fit_mnlogit(
             else:
                 neg_hess = _logit_information(design, probs)
             neg_hess += ridge * np.diag(np.tile(penalty, m - 1))
-        direction, singular = _newton_direction(neg_hess, grad)
+        direction, singular = _solve(neg_hess, grad)
         lstsq_steps += singular
         current = loglik_path[-1]
         # A decrement this small predicts a gain the summed log-likelihood

@@ -163,12 +163,25 @@ class TestOls:
         y = 1.0 + 2.0 * x + 0.1 * rng.standard_normal(40)
         coef = fit_ols(X, y)
         assert np.isfinite(coef).all()
-        # ridge splits the weight across the twin columns
+        # the minimum-norm answer splits the weight across the twin columns
         assert np.isclose(coef[1], coef[2], atol=1e-6)
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-12])
+    def test_near_twin_columns_split_like_twins(self, eps):
+        # the rescaled Gram matrix's smallest singular value, about eps**2,
+        # sits far below the truncation bar, so the near-twin direction is
+        # cut as the exact twins' is; with no cut, 1e-12 split 23.6/-21.5
+        rng = np.random.default_rng(3)
+        x, w = rng.standard_normal((2, 40))
+        y = 1.0 + 2.0 * x + 0.1 * rng.standard_normal(40)
+        twins = fit_ols(np.column_stack([x, x]), y)
+        near = fit_ols(np.column_stack([x, x + eps * w]), y)
+        assert np.isclose(near[1], near[2], atol=1e-6)
+        assert np.allclose(near, twins, atol=1e-6)
 
     @pytest.mark.parametrize("scale, offset", [(1e-8, 0.0), (1e-4, 0.0), (1e4, 1e5), (1e8, 0.0)])
     def test_feature_units_do_not_trigger_the_ridge(self, scale, offset):
-        # _cholesky tests the Gram matrix rescaled to a unit diagonal; the
+        # _solve tests the Gram matrix rescaled to a unit diagonal; the
         # same ratio test on the raw matrix raised on x1e8 and ridged x1e-8
         rng = np.random.default_rng(4)
         X = rng.standard_normal((200, 2))
@@ -181,7 +194,7 @@ class TestOls:
     @pytest.mark.parametrize("scale", [1e4, 1.0, 1e-4, 1e-8])
     def test_ridge_acts_in_each_features_own_units(self, scale):
         # the twin column makes the design singular; a single ridge set by
-        # trace(X'X) / d shrank b at 1e-4 of its units to a slope of 1.60
+        # trace(X'X) / d once shrank b at 1e-4 of its units to a slope of 1.60
         rng = np.random.default_rng(12)
         a, b = rng.standard_normal((2, 500))
         y = 1.0 + 2.0 * a + 3.0 * b + 0.1 * rng.standard_normal(500)
@@ -225,8 +238,12 @@ class TestOls:
     def test_non_finite_coefficients_rejected(self):
         y = np.ones(10)
         y[3] = np.inf
-        with pytest.raises(ValueError, match="coefficients must be finite"):
-            fit_ols(np.linspace(0, 1, 10)[:, None], y)
+        x = np.linspace(0, 1, 10)
+        # one regular design and one twin-column design, which takes the
+        # singular answer
+        for X in (x[:, None], np.column_stack([x, x])):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                fit_ols(X, y)
 
 
 class TestMnlogit:
@@ -386,13 +403,13 @@ class TestMnlogit:
     @pytest.mark.parametrize("p", [1, 10])
     def test_zero_start_hessian_is_the_uniform_information(self, monkeypatch, m, p):
         # the step-0 Kronecker form equals the blocked build at probability 1/M
-        solved, newton_direction = [], regression._newton_direction
+        solved, solve = [], regression._solve
 
         def recording(neg_hess, grad):
             solved.append(neg_hess.copy())
-            return newton_direction(neg_hess, grad)
+            return solve(neg_hess, grad)
 
-        monkeypatch.setattr(regression, "_newton_direction", recording)
+        monkeypatch.setattr(regression, "_solve", recording)
         rng = np.random.default_rng(10 * m + p)
         n = 2 * HESSIAN_BLOCK + 1
         X = rng.standard_normal((n, p))
@@ -410,16 +427,16 @@ class TestMnlogit:
         scores = np.column_stack([np.zeros(2000), X @ [1.0, -0.5, 0.2], X @ [0.3, 0.4, -1.0]])
         a = np.argmax(scores + rng.gumbel(size=(2000, 3)), axis=1)
         reference = fit_mnlogit(X, a)
-        solved, newton_direction = [], regression._newton_direction
+        solved, solve = [], regression._solve
 
         def failing_when_reused(neg_hess, grad):
             reused = bool(solved) and neg_hess is solved[-1]
             solved.append(neg_hess)
             if reused:
                 return np.full_like(grad, np.nan), False
-            return newton_direction(neg_hess, grad)
+            return solve(neg_hess, grad)
 
-        monkeypatch.setattr(regression, "_newton_direction", failing_when_reused)
+        monkeypatch.setattr(regression, "_solve", failing_when_reused)
         model = fit_mnlogit(X, a)
         fresh = len({id(h) for h in solved})
         assert model.converged and fresh < len(solved) == model.iterations
@@ -463,6 +480,33 @@ class TestMnlogit:
         scaled = fit_mnlogit(1e8 * x[:, None], a)
         assert scaled.lstsq_steps == 0
         assert np.allclose(1e8 * scaled.coefficients[:, 1], unit.coefficients[:, 1], atol=1e-6)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_singular_newton_step_ignores_feature_units(self, scale):
+        # twin columns make every Hessian singular; a least-squares step on
+        # the raw Hessian cut the twin direction at z x1e8, read x's slopes
+        # as 0 and ran to max_iter
+        rng = np.random.default_rng(5)
+        x, z = rng.standard_normal((2, 600))
+        scores = np.column_stack([np.zeros(600), x + z, -0.5 * x + z])
+        a = np.argmax(scores + rng.gumbel(size=(600, 3)), axis=1)
+        units = np.array([1.0, 1.0, 1.0, scale])
+        reference = fit_mnlogit(np.column_stack([x, x, z]), a, ridge=0.0)
+        X = np.column_stack([x, x, scale * z])
+        model = fit_mnlogit(X, a, ridge=0.0)
+        assert reference.converged
+        assert model.lstsq_steps == model.iterations > 0
+        np.testing.assert_allclose(
+            model.coefficients * units, reference.coefficients, rtol=1e-6, atol=1e-9
+        )
+        # converged in z's own units: its raw gradient entries cancel class
+        # sums near 5e9, whose rounding step, 9.5e-7, is above the raw tol
+        # of 6e-8, so ``converged`` at x1e8 rests on an exact cancellation
+        design = _design_rows(X)
+        probs, _ = _softmax(design, model.coefficients)
+        observed = (a == np.arange(1, 3)[:, None]).astype(float)
+        grad = (observed - probs[1:]) @ design.T / units
+        assert np.abs(grad).max() < LOGIT_TOL_PER_UNIT * 600
 
     def test_predict_proba_is_the_fit_softmax(self, monkeypatch):
         # at the fitted coefficients predict_proba returns, bit for bit, the

@@ -133,6 +133,8 @@ def _design(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("feature matrix must be 2-d")
+    if not np.isfinite(X).all():
+        raise ValueError("feature matrix must be finite")
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
@@ -166,8 +168,8 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of ``y`` on ``X`` with an intercept, shape
-    (p+1,), intercept first; coefficients that are not all finite, as from
-    a non-finite ``y``, raise ValueError.
+    (p+1,), intercept first; a non-finite ``X``, or coefficients that are
+    not all finite, as from a non-finite ``y``, raise ValueError.
 
     The normal equations go through ``_solve``, so a singular ``X'X`` gets
     the minimum-norm least-squares coefficients of the columns rescaled to

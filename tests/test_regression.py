@@ -245,6 +245,15 @@ class TestOls:
             with pytest.raises(ValueError, match="coefficients must be finite"):
                 fit_ols(X, y)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=str)
+    def test_non_finite_features_rejected(self, bad):
+        # a NaN Gram matrix would reach the singular answer, whose lstsq
+        # raises LinAlgError
+        X = np.random.default_rng(0).standard_normal((20, 2))
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="feature matrix must be finite"):
+            fit_ols(X, np.ones(20))
+
 
 class TestMnlogit:
     def test_two_balanced_classes_no_signal(self):

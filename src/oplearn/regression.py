@@ -89,8 +89,7 @@ FLAT_STEP = 64 * np.finfo(np.float64).eps
 # about its inverse condition number, is below SINGULAR_RATIO times its size.
 # Rounding can leave an exactly singular Gram matrix's squared ratio at a few
 # eps times its size (up to 7.2 for a constant column on 2 rows), so the bar
-# sits well above that. The singular answer cuts the singular values of the
-# rescaled matrix below the same multiple of the largest.
+# sits well above that.
 SINGULAR_RATIO = 64 * np.finfo(np.float64).eps
 
 

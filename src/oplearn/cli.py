@@ -409,6 +409,7 @@ def cmd_evaluate(config: RunConfig, assignments_path: str | Path) -> dict:
             "propensity_converged": logit.converged,
             "propensity_iterations": logit.iterations,
             "propensity_lstsq_steps": logit.lstsq_steps,
+            "propensity_information_passes": logit.information_passes,
             "propensity_gradient_norm": logit.final_gradient_norm,
         },
         "warnings": warnings,

@@ -37,17 +37,23 @@ block, between the weights of the unique class pairs and the products of
 the unique design-row pairs, and then mirrored. Each block writes both
 operands straight into C-contiguous buffers, one run per class or design
 row: class ``r``'s weights come from the row slice ``p[r:]``, and design
-row ``j``'s products from ``x[j:]``, with no index gather. Each Hessian
-serves two Newton steps (Shamanskii's lazy Newton), built on steps 0, 2, 4,
-... and reused with the new gradient by the step after; only a fresh one
-that finds no ascent ends the loop, a reused one is rebuilt instead. Step 0
-starts at zero coefficients, where every unit has probability ``1/M`` for
-every class, so its Hessian takes no pass over the blocks: with ``s`` the
-M-1 non-baseline probabilities it is ``(diag(s) - s s') kron X'X``
-(Böhning's equal-probability curvature), ``X'X`` being one (d, d) product
-of the design. Each step-halving candidate is scored once, and the
-accepted candidate's probabilities feed the next Newton step, whose
-gradient is also the final one reported when the loop stops.
+row ``j``'s products from ``x[j:]``, with no index gather. Only steps 0
+and 2 take an exact Newton matrix. Every other step takes the BFGS update
+of the previous one, ``H + y y'/y's - (H s)(H s)'/s'H s``, with ``s`` the
+accepted step and ``y`` the fall in the gradient along it (Dennis & Moré,
+1977; Nocedal & Wright, *Numerical Optimization*, ch. 6). The update costs
+O((kd)^2) and takes no pass over the units, and it is skipped when
+``y's`` or ``s'H s`` is not positive. An updated matrix that finds no
+ascent is followed by an exact one. Only an exact one that finds none ends
+the loop. Step 0 starts at zero coefficients, where every unit has
+probability ``1/M`` for every class, so its matrix takes no pass over the
+blocks: with ``s`` the M-1 non-baseline probabilities it is
+``(diag(s) - s s') kron X'X`` (Böhning's equal-probability curvature),
+``X'X`` being one (d, d) product of the design. So a fit that converges
+without a failed update builds the blocked Hessian once, on step 2. Each
+step-halving candidate is scored once, and the accepted candidate's
+probabilities feed the next Newton step, whose gradient is also the final
+one reported when the loop stops.
 
 The (penalised) log-likelihood is non-decreasing across accepted iterations
 with one bounded exception: a step whose Newton decrement ``g'H^-1 g / 2``
@@ -105,7 +111,9 @@ class MultinomialLogitModel:
     class ``m >= 1`` gets the linear score ``coefficients[m-1] @ [1, x]``
     while class 0 is pinned at score zero. ``lstsq_steps`` counts the Newton
     steps whose Hessian was numerically singular, so that the step was the
-    truncated minimum-norm least-squares direction instead of an LU solve.
+    truncated minimum-norm least-squares direction instead of an LU solve,
+    and ``information_passes`` the passes over the units that built an
+    exact Newton matrix, the closed form at the zero start not counted.
     """
 
     coefficients: np.ndarray
@@ -114,6 +122,7 @@ class MultinomialLogitModel:
     final_gradient_norm: float
     loglik_path: tuple[float, ...] = ()
     lstsq_steps: int = 0
+    information_passes: int = 0
 
     def __post_init__(self) -> None:
         coef = _freeze(self, "coefficients", np.float64)
@@ -128,12 +137,18 @@ class MultinomialLogitModel:
         return self.coefficients.shape[1] - 1
 
 
-def _design(X: np.ndarray) -> np.ndarray:
+def _features(X: np.ndarray) -> np.ndarray:
+    """``X`` as a 2-d float array; ValueError when it is not 2-d or not finite."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("feature matrix must be 2-d")
     if not np.isfinite(X).all():
         raise ValueError("feature matrix must be finite")
+    return X
+
+
+def _design(X: np.ndarray) -> np.ndarray:
+    X = _features(X)
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
@@ -189,9 +204,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _design_rows(X: np.ndarray) -> np.ndarray:
     """The logit design as (d, N): one row per design column, the intercept first."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("feature matrix must be 2-d")
+    X = _features(X)
     design = np.empty((X.shape[1] + 1, X.shape[0]))
     design[0] = 1.0
     design[1:] = X.T
@@ -279,14 +292,18 @@ def fit_mnlogit(
     """Fit a multinomial logit of action on features by Newton ascent.
 
     Every class in ``0..M-1`` must be present. A negative or non-finite
-    ``ridge``, or a label that is not an id in ``0..N-1`` (``non-integer id
-    2.5 in class labels at row 8``, ``id -1 outside 0..59 in class labels at
-    row 8``), raises ValueError before any work. Convergence is declared
+    ``ridge``, a non-finite feature matrix, or a label that is not an id in
+    ``0..N-1`` (``non-integer id 2.5 in class labels at row 8``, ``id -1
+    outside 0..59 in class labels at row 8``), raises ValueError before any
+    work. Convergence is declared
     when the max-norm of the (penalised) gradient drops below ``tol``, by
     default ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); an explicit ``tol``
-    is absolute. Each Hessian serves two steps, the first one being the
-    closed form at the zero start, and a reused one that finds no ascent is
-    rebuilt rather than ending the fit; ``iterations`` counts every step. Step halving keeps the objective from decreasing, except
+    is absolute. Steps 0 and 2 take the exact Newton matrix, step 0's being
+    the closed form at the zero start. Every other step takes the BFGS update
+    of the previous matrix. An updated matrix that finds no ascent is
+    followed by an exact one rather than ending the fit. ``iterations``
+    counts every step, and ``information_passes`` the exact matrices built
+    from the units. Step halving keeps the objective from decreasing, except
     that a step whose Newton decrement is within ``FLAT_STEP * |loglik|``
     may lower it by at most that much. Coefficients beyond ``1e6`` in
     absolute value abort with :class:`QuasiSeparationError`, which usually
@@ -335,20 +352,36 @@ def fit_mnlogit(
     loglik_path = [value]
     iterations = 0
     lstsq_steps = 0
+    information_passes = 0
+    improved = True
     for _ in range(max_iter):
         grad = gradient(coef, probs)
         if float(np.abs(grad).max()) < tol:
             break
-        # each Hessian serves two steps: built on even steps, reused on odd ones
-        fresh = iterations % 2 == 0
-        if fresh:
-            if iterations == 0:
-                # at the zero start every unit has probability 1/M for every
-                # class, so sum_i (diag(p_i) - p_i p_i') kron x_i x_i' factors
-                s = np.full(m - 1, 1.0 / m)
-                neg_hess = np.kron(np.diag(s) - np.outer(s, s), design @ design.T)
-            else:
-                neg_hess = _logit_information(design, probs)
+        # exact on steps 0 and 2 and after an updated matrix found no
+        # ascent; every other step takes the BFGS update of the last one
+        exact = iterations in (0, 2) or not improved
+        if iterations == 0:
+            # at the zero start every unit has probability 1/M for every
+            # class, so sum_i (diag(p_i) - p_i p_i') kron x_i x_i' factors
+            s = np.full(m - 1, 1.0 / m)
+            neg_hess = np.kron(np.diag(s) - np.outer(s, s), design @ design.T)
+        elif exact:
+            neg_hess = _logit_information(design, probs)
+            information_passes += 1
+        elif not flat:
+            # the fall in the gradient along the step last taken; after a
+            # flat step it is rounding noise, and the matrix is kept
+            fall = previous_grad - grad
+            curved = neg_hess @ taken
+            fall_taken, taken_curved = float(fall @ taken), float(taken @ curved)
+            if fall_taken > 0 and taken_curved > 0:
+                neg_hess = (
+                    neg_hess
+                    + np.outer(fall, fall) / fall_taken
+                    - np.outer(curved, curved) / taken_curved
+                )
+        if exact:
             neg_hess += ridge * np.diag(np.tile(penalty, m - 1))
         direction, singular = _solve(neg_hess, grad)
         lstsq_steps += singular
@@ -357,13 +390,15 @@ def fit_mnlogit(
         # cannot resolve, so a step that lands up to ``slack`` lower is
         # taken rather than halved until it barely moves.
         slack = FLAT_STEP * abs(current)
-        floor = current - slack if 0.5 * float(grad @ direction) <= slack else current
+        flat = 0.5 * float(grad @ direction) <= slack
+        floor = current - slack if flat else current
         step = 1.0
         improved = False
         for _ in range(40):
             candidate = coef + step * direction.reshape(m - 1, d)
             value, candidate_probs = penalised_loglik(candidate)
             if np.isfinite(value) and value >= floor:
+                taken, previous_grad = step * direction, grad
                 coef, probs = candidate, candidate_probs
                 loglik_path.append(value)
                 improved = True
@@ -371,9 +406,9 @@ def fit_mnlogit(
             step *= 0.5
         iterations += 1
         if not improved:
-            if fresh:
+            if exact:
                 break  # no ascent direction left at float precision
-            continue  # the reused Hessian failed; the next step rebuilds it
+            continue  # the updated matrix failed; the next step is exact
         if np.abs(coef).max() > 1e6:
             raise QuasiSeparationError(
                 "logit coefficients exceeded 1e6 without converging; the "
@@ -381,7 +416,7 @@ def fit_mnlogit(
             )
     else:
         # max_iter ran out right after an accepted step or a rejected
-        # reused one, or was 0
+        # updated one, or was 0
         grad = gradient(coef, probs)
 
     grad_norm = float(np.abs(grad).max())
@@ -392,11 +427,13 @@ def fit_mnlogit(
         final_gradient_norm=grad_norm,
         loglik_path=tuple(loglik_path),
         lstsq_steps=lstsq_steps,
+        information_passes=information_passes,
     )
 
 
 def predict_proba(model: MultinomialLogitModel, X: np.ndarray) -> np.ndarray:
-    """Class probabilities, shape (K, M); rows are strictly positive and sum to 1."""
+    """Class probabilities, shape (K, M); rows are strictly positive and sum
+    to 1. A non-finite ``X`` raises ValueError."""
     design = _design_rows(X)
     if design.shape[0] != model.coefficients.shape[1]:
         raise ValueError(

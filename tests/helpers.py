@@ -118,6 +118,63 @@ def logit_hessian_oracle(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return info
 
 
+def exact_newton_logit(
+    features: np.ndarray,
+    actions: np.ndarray,
+    ridge: float = 1e-6,
+    max_iter: int = 100,
+) -> tuple[np.ndarray, bool]:
+    """Multinomial-logit coefficients, (M-1, p+1), by Newton ascent that
+    builds the exact information from the units on every step, and whether
+    the largest gradient entry fell below ``1e-10 * N``.
+
+    Kept as the reference for ``oplearn.regression.fit_mnlogit``, whose
+    steps mostly use BFGS updates of the information. It has the same
+    objective, ridge and tolerance, halves a step until the objective does
+    not fall, and takes the information from ``logit_hessian_oracle``.
+    """
+    n = len(actions)
+    design = np.column_stack([np.ones(n), features])
+    m = int(actions.max()) + 1
+    d = design.shape[1]
+    observed = np.eye(m)[actions]
+    penalty = np.r_[0.0, np.ones(d - 1)]
+    coef = np.zeros((m - 1, d))
+
+    def probabilities(b):
+        scores = np.column_stack([np.zeros(n), design @ b.T])
+        scores -= scores.max(axis=1, keepdims=True)
+        probs = np.exp(scores)
+        return probs / probs.sum(axis=1, keepdims=True)
+
+    def objective(b):
+        loglik = float(np.log(probabilities(b))[observed == 1].sum())
+        return loglik - 0.5 * ridge * float((b**2 * penalty).sum())
+
+    value = objective(coef)
+    for _ in range(max_iter):
+        probs = probabilities(coef)
+        grad = (observed[:, 1:] - probs[:, 1:]).T @ design - ridge * coef * penalty
+        if np.abs(grad).max() < 1e-10 * n:
+            return coef, True
+        information = logit_hessian_oracle(design, probs)
+        information += ridge * np.diag(np.tile(penalty, m - 1))
+        direction = np.linalg.solve(information, grad.reshape(-1)).reshape(m - 1, d)
+        step = 1.0
+        for _ in range(40):
+            candidate = coef + step * direction
+            candidate_value = objective(candidate)
+            if candidate_value >= value:
+                coef, value = candidate, candidate_value
+                break
+            step *= 0.5
+        else:
+            break
+    probs = probabilities(coef)
+    grad = (observed[:, 1:] - probs[:, 1:]).T @ design - ridge * coef * penalty
+    return coef, bool(np.abs(grad).max() < 1e-10 * n)
+
+
 def gathered_logit_information(design: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """The blocked Hessian with its operands built by index gathers.
 

@@ -671,6 +671,25 @@ class TestEvaluate:
         truth = true_value(oracle, oracle_policy(oracle, RiskPreference.NEUTRAL))
         assert abs(ra_fb - truth) / abs(truth) < 0.02
 
+    def test_reports_propensity_information_passes(self, tmp_path, sim_run, monkeypatch):
+        # the blocked Hessian is built on step 2 only; the diagnostic
+        # counts the builds the fit really made
+        from oplearn import regression
+
+        built, information = [], regression._logit_information
+
+        def counting(design, probs):
+            built.append(probs.shape)
+            return information(design, probs)
+
+        monkeypatch.setattr(regression, "_logit_information", counting)
+        outdir = tmp_path / "eval"
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(outdir)]
+        assert run([*argv, "--assignments", str(sim_run["run"] / "assignments.csv")]) == 0
+        diagnostics = json.loads((outdir / "report.json").read_text())["diagnostics"]
+        assert diagnostics["propensity_iterations"] > 2
+        assert diagnostics["propensity_information_passes"] == len(built) == 1
+
     def test_unit_mismatch_fails(self, tmp_path, sim_run):
         bad = tmp_path / "bad.csv"
         lines = (sim_run["run"] / "assignments.csv").read_text().splitlines()

@@ -24,7 +24,12 @@ from oplearn.regression import (
     _softmax,
 )
 
-from helpers import gathered_logit_information, logit_hessian_oracle, ols_oracle
+from helpers import (
+    exact_newton_logit,
+    gathered_logit_information,
+    logit_hessian_oracle,
+    ols_oracle,
+)
 
 # A 4-arm, 5-feature logit-assignment draw on which an absolute gradient
 # tolerance of 1e-8 stalls (the sample the benchmark's stall probe uses).
@@ -71,6 +76,25 @@ def wide_dgp(seed: int) -> dict:
         "noise_scale_coeffs": np.round(noise, 4).tolist(),
         "assignment": "logit",
         "assignment_coeffs": np.round(assign, 4).tolist(),
+        "feature_dist": "normal",
+        "seed": seed,
+    }
+
+
+def arm_slope_dgp(seed: int) -> dict:
+    """4,000 units, 5 arms x 6 normal features, logit assignment in which
+    every non-baseline arm has its own slope on every feature."""
+    rng = np.random.default_rng(1000 + seed)
+    return {
+        "n_units": 4000,
+        "n_actions": 5,
+        "n_features": 6,
+        "mean_coeffs": np.column_stack([np.full(5, 4.0), rng.normal(0.0, 0.4, (5, 6))]).tolist(),
+        "noise_scale_coeffs": np.zeros((5, 7)).tolist(),
+        "assignment": "logit",
+        "assignment_coeffs": np.vstack(
+            [np.zeros(7), rng.normal(0.0, 0.5, (4, 7))]
+        ).tolist(),
         "feature_dist": "normal",
         "seed": seed,
     }
@@ -364,16 +388,16 @@ class TestMnlogit:
         # stops after a few steps at the same optimum
         d = generate(DGPSpec.from_dict(STALL_DGP)).dataset
         model = fit_mnlogit(d.features, d.actions)
-        assert model.converged and model.iterations == 5
+        assert model.converged and model.iterations == 6
         assert model.final_gradient_norm < LOGIT_TOL_PER_UNIT * d.n_units
         longer = fit_mnlogit(d.features, d.actions, tol=1e-8, max_iter=12)
         assert longer.loglik_path[-1] - model.loglik_path[-1] < 1e-6
 
     @pytest.mark.parametrize("seed", [28, 29, 30])
     def test_float_flat_full_step_accepted(self, seed, monkeypatch):
-        # the full 6th step is flat, and its scored log-likelihood is made
-        # to land one rounding step below the one before, as it does on its
-        # own at seed 30 with some BLAS kernels; rejecting it would halve
+        # the full 7th step is flat, and its scored log-likelihood is made
+        # to land one rounding step below the one before, as a flat step's
+        # can on its own with some BLAS kernels; rejecting it would halve
         # the step over and over, for 20 or more steps
         softmax, scored = regression._softmax, []
 
@@ -381,20 +405,20 @@ class TestMnlogit:
             probs, loglik = softmax(design, coef, observed)
             if observed is not None:
                 scored.append(loglik)
-                if len(scored) == 7:  # the start, then one score per full step
+                if len(scored) == 8:  # the start, then one score per full step
                     loglik = float(np.nextafter(min(scored[-2:]), -np.inf))
             return probs, loglik
 
         monkeypatch.setattr(regression, "_softmax", one_step_lower)
         d = generate(DGPSpec.from_dict(wide_dgp(seed))).dataset
         model = fit_mnlogit(d.features, d.actions)
-        assert model.converged and model.iterations == 6
-        assert len(scored) == 7  # no step was halved
+        assert model.converged and model.iterations == 7
+        assert len(scored) == 8  # no step was halved
         path = np.array(model.loglik_path)
         assert np.all(np.diff(path) >= -regression.FLAT_STEP * np.abs(path[:-1]))
         assert path[-1] < path[-2]
 
-    def test_each_hessian_serves_two_steps(self, monkeypatch):
+    def test_one_information_pass_per_fit(self, monkeypatch):
         built = []
 
         def counting(design, probs):
@@ -404,9 +428,10 @@ class TestMnlogit:
         monkeypatch.setattr(regression, "_logit_information", counting)
         d = generate(DGPSpec.from_dict(wide_dgp(28))).dataset
         model = fit_mnlogit(d.features, d.actions)
-        assert model.converged and model.iterations > 2
-        # fresh on steps 0, 2, 4, ...; step 0's is the closed form, not a build
-        assert len(built) == (model.iterations - 1) // 2
+        assert model.converged and model.iterations > 3
+        # exact on steps 0 and 2 only; step 0's is the closed form, not a
+        # build, and every other step is a BFGS update
+        assert len(built) == model.information_passes == 1
 
     @pytest.mark.parametrize("m", [2, 3, 8])
     @pytest.mark.parametrize("p", [1, 10])
@@ -428,28 +453,39 @@ class TestMnlogit:
         blocked = _logit_information(design, np.full((m, n), 1.0 / m))
         np.testing.assert_allclose(solved[0], blocked, rtol=1e-12)
 
-    def test_rejected_reused_hessian_step_rebuilds(self, monkeypatch):
-        # every step on a reused Hessian gets a direction whose candidates
-        # all score NaN; the fit must rebuild on the next step, not stop
+    def test_rejected_updated_step_is_followed_by_an_exact_one(self, monkeypatch):
+        # every step on a BFGS-updated matrix gets a direction whose
+        # candidates all score NaN; the fit must take an exact matrix on the
+        # next step, not stop
         rng = np.random.default_rng(12)
         X = rng.standard_normal((2000, 3))
         scores = np.column_stack([np.zeros(2000), X @ [1.0, -0.5, 0.2], X @ [0.3, 0.4, -1.0]])
         a = np.argmax(scores + rng.gumbel(size=(2000, 3)), axis=1)
         reference = fit_mnlogit(X, a)
-        solved, solve = [], regression._solve
+        built, solved = [], []
+        information, solve = regression._logit_information, regression._solve
 
-        def failing_when_reused(neg_hess, grad):
-            reused = bool(solved) and neg_hess is solved[-1]
-            solved.append(neg_hess)
-            if reused:
+        def building(design, probs):
+            built.append(information(design, probs))
+            return built[-1]
+
+        def failing_when_updated(neg_hess, grad):
+            # step 0's closed form and the blocked builds are exact
+            exact = not solved or any(neg_hess is h for h in built)
+            solved.append(exact)
+            if not exact:
                 return np.full_like(grad, np.nan), False
             return solve(neg_hess, grad)
 
-        monkeypatch.setattr(regression, "_solve", failing_when_reused)
+        monkeypatch.setattr(regression, "_logit_information", building)
+        monkeypatch.setattr(regression, "_solve", failing_when_updated)
         model = fit_mnlogit(X, a)
-        fresh = len({id(h) for h in solved})
-        assert model.converged and fresh < len(solved) == model.iterations
-        assert len(model.loglik_path) == fresh + 1  # only fresh steps were accepted
+        assert model.converged and len(solved) == model.iterations
+        assert not all(solved)
+        # each updated step failed, and the one after it was exact
+        assert all(solved[i + 1] for i, exact in enumerate(solved[:-1]) if not exact)
+        assert model.information_passes == len(built) == sum(solved) - 1
+        assert len(model.loglik_path) == sum(solved) + 1  # only exact steps were accepted
         assert np.allclose(model.coefficients, reference.coefficients, atol=1e-8)
 
     def test_lstsq_fallback_counted_on_singular_hessian(self):
@@ -571,6 +607,36 @@ class TestMnlogit:
         with pytest.raises(ValueError, match="ridge must be finite and non-negative"):
             fit_mnlogit(X, np.arange(60) % 3, ridge=ridge)
         assert capfd.readouterr().out == ""
+
+    def test_non_finite_features_rejected_by_the_fit(self, capfd):
+        # a NaN feature reached the singular answer's lstsq, which raised
+        # LinAlgError after LAPACK printed DLASCL to stderr
+        X = np.random.default_rng(2).standard_normal((60, 2))
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^feature matrix must be finite$"):
+            fit_mnlogit(X, np.arange(60) % 3)
+        assert capfd.readouterr() == ("", "")
+
+    def test_non_finite_features_rejected_by_predict_proba(self, capfd):
+        # a NaN feature gave that unit a row of NaN probabilities
+        X = np.random.default_rng(2).standard_normal((60, 2))
+        model = fit_mnlogit(X, np.arange(60) % 3)
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^feature matrix must be finite$"):
+            predict_proba(model, X)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_same_optimum_as_exact_newton(self, seed):
+        # logit assignment with arm-specific slopes, 5 arms x 6 features;
+        # the BFGS-updated steps must reach the optimum that a Newton fit
+        # with the exact information on every step reaches
+        dgp = arm_slope_dgp(seed)
+        d = generate(DGPSpec.from_dict(dgp)).dataset
+        model = fit_mnlogit(d.features, d.actions)
+        coefficients, converged = exact_newton_logit(d.features, d.actions)
+        assert model.converged and converged
+        np.testing.assert_allclose(model.coefficients, coefficients, rtol=0, atol=1e-7)
 
     def test_predict_dimension_mismatch(self):
         model = fit_mnlogit(np.zeros((20, 1)), np.arange(20) % 2)

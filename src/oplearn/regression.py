@@ -42,8 +42,9 @@ and 2 take an exact Newton matrix. Every other step takes the BFGS update
 of the previous one, ``H + y y'/y's - (H s)(H s)'/s'H s``, with ``s`` the
 accepted step and ``y`` the fall in the gradient along it (Dennis & Moré,
 1977; Nocedal & Wright, *Numerical Optimization*, ch. 6). The update costs
-O((kd)^2) and takes no pass over the units, and it is skipped when
-``y's`` or ``s'H s`` is not positive. An updated matrix that finds no
+O((kd)^2) and takes no pass over the units. It is skipped when ``y's``
+or ``s'H s`` is not positive, and after a flat step (see below), whose
+``y`` is rounding noise. An updated matrix that finds no
 ascent is followed by an exact one. Only an exact one that finds none ends
 the loop. Step 0 starts at zero coefficients, where every unit has
 probability ``1/M`` for every class, so its matrix takes no pass over the
@@ -295,10 +296,9 @@ def fit_mnlogit(
     ``ridge``, a non-finite feature matrix, or a label that is not an id in
     ``0..N-1`` (``non-integer id 2.5 in class labels at row 8``, ``id -1
     outside 0..59 in class labels at row 8``), raises ValueError before any
-    work. Convergence is declared
-    when the max-norm of the (penalised) gradient drops below ``tol``, by
-    default ``LOGIT_TOL_PER_UNIT * N`` (``1e-10 * N``); an explicit ``tol``
-    is absolute. Steps 0 and 2 take the exact Newton matrix, step 0's being
+    work. Convergence is declared when the max-norm of the (penalised)
+    gradient drops below ``tol``, by default ``LOGIT_TOL_PER_UNIT * N``
+    (``1e-10 * N``); an explicit ``tol`` is absolute. Steps 0 and 2 take the exact Newton matrix, step 0's being
     the closed form at the zero start. Every other step takes the BFGS update
     of the previous matrix. An updated matrix that finds no ascent is
     followed by an exact one rather than ending the fit. ``iterations``

@@ -44,9 +44,9 @@ accepted step and ``y`` the fall in the gradient along it (Dennis & Moré,
 1977; Nocedal & Wright, *Numerical Optimization*, ch. 6). The update costs
 O((kd)^2) and takes no pass over the units. It is skipped when ``y's``
 or ``s'H s`` is not positive, and after a flat step (see below), whose
-``y`` is rounding noise. An updated matrix that finds no
-ascent is followed by an exact one. Only an exact one that finds none ends
-the loop. Step 0 starts at zero coefficients, where every unit has
+``y`` is rounding noise. An updated matrix that finds no ascent is
+followed by an exact one. Only an exact one that finds none ends the
+loop. Step 0 starts at zero coefficients, where every unit has
 probability ``1/M`` for every class, so its matrix takes no pass over the
 blocks: with ``s`` the M-1 non-baseline probabilities it is
 ``(diag(s) - s s') kron X'X`` (Böhning's equal-probability curvature),
@@ -59,13 +59,17 @@ one reported when the loop stops.
 The (penalised) log-likelihood is non-decreasing across accepted iterations
 with one bounded exception: a step whose Newton decrement ``g'H^-1 g / 2``
 is at most ``FLAT_STEP * |loglik|`` predicts a gain below the rounding of
-the summed log-likelihood, and a step that lands at most that much lower
-is accepted. Without it, step halving near the optimum can reject
-a full step over a rounding step and crawl for many iterations. The
-gradient is a sum over all N units, so the default convergence tolerance,
-``LOGIT_TOL_PER_UNIT * N``, grows with N. Each Newton direction comes from
-``_solve``; a step whose Hessian it finds singular takes the truncated
-least-squares direction and is counted in ``lstsq_steps``.
+the summed log-likelihood, and on an exact matrix a step that lands at most
+that much lower is accepted. Without it, step halving near the optimum can
+reject a full step over a rounding step and crawl for many iterations. On
+an updated matrix such a flat step gets neither the slack nor halving: its
+full step is taken only if the value does not fall, and otherwise the next
+step is exact. So the superlinear updates, which cross the flat region in
+more steps than exact Newton, do not add to the steps that may land lower.
+The gradient is a sum over all N units, so the default convergence
+tolerance, ``LOGIT_TOL_PER_UNIT * N``, grows with N. Each Newton direction
+comes from ``_solve``; a step whose Hessian it finds singular takes the
+truncated least-squares direction and is counted in ``lstsq_steps``.
 """
 
 from __future__ import annotations
@@ -298,16 +302,19 @@ def fit_mnlogit(
     outside 0..59 in class labels at row 8``), raises ValueError before any
     work. Convergence is declared when the max-norm of the (penalised)
     gradient drops below ``tol``, by default ``LOGIT_TOL_PER_UNIT * N``
-    (``1e-10 * N``); an explicit ``tol`` is absolute. Steps 0 and 2 take the exact Newton matrix, step 0's being
-    the closed form at the zero start. Every other step takes the BFGS update
-    of the previous matrix. An updated matrix that finds no ascent is
-    followed by an exact one rather than ending the fit. ``iterations``
-    counts every step, and ``information_passes`` the exact matrices built
-    from the units. Step halving keeps the objective from decreasing, except
-    that a step whose Newton decrement is within ``FLAT_STEP * |loglik|``
-    may lower it by at most that much. Coefficients beyond ``1e6`` in
-    absolute value abort with :class:`QuasiSeparationError`, which usually
-    means the classes are separable and a stronger ``ridge`` is needed.
+    (``1e-10 * N``); an explicit ``tol`` is absolute. Steps 0 and 2 take
+    the exact Newton matrix, step 0's being the closed form at the zero
+    start. Every other step takes the BFGS update of the previous matrix.
+    An updated matrix that finds no ascent is followed by an exact one
+    rather than ending the fit. ``iterations`` counts every step, and
+    ``information_passes`` the exact matrices built from the units. Step
+    halving keeps the objective from decreasing, except that a step on an
+    exact matrix whose Newton decrement is within ``FLAT_STEP * |loglik|``
+    may lower it by at most that much; such a step on an updated matrix is
+    taken unhalved if it does not lower it, and refused otherwise.
+    Coefficients beyond ``1e6`` in absolute value abort with
+    :class:`QuasiSeparationError`, which usually means the classes are
+    separable and a stronger ``ridge`` is needed.
     """
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and non-negative, not {ridge!r}")
@@ -392,9 +399,15 @@ def fit_mnlogit(
         slack = FLAT_STEP * abs(current)
         flat = 0.5 * float(grad @ direction) <= slack
         floor = current - slack if flat else current
+        tries = 40
+        if flat and not exact:
+            # Only an exact matrix gets the slack. Halving cannot help where
+            # the value is rounding noise, so an updated matrix's full step
+            # is taken only if it does not fall; else the next one is exact.
+            floor, tries = current, 1
         step = 1.0
         improved = False
-        for _ in range(40):
+        for _ in range(tries):
             candidate = coef + step * direction.reshape(m - 1, d)
             value, candidate_probs = penalised_loglik(candidate)
             if np.isfinite(value) and value >= floor:

@@ -395,26 +395,30 @@ class TestMnlogit:
 
     @pytest.mark.parametrize("seed", [28, 29, 30])
     def test_float_flat_full_step_accepted(self, seed, monkeypatch):
-        # the full 7th step is flat, and its scored log-likelihood is made
-        # to land one rounding step below the one before, as a flat step's
-        # can on its own with some BLAS kernels; rejecting it would halve
-        # the step over and over, for 20 or more steps
+        # the full 7th step, on an updated matrix, and the 8th, on an exact
+        # one, are flat, and each scored log-likelihood is made to land one
+        # rounding step below the last accepted one, as a flat step's can on
+        # its own with some BLAS kernels. The updated step is refused without
+        # halving; the exact one is taken, since halving it would go on for
+        # 20 or more steps
         softmax, scored = regression._softmax, []
 
         def one_step_lower(design, coef, observed=None):
             probs, loglik = softmax(design, coef, observed)
             if observed is not None:
                 scored.append(loglik)
-                if len(scored) == 8:  # the start, then one score per full step
-                    loglik = float(np.nextafter(min(scored[-2:]), -np.inf))
+                if len(scored) in (8, 9):  # the start, then one score per full step
+                    loglik = float(np.nextafter(min(scored[6], loglik), -np.inf))
             return probs, loglik
 
         monkeypatch.setattr(regression, "_softmax", one_step_lower)
         d = generate(DGPSpec.from_dict(wide_dgp(seed))).dataset
         model = fit_mnlogit(d.features, d.actions)
-        assert model.converged and model.iterations == 7
-        assert len(scored) == 8  # no step was halved
+        assert model.converged and model.iterations == 8
+        assert len(scored) == 9  # no step was halved
+        assert model.information_passes == 2  # the refused step's successor is exact
         path = np.array(model.loglik_path)
+        assert len(path) == model.iterations  # the start and 7 of the 8 steps
         assert np.all(np.diff(path) >= -regression.FLAT_STEP * np.abs(path[:-1]))
         assert path[-1] < path[-2]
 
@@ -462,7 +466,7 @@ class TestMnlogit:
         scores = np.column_stack([np.zeros(2000), X @ [1.0, -0.5, 0.2], X @ [0.3, 0.4, -1.0]])
         a = np.argmax(scores + rng.gumbel(size=(2000, 3)), axis=1)
         reference = fit_mnlogit(X, a)
-        built, solved = [], []
+        built, solved, builds_before = [], [], [0]
         information, solve = regression._logit_information, regression._solve
 
         def building(design, probs):
@@ -470,9 +474,11 @@ class TestMnlogit:
             return built[-1]
 
         def failing_when_updated(neg_hess, grad):
-            # step 0's closed form and the blocked builds are exact
-            exact = not solved or any(neg_hess is h for h in built)
+            # exact on step 0, the closed form, and on a step that built the
+            # information, i.e. called it after the last solve
+            exact = not solved or len(built) > builds_before[-1]
             solved.append(exact)
+            builds_before.append(len(built))
             if not exact:
                 return np.full_like(grad, np.nan), False
             return solve(neg_hess, grad)

@@ -26,8 +26,8 @@ _SUBMODULE = {
         "regression": "MultinomialLogitModel QuasiSeparationError fit_mnlogit fit_ols "
         "predict_proba",
         "simulate": "DGPSpec OracleData generate oracle_policy true_value",
-        "values": "PropensityMatrix ValueEstimate clip_propensities regret score_policies "
-        "value_dr value_ipw value_ra",
+        "values": "PropensityMatrix ValueEstimate clip_propensities score_policies value_dr "
+        "value_ipw value_ra",
     }.items()
     for name in names.split()
 }

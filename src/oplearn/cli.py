@@ -11,13 +11,15 @@ estimates plus regret against the first-best (neutral) column.
 ``moments`` and ``assignments`` tables that a fit run's manifest lists.
 
 Options come from a JSON config file and/or command flags; flags win.
-``simulate``, ``fit`` and ``evaluate`` each accept and check every config
-key, but read only the keys ``_READS`` lists for them. Every command prints
-a JSON run record of what it computed; those three also write it as
-``report.json``, with the keys they read as ``config.json``, under a
-manifest of the input's hash and the artifacts' hashes. Identical inputs
-reproduce identical artifact bytes, and a key that a command does not read
-changes none of them.
+``_READS`` lists the config keys that each of ``simulate``, ``fit`` and
+``evaluate`` reads, and each offers only those keys' flags, besides
+``--config``, ``--outdir`` and ``--format``. A config file may hold every
+command's keys: each is checked, and those the command does not read are
+not hashed. Every command prints a JSON run record of what it computed;
+those three also write it as ``report.json``, with the keys they read as
+``config.json``, under a manifest of the input's hash and the artifacts'
+hashes. Identical inputs reproduce identical artifact bytes, and a key that
+a command does not read changes none of them.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ class RunConfig:
 _LEARNER_KEYS = tuple(f.name for f in fields(RunConfig) if f.metadata.get("learner"))
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - set(_LEARNER_KEYS) | {"learner"}
 
-# the config keys each command reads besides outdir, in RunConfig's order
+# the config keys each command reads, hashes and offers flags for, besides
+# outdir, in RunConfig's order
 _READS = {
     "simulate": ("delimiter", "dgp"),
     "fit": ("input", "schema", "format", "delimiter"),
@@ -514,8 +517,7 @@ def cmd_report(run_dir: str | Path) -> dict:
         )
         (outdir / f"{name}.svg").write_text(svg, encoding="utf-8")
         artifacts.append(f"{name}.svg")
-        policy = PolicyAssignment(RiskPreference(label), actions, n_actions)
-        shares[label] = policy.action_shares().tolist()
+        shares[label] = PolicyAssignment(actions, n_actions).action_shares().tolist()
         scatter_stats[label] = float(chosen_sigma.mean())
 
     summary = {"action_shares": shares, "mean_chosen_sigma": scatter_stats}
@@ -530,23 +532,35 @@ def cmd_report(run_dir: str | Path) -> dict:
     }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """Each flag's ``dest`` is its config key, except for the schema columns."""
+# the flags of each config key that has any, in RunConfig's order; a flag's
+# dest is its key, except for the schema columns
+_FLAGS: dict[str, dict[str, dict]] = {
+    "input": {"--input": {"help": "input dataset (delimited text)"}},
+    "schema": {
+        "--outcome-col": {}, "--action-col": {}, "--feature-cols": {"help": "comma-separated"}
+    },
+    "clip": {"--clip": {"help": "propensity clip bounds LOW,HIGH"}},
+    "format": {"--format": {"choices": _FORMATS}},
+    "delimiter": {"--delimiter": {}},
+    "allow_unconverged": {"--allow-unconverged": {"action": "store_true", "default": None}},
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """``--config``, ``--outdir`` and the flags of the keys ``command`` reads.
+    Every command also offers ``--format``, which only ``fit`` reads, while
+    JSON tables last."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--input", help="input dataset (delimited text)")
     parser.add_argument("--outdir", help="output directory")
-    parser.add_argument("--clip", help="propensity clip bounds LOW,HIGH")
-    parser.add_argument("--format", choices=_FORMATS)
-    parser.add_argument("--delimiter")
-    parser.add_argument("--outcome-col")
-    parser.add_argument("--action-col")
-    parser.add_argument("--feature-cols", help="comma-separated")
-    parser.add_argument("--allow-unconverged", action="store_true", default=None)
+    for key, flags in _FLAGS.items():
+        if key in _READS[command] or key == "format":
+            for flag, options in flags.items():
+                parser.add_argument(flag, **options)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
-    columns = (args.outcome_col, args.action_col, args.feature_cols)
+    columns = [vars(args).get(dest) for dest in ("outcome_col", "action_col", "feature_cols")]
     if any(columns):
         _require(all(columns), "--outcome-col, --action-col, and --feature-cols go together")
         overrides["schema"] = {
@@ -564,15 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="estimate moments and assign optimal actions")
-    _add_common_flags(fit)
+    _add_flags(sub.add_parser("fit", help="estimate moments and assign optimal actions"), "fit")
 
     evaluate = sub.add_parser("evaluate", help="estimate policy welfare and regret")
-    _add_common_flags(evaluate)
+    _add_flags(evaluate, "evaluate")
     evaluate.add_argument("--assignments", required=True, help="assignments table")
 
-    simulate = sub.add_parser("simulate", help="draw a synthetic dataset")
-    _add_common_flags(simulate)
+    _add_flags(sub.add_parser("simulate", help="draw a synthetic dataset"), "simulate")
 
     report = sub.add_parser("report", help="render plots for a completed fit run")
     report.add_argument("run_dir", help="directory written by 'fit'")

@@ -64,7 +64,6 @@ class PolicyAssignment:
     not unique.
     """
 
-    preference: RiskPreference
     actions: np.ndarray
     n_actions: int
     ties_broken: int = 0
@@ -108,6 +107,4 @@ def assign_policy(moments: ArmMoments, preference: RiskPreference) -> PolicyAssi
     utilities are finite by construction thanks to the variance floor."""
     utility = risk_utility(moments.mu, moments.sigma, moments.sigma2, preference)
     actions, tied = _smallest_maximisers(utility)
-    return PolicyAssignment(
-        preference, actions, moments.n_actions, int(np.count_nonzero(tied))
-    )
+    return PolicyAssignment(actions, moments.n_actions, int(np.count_nonzero(tied)))

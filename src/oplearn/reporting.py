@@ -527,15 +527,11 @@ def read_csv(
     return [header[j] for j in kept], values[:, kept] if unkept else values
 
 
-def sha256_bytes(data: bytes) -> str:
+def sha256_file(path: Path) -> str:
     # imported here: hashlib loads OpenSSL, which ``report`` has no use for
     import hashlib
 
-    return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path: Path) -> str:
-    return sha256_bytes(path.read_bytes())
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_manifest(

@@ -52,8 +52,8 @@ class DGPSpec:
     ``"logit"``; the logit rule draws actions with probabilities
     ``softmax([1, x] @ assignment_coeffs.T)``. ``feature_dist`` names the
     distribution of every feature column: ``"normal"`` (standard normal) or
-    ``"uniform"`` (uniform on [0, 1]). Given ``assignment_coeffs`` must be
-    (M, p+1) under either rule; the uniform rule ignores them.
+    ``"uniform"`` (uniform on [0, 1]). The uniform rule draws no
+    coefficients, so it refuses ``assignment_coeffs``.
     """
 
     n_units: int
@@ -82,6 +82,8 @@ class DGPSpec:
             raise ValueError(f"unknown assignment mechanism {self.assignment!r}")
         if self.assignment == "logit" and self.assignment_coeffs is None:
             raise ValueError("logit assignment needs assignment_coeffs")
+        if self.assignment == "uniform" and self.assignment_coeffs is not None:
+            raise ValueError("uniform assignment takes no assignment_coeffs")
         if self.assignment_coeffs is not None:
             if _freeze(self, "assignment_coeffs", np.float64).shape != shape:
                 raise ValueError(f"assignment_coeffs must have shape {shape}")

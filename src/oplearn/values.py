@@ -176,16 +176,6 @@ def value_dr(
     return ValueEstimate(estimator="DR", value=value)
 
 
-def regret(v_first_best: ValueEstimate, v_alternative: ValueEstimate) -> float:
-    """Welfare lost by the alternative policy, within one estimator kind."""
-    if v_first_best.estimator != v_alternative.estimator:
-        raise ValueError(
-            "regret compares values from the same estimator kind, got "
-            f"{v_first_best.estimator!r} vs {v_alternative.estimator!r}"
-        )
-    return v_first_best.value - v_alternative.value
-
-
 def score_policies(
     dataset: Dataset,
     policies: Mapping[str, PolicyAssignment | np.ndarray],
@@ -194,25 +184,25 @@ def score_policies(
 ) -> list[dict]:
     """The value table: one ``{policy_label, estimator, value, regret_vs_fb}``
     row per policy, in mapping order, and per estimator, in
-    ``ESTIMATOR_KINDS`` order. ``regret_vs_fb`` is the :func:`regret` against
-    the ``neutral`` policy under the same estimator, None without one."""
+    ``ESTIMATOR_KINDS`` order. ``regret_vs_fb`` is the ``neutral`` policy's
+    value minus the row's, under the same estimator, None without one."""
     scorers = {
         "RA": lambda actions: value_ra(q_hat, actions),
         "IPW": lambda actions: value_ipw(dataset, actions, propensities),
         "DR": lambda actions: value_dr(dataset, actions, q_hat, propensities),
     }
-    estimates = {
-        label: {kind: score(actions) for kind, score in scorers.items()}
+    values = {
+        label: {kind: score(actions).value for kind, score in scorers.items()}
         for label, actions in policies.items()
     }
-    first_best = estimates.get("neutral")
+    first_best = values.get("neutral")
     return [
         {
             "policy_label": label,
             "estimator": kind,
-            "value": estimate.value,
-            "regret_vs_fb": None if first_best is None else regret(first_best[kind], estimate),
+            "value": value,
+            "regret_vs_fb": None if first_best is None else first_best[kind] - value,
         }
-        for label, per_kind in estimates.items()
-        for kind, estimate in per_kind.items()
+        for label, per_kind in values.items()
+        for kind, value in per_kind.items()
     ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from oplearn import ArmMoments, Dataset, OracleData
+from oplearn.cli import build_parser
 from oplearn.regression import HESSIAN_BLOCK
 from oplearn.reporting import SVG_HEIGHT, SVG_WIDTH
 
@@ -294,3 +296,15 @@ def reference_marks(x, y, arms, palette) -> list[tuple[int, int, str, str]]:
         (cx, cy, palette[arm], f"{1 - 0.3**k:.3f}")
         for (cx, cy, arm), k in reference_cells(x, y, arms).items()
     ]
+
+
+def offered_flags() -> dict[str, list[str]]:
+    """Each ``oplearn`` command's option strings but ``-h``/``--help``, in
+    the order its parser adds them."""
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    return {
+        command: [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for command, parser in commands.items()
+    }

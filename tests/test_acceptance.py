@@ -24,7 +24,6 @@ from oplearn import (
     generate,
     oracle_policy,
     predict_proba,
-    regret,
     risk_utility,
     score_policies,
     true_value,
@@ -151,11 +150,12 @@ def test_criterion_5_regret_nonnegative_under_ra():
         rng = np.random.default_rng(seed)
         dataset = make_dataset(rng, n=80, m=int(rng.integers(2, 5)), p=2, noise=1.0)
         moments = build_arm_moments(dataset)
-        fb = value_ra(moments.mu, assign_policy(moments, RiskPreference.NEUTRAL))
-        for pref in (RiskPreference.LINEAR, RiskPreference.QUADRATIC):
-            alt = value_ra(moments.mu, assign_policy(moments, pref))
-            if regret(fb, alt) < 0.0:
-                failures += 1
+        policies = {pref.value: assign_policy(moments, pref) for pref in RiskPreference}
+        props = clip_propensities(np.full(moments.mu.shape, 1 / dataset.n_actions))
+        rows = score_policies(dataset, policies, moments.mu, props)
+        ra = [r["regret_vs_fb"] for r in rows if r["estimator"] == "RA"]
+        assert len(ra) == 3 and ra[0] == 0.0
+        failures += sum(value < 0.0 for value in ra[1:])
     _criterion(
         5,
         "RA regret of risk-averse rules vs first-best is never negative",

@@ -42,7 +42,7 @@ from oplearn.cli import (
 )
 from oplearn.reporting import PALETTE, read_csv, write_csv, write_json_table
 
-from helpers import reference_marks, svg_marks
+from helpers import offered_flags, reference_marks, svg_marks
 
 TRADEOFF_DGP = {
     "n_units": 3000,
@@ -170,7 +170,9 @@ class TestConfig:
 
     def test_defaults_equal_the_library_defaults(self):
         # a library run with default arguments computes what a default
-        # fit or evaluate writes
+        # fit or evaluate writes; perfbench's check that values.json equals
+        # its in-memory RA/IPW/DR values rests on this. A test, not shared
+        # constants: cli imports neither regression nor values at start-up
         def defaults(fn):
             return {
                 name: param.default
@@ -264,6 +266,46 @@ class TestConfig:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, offered",
+        [
+            ("simulate", ["--config", "--outdir", "--format", "--delimiter"]),
+            (
+                "fit",
+                [
+                    "--config", "--outdir", "--input", "--outcome-col", "--action-col",
+                    "--feature-cols", "--format", "--delimiter",
+                ],
+            ),
+            (
+                "evaluate",
+                [
+                    "--config", "--outdir", "--input", "--outcome-col", "--action-col",
+                    "--feature-cols", "--clip", "--format", "--delimiter",
+                    "--allow-unconverged", "--assignments",
+                ],
+            ),
+            ("report", []),
+        ],
+    )
+    def test_each_command_offers_only_the_flags_it_reads(self, command, offered):
+        # the flags of the keys the command reads, --config and --outdir, and
+        # --format, which every command still offers while JSON tables last
+        assert offered_flags()[command] == offered
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("simulate", ["--input", "x"]), ("fit", ["--clip", "0.2,0.8"])],
+    )
+    def test_flag_of_a_key_the_command_does_not_read_is_a_usage_error(
+        self, tmp_path, capsys, command, flags
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--outdir", str(tmp_path / "r"), *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_clip_flag_sets_the_propensity_clip_bounds(self, tmp_path):
         code, evaldir = simulate_and_evaluate(tmp_path, CLIP_DGP, "--clip", "0.2,0.8")
         assert code == 0
@@ -275,9 +317,12 @@ class TestConfig:
         assert json.loads((evaldir / "report.json").read_text())["clip_count"] == expected
 
     def test_clip_flag_value_is_checked_like_the_key(self, sim_run, capfd):
-        argv = ["fit", "--config", sim_run["fit_cfg"], "--outdir", str(sim_run["tmp"] / "r")]
+        outdir = sim_run["tmp"] / "r"
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(outdir)]
+        argv += ["--assignments", str(sim_run["run"] / "assignments.csv")]
         fragment = "invalid value for config option 'clip': 'a,b'"
         assert_fails_with_one_error([*argv, "--clip", "a,b"], capfd, fragment)
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("allow, code", [(False, 1), (True, 0)])
     def test_unconverged_propensity_fit(self, tmp_path, capsys, allow, code):
@@ -751,7 +796,7 @@ class TestEvaluate:
         columns = [np.arange(dataset.n_units), *(pol.actions for pol in policies.values())]
         for label, pol in policies.items():
             header += [f"{label}_utility_{a}" for a in range(dataset.n_actions)]
-            utility = risk_utility(moments.mu, moments.sigma, moments.sigma2, pol.preference)
+            utility = risk_utility(moments.mu, moments.sigma, moments.sigma2, RiskPreference(label))
             columns += list(utility.T)
         olddir.mkdir()
         write = write_json_table if fmt == "json" else write_csv

@@ -20,7 +20,6 @@ from oplearn import (
     OracleData,
     PolicyAssignment,
     PropensityMatrix,
-    RiskPreference,
     clip_propensities,
     fit_mnlogit,
     generate,
@@ -351,7 +350,7 @@ FROZEN_INPUTS = {
     ),
     PolicyAssignment: (
         lambda: {"actions": np.array([1, 0])},
-        {"preference": RiskPreference.NEUTRAL, "n_actions": 2},
+        {"n_actions": 2},
     ),
     PropensityMatrix: (
         lambda: {"p": np.full((2, 2), 0.5)},
@@ -421,7 +420,7 @@ def id_checks():
     return {
         "Dataset": (lambda a: Dataset(np.ones(n), a, x, n_actions=m), m, "actions"),
         "PolicyAssignment": (
-            lambda a: PolicyAssignment(RiskPreference.NEUTRAL, a, m),
+            lambda a: PolicyAssignment(a, m),
             m,
             "actions",
         ),
@@ -459,7 +458,7 @@ def test_id_shape_checked_before_the_ids():
     with pytest.raises(ValueError, match="disagree on N"):
         Dataset(np.ones(2), bad, np.ones((2, 1)), n_actions=2)
     with pytest.raises(ValueError, match="one arm per unit"):
-        PolicyAssignment(RiskPreference.NEUTRAL, bad, 2)
+        PolicyAssignment(bad, 2)
 
 
 ZERO_UNITS = {
@@ -469,7 +468,7 @@ ZERO_UNITS = {
     ),
     "PropensityMatrix": lambda: PropensityMatrix(np.empty((0, 2)), (0.01, 0.99), 0),
     "clip_propensities": lambda: clip_propensities(np.empty((0, 2))),
-    "PolicyAssignment": lambda: PolicyAssignment(RiskPreference.NEUTRAL, np.empty(0, int), 2),
+    "PolicyAssignment": lambda: PolicyAssignment(np.empty(0, int), 2),
     "value_ra": lambda: value_ra(np.empty((0, 2)), np.empty(0, int)),
 }
 
@@ -498,16 +497,34 @@ def test_zero_arms_refused_before_any_reduction(entry):
         ZERO_ARMS[entry]()
 
 
-def test_uniform_dgp_accepts_listed_assignment_coeffs():
+def test_logit_dgp_freezes_listed_assignment_coeffs():
     spec = DGPSpec(
         n_units=5,
         n_actions=2,
         n_features=1,
         mean_coeffs=np.ones((2, 2)),
         noise_scale_coeffs=np.zeros((2, 2)),
+        assignment="logit",
         assignment_coeffs=[[0.0, 0.0], [0.0, 0.0]],
     )
     assert not spec.assignment_coeffs.flags.writeable
+
+
+def test_uniform_dgp_refuses_assignment_coeffs():
+    # the uniform draw reads no coefficients, so simulate would hash them
+    # into config.json beside byte-identical dataset and oracle files
+    with pytest.raises(ValueError, match="^uniform assignment takes no assignment_coeffs$"):
+        DGPSpec.from_dict(
+            {
+                "n_units": 5,
+                "n_actions": 2,
+                "n_features": 1,
+                "mean_coeffs": np.ones((2, 2)),
+                "noise_scale_coeffs": np.zeros((2, 2)),
+                "assignment": "uniform",
+                "assignment_coeffs": np.zeros((2, 2)),
+            }
+        )
 
 
 class TestValidate:

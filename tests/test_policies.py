@@ -116,9 +116,9 @@ class TestAssignPolicy:
         else:
             message = rf"^non-integer id {arm!r} in actions at row 2$"
         with pytest.raises(ValueError, match=message):
-            PolicyAssignment(RiskPreference.NEUTRAL, actions, n_actions=2)
+            PolicyAssignment(actions, n_actions=2)
         actions[1] = 1.0
-        assert PolicyAssignment(RiskPreference.NEUTRAL, actions, 2).actions.tolist() == [0, 1, 1]
+        assert PolicyAssignment(actions, 2).actions.tolist() == [0, 1, 1]
 
     def test_estimated_assignments_recover_oracle(self):
         spec = DGPSpec(

@@ -1,5 +1,6 @@
-"""README's library example runs as written, and its options table lists
-the CLI's config keys and the commands that read each."""
+"""README's library example runs as written, its options table lists the
+CLI's config keys and the commands that read each, and its flags table the
+flags each command offers."""
 
 import re
 from dataclasses import fields
@@ -7,6 +8,8 @@ from pathlib import Path
 
 from oplearn import DGPSpec, generate
 from oplearn.cli import _READS, RunConfig
+
+from helpers import offered_flags
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,3 +53,13 @@ def test_options_table_lists_exactly_the_config_keys():
         name = key.partition(".")[0]
         readers = [c for c, read in _READS.items() if name in read or name == "outdir"]
         assert read_by[key] == ", ".join(readers), key
+
+
+def test_flags_table_lists_the_flags_each_command_offers():
+    header = r"\n\| command \| flags \|\n\|[-|]+\|\n"
+    table = re.search(header + r"((?:\|.*\n)+)", README.read_text())
+    listed = {}
+    for row in table.group(1).splitlines():
+        command, flags = re.match(r"\| `(\w+)` \| (.*) \|$", row).groups()
+        listed[command] = re.findall(r"`(--[\w-]+)`", flags)
+    assert listed == offered_flags()

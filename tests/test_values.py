@@ -17,7 +17,6 @@ from oplearn import (
     generate,
     oracle_policy,
     predict_proba,
-    regret,
     score_policies,
     true_value,
     value_dr,
@@ -241,26 +240,30 @@ class TestObservedPropensity:
 
 class TestRegret:
     def test_identical_policies_zero(self):
-        a = ValueEstimate("RA", 3.2)
-        b = ValueEstimate("RA", 3.2)
-        assert regret(a, b) == 0.0
+        d = make_dataset(np.random.default_rng(12), n=40, m=3)
+        q = np.random.default_rng(13).normal(size=(40, 3))
+        props = clip_propensities(np.full((40, 3), 1 / 3))
+        policies = {"neutral": d.actions, "copy": d.actions.copy()}
+        rows = score_policies(d, policies, q, props)
+        assert [r["regret_vs_fb"] for r in rows] == [0.0] * 6
 
     def test_unknown_estimator_kind_rejected(self):
         with pytest.raises(ValueError, match="estimator must be one of"):
             ValueEstimate("TRUE", 1.0)
 
-    def test_estimator_kind_mismatch(self):
-        with pytest.raises(ValueError, match="same estimator"):
-            regret(ValueEstimate("RA", 1.0), ValueEstimate("IPW", 0.5))
-
     def test_first_best_dominates_random_policies_under_ra(self):
+        # regret is the first-best value minus the policy's, so it is never
+        # negative under RA when the first-best maximises q_hat per unit
         rng = np.random.default_rng(11)
+        d = make_dataset(rng, n=60, m=4)
         q = rng.normal(size=(60, 4))
-        fb_actions = np.argmax(q, axis=1)
-        v_fb = value_ra(q, fb_actions)
-        for _ in range(200):
-            other = rng.integers(0, 4, 60)
-            assert regret(v_fb, value_ra(q, other)) >= 0.0
+        props = clip_propensities(np.full((60, 4), 0.25))
+        policies = {"neutral": np.argmax(q, axis=1)}
+        policies.update((f"random{i}", rng.integers(0, 4, 60)) for i in range(200))
+        rows = score_policies(d, policies, q, props)
+        regrets = [r["regret_vs_fb"] for r in rows if r["estimator"] == "RA"]
+        assert len(regrets) == 201
+        assert regrets[0] == 0.0 and all(r >= 0.0 for r in regrets)
 
     def test_true_regret_positive_on_tradeoff(self):
         # one arm has the higher mean, the other far lower risk
@@ -351,7 +354,7 @@ class TestScorePolicies:
                 "policy_label": label,
                 "estimator": est.estimator,
                 "value": est.value,
-                "regret_vs_fb": regret(fb, est),
+                "regret_vs_fb": fb.value - est.value,
             }
             for label, actions in policies.items()
             for fb, est in zip(first_best, by_hand(actions))

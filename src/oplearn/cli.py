@@ -571,12 +571,24 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser. A flag that the command does not offer is a usage
+    error here, reported with the command's own usage, not the top-level
+    parser's ``usage: oplearn [-h] {fit,evaluate,simulate,report} ...``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oplearn",
         description="first-best optimal policy learning with risk preferences",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     _add_flags(sub.add_parser("fit", help="estimate moments and assign optimal actions"), "fit")
 

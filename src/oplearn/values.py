@@ -1,19 +1,19 @@
 """Welfare (value-function) estimators and regret.
 
 The value of a policy pi is the population mean outcome obtained when every
-unit is treated according to pi. Three estimators are provided, each a plain
-mean over units:
+unit is treated according to pi. Three estimators are provided, each the
+mean over units of a per-unit score psi_i:
 
 * regression adjustment (RA), the direct plug-in
-      V_RA = mean_i q_hat[i, pi_i]
+      psi_RA,i = q_hat[i, pi_i]
 
 * inverse-probability weighting (IPW), the Horvitz-Thompson form with no
   weight renormalisation
-      V_IPW = mean_i 1{A_i = pi_i} * Y_i / p_hat[i, A_i]
+      psi_IPW,i = 1{A_i = pi_i} * Y_i / p_hat[i, A_i]
 
 * doubly robust (DR), RA plus an IPW-weighted residual correction
-      V_DR = mean_i ( q_hat[i, pi_i]
-                      + 1{A_i = pi_i} * (Y_i - q_hat[i, A_i]) / p_hat[i, A_i] )
+      psi_DR,i = q_hat[i, pi_i]
+                 + 1{A_i = pi_i} * (Y_i - q_hat[i, A_i]) / p_hat[i, A_i]
 
 DR stays consistent when either the outcome model or the propensity model is
 correct. Propensities close to 0 or 1 blow up the weighted terms, so the
@@ -25,8 +25,9 @@ Regret is the welfare lost by following a risk-averse rule instead of the
 first-best: R = V(first-best) - V(alternative), compared within a single
 estimator kind.
 
-:func:`score_policies` builds ``oplearn evaluate``'s value table: each policy's
-value under each estimator and its regret against the ``neutral`` policy.
+:func:`score_policies` builds ``oplearn evaluate``'s value table from the
+score rows of :func:`_unit_scores`: each policy's value under each estimator
+and its regret against the ``neutral`` policy.
 """
 
 from __future__ import annotations
@@ -139,16 +140,53 @@ def value_ra(q_hat: np.ndarray, policy: PolicyAssignment | np.ndarray) -> ValueE
     return ValueEstimate(estimator="RA", value=value)
 
 
+def _unit_scores(
+    dataset: Dataset,
+    policies: Mapping[str, PolicyAssignment | np.ndarray],
+    q_hat: np.ndarray,
+    propensities: PropensityMatrix,
+) -> dict[str, np.ndarray]:
+    """Per policy, its per-unit RA, IPW and DR scores as a (3, N) array, rows
+    in ``ESTIMATOR_KINDS`` order; each estimate is the mean of its row. Each
+    row is contiguous, so its mean has the bits of ``np.mean`` of its terms.
+    q_hat is checked, and p_hat[i, A_i] and q_hat[i, A_i] gathered, once per
+    call; each policy is checked once."""
+    q_hat = np.asarray(q_hat, dtype=np.float64)
+    if q_hat.shape != (dataset.n_units, dataset.n_actions):
+        raise ValueError("q_hat shape mismatch")
+    observed_p = _observed_propensity(dataset, propensities)
+    idx = np.arange(dataset.n_units)
+    observed_residual = dataset.outcomes - q_hat[idx, dataset.actions]
+    scores = {}
+    for label, policy in policies.items():
+        actions = _policy_actions(policy, dataset.n_units, dataset.n_actions)
+        psi = np.empty((len(ESTIMATOR_KINDS), dataset.n_units))
+        psi[0] = q_hat[idx, actions]
+        psi[1] = _weighted(dataset, actions, dataset.outcomes, observed_p)
+        psi[2] = psi[0] + _weighted(dataset, actions, observed_residual, observed_p)
+        scores[label] = psi
+    return scores
+
+
+def _weighted(
+    dataset: Dataset, actions: np.ndarray, y: np.ndarray, observed_p: np.ndarray
+) -> np.ndarray:
+    """1{A_i = pi_i} * y_i / p_hat[i, A_i]: the IPW score of y, in that order
+    of operations, which the scores' bits depend on."""
+    match = (dataset.actions == actions).astype(np.float64)
+    return match * y / observed_p
+
+
 def value_ipw(
     dataset: Dataset,
     policy: PolicyAssignment | np.ndarray,
     propensities: PropensityMatrix,
 ) -> ValueEstimate:
-    """Horvitz-Thompson value of the policy under the observed assignment."""
+    """Horvitz-Thompson value of the policy under the observed assignment:
+    the mean of its IPW scores, built without the RA and DR rows."""
     actions = _policy_actions(policy, dataset.n_units, dataset.n_actions)
     observed_p = _observed_propensity(dataset, propensities)
-    match = (dataset.actions == actions).astype(np.float64)
-    value = float(np.mean(match * dataset.outcomes / observed_p))
+    value = float(np.mean(_weighted(dataset, actions, dataset.outcomes, observed_p)))
     return ValueEstimate(estimator="IPW", value=value)
 
 
@@ -163,17 +201,8 @@ def value_dr(
     The correction residual is taken at the observed action A_i, so a
     q_hat that interpolates the observed outcomes makes DR coincide with RA.
     """
-    actions = _policy_actions(policy, dataset.n_units, dataset.n_actions)
-    q_hat = np.asarray(q_hat, dtype=np.float64)
-    if q_hat.shape != (dataset.n_units, dataset.n_actions):
-        raise ValueError("q_hat shape mismatch")
-    observed_p = _observed_propensity(dataset, propensities)
-    idx = np.arange(dataset.n_units)
-    match = (dataset.actions == actions).astype(np.float64)
-    plug_in = q_hat[idx, actions]
-    residual = match * (dataset.outcomes - q_hat[idx, dataset.actions]) / observed_p
-    value = float(np.mean(plug_in + residual))
-    return ValueEstimate(estimator="DR", value=value)
+    (psi,) = _unit_scores(dataset, {"": policy}, q_hat, propensities).values()
+    return ValueEstimate(estimator="DR", value=float(psi[2].mean()))
 
 
 def score_policies(
@@ -186,14 +215,12 @@ def score_policies(
     row per policy, in mapping order, and per estimator, in
     ``ESTIMATOR_KINDS`` order. ``regret_vs_fb`` is the ``neutral`` policy's
     value minus the row's, under the same estimator, None without one."""
-    scorers = {
-        "RA": lambda actions: value_ra(q_hat, actions),
-        "IPW": lambda actions: value_ipw(dataset, actions, propensities),
-        "DR": lambda actions: value_dr(dataset, actions, q_hat, propensities),
-    }
     values = {
-        label: {kind: score(actions).value for kind, score in scorers.items()}
-        for label, actions in policies.items()
+        label: {
+            kind: ValueEstimate(kind, value).value
+            for kind, value in zip(ESTIMATOR_KINDS, psi.mean(axis=1).tolist())
+        }
+        for label, psi in _unit_scores(dataset, policies, q_hat, propensities).items()
     }
     first_best = values.get("neutral")
     return [

@@ -303,7 +303,10 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             run([command, "--outdir", str(tmp_path / "r"), *flags])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # reported with the command's usage, not the top-level one
+        assert err.startswith(f"usage: oplearn {command} ")
+        assert f"oplearn {command}: error: unrecognized arguments: {' '.join(flags)}" in err
         assert not (tmp_path / "r").exists()
 
     def test_clip_flag_sets_the_propensity_clip_bounds(self, tmp_path):

@@ -23,6 +23,8 @@ from oplearn import (
     value_ipw,
     value_ra,
 )
+from oplearn import values
+from oplearn.values import _unit_scores
 
 from helpers import make_dataset, quadratic_mean_oracle
 
@@ -156,6 +158,15 @@ class TestValueDR:
         assert value_dr(d, policy, q, props).value == pytest.approx(
             value_ra(q, policy).value, abs=1e-15
         )
+
+    def test_interpolating_q_makes_each_dr_score_its_ra_score(self):
+        # unit by unit, not only in the mean: every residual is exactly zero
+        d = make_dataset(np.random.default_rng(4), n=40, m=3)
+        q = interpolating_q_hat(d)
+        policies = {"random": np.random.default_rng(5).integers(0, 3, 40), "observed": d.actions}
+        props = exact_propensities(np.full((40, 3), 1.0 / 3.0))
+        for psi in _unit_scores(d, policies, q, props).values():
+            assert np.array_equal(psi[2], psi[0])
 
     def test_no_match_reduces_to_ra(self):
         d = make_dataset(np.random.default_rng(6), n=30, m=2)
@@ -328,12 +339,33 @@ class TestEstimatorAgreement:
             assert abs(lhs - rhs) < 1e-12
 
 
+class TestUnitScores:
+    def test_rows_are_the_per_unit_formulas_bit_for_bit(self):
+        # the terms in the order the module docstring writes them: a
+        # reordered product such as (match / p) * Y moves their last bits
+        d = make_dataset(np.random.default_rng(8), n=50, m=3)
+        q = np.random.default_rng(9).normal(size=(50, 3))
+        policy = np.random.default_rng(10).integers(0, 3, 50)
+        props = clip_propensities(np.random.default_rng(11).dirichlet(np.ones(3), size=50))
+        (psi,) = _unit_scores(d, {"p": policy}, q, props).values()
+        idx = np.arange(50)
+        match = (d.actions == policy).astype(float)
+        observed_p = props.p[idx, d.actions]
+        ra = q[idx, policy]
+        assert psi.shape == (3, 50) and psi.flags.c_contiguous
+        assert np.array_equal(psi[0], ra)
+        assert np.array_equal(psi[1], match * d.outcomes / observed_p)
+        assert np.array_equal(psi[2], ra + match * (d.outcomes - q[idx, d.actions]) / observed_p)
+        assert 0 < match.sum() < 50
+
+
 class TestScorePolicies:
-    @staticmethod
-    def inputs():
+    order = "C"
+
+    def inputs(self):
         d = make_dataset(np.random.default_rng(21), n=80, m=3)
         rng = np.random.default_rng(22)
-        q = rng.normal(size=(80, 3))
+        q = np.asarray(rng.normal(size=(80, 3)), order=self.order)
         props = clip_propensities(rng.dirichlet(np.ones(3), size=80))
         policies = {
             "linear": rng.integers(0, 3, 80),
@@ -367,3 +399,23 @@ class TestScorePolicies:
         rows = score_policies(d, policies, q, props)
         assert len(rows) == 6
         assert all(r["regret_vs_fb"] is None for r in rows)
+
+    def test_each_policy_checked_once_and_propensities_gathered_once(self, monkeypatch):
+        calls = {"_policy_actions": 0, "_observed_propensity": 0}
+        for name in calls:
+
+            def counting(*args, name=name, original=getattr(values, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(values, name, counting)
+        d, q, props, policies = self.inputs()
+        score_policies(d, policies, q, props)
+        assert calls == {"_policy_actions": len(policies), "_observed_propensity": 1}
+
+
+class TestScorePoliciesFortranQHat(TestScorePolicies):
+    """The same checks on a Fortran-ordered q_hat, the layout that
+    estimate_conditional_means returns and evaluate scores."""
+
+    order = "F"

@@ -435,7 +435,6 @@ def cmd_simulate(config: RunConfig) -> dict:
         "po": oracle.potential_outcomes,
         "mu": oracle.true_mu,
         "sigma": oracle.true_sigma,
-        "propensity": oracle.true_propensity,
     }
     header = ["unit", *(f"{stem}_{a}" for stem in matrices for a in range(oracle.n_actions))]
     columns = [np.arange(oracle.n_units), *(c for matrix in matrices.values() for c in matrix.T)]

@@ -75,10 +75,6 @@ class ArmMoments:
         _freeze(self, "sigma", np.float64, "F")
 
     @property
-    def n_units(self) -> int:
-        return self.mu.shape[0]
-
-    @property
     def n_actions(self) -> int:
         return self.mu.shape[1]
 

@@ -165,6 +165,32 @@ class TestConditionalVariance:
             )
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma2", np.ones((2, 3)), "moment matrices disagree on shape"),
+            ("all", np.ones(2), r"moment matrices must be 2-d \(units x arms\)"),
+            ("mu", np.array([[0.0, np.inf], [0.0, 0.0]]), "moments contain non-finite entries"),
+            ("sigma2", np.array([[1.0, 1.0], [np.nan, 1.0]]), "moments contain non-finite entries"),
+            ("sigma2", np.array([[1.0, 0.05], [1.0, 1.0]]), "sigma2 below the variance floor"),
+        ],
+        ids=["shape", "one_d", "inf_mu", "nan_sigma2", "below_floor"],
+    )
+    def test_invalid_moments_refused(self, field, value, message):
+        args = {
+            "mu": np.zeros((2, 2)),
+            "sigma2": np.ones((2, 2)),
+            "variance_floor": 0.1,
+            "clamped": np.zeros((2, 2), dtype=bool),
+        }
+        if field == "all":
+            args.update(mu=value, sigma2=value, clamped=value.astype(bool))
+        else:
+            args[field] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ArmMoments(**args)
+
+
 class TestBuildArmMoments:
     def test_mu_equals_conditional_means(self):
         d = make_dataset(np.random.default_rng(7), n=80, m=3, p=2)

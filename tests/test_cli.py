@@ -487,7 +487,20 @@ class TestSimulate:
         assert (outdir / "oracle.csv").exists()
         assert (outdir / "manifest.json").exists()
         header = (outdir / "oracle.csv").read_text().splitlines()[0]
-        assert header.split(",")[:4] == ["unit", "po_0", "po_1", "po_2"]
+        assert header.split(",") == [
+            "unit", *(f"{stem}_{a}" for stem in ("po", "mu", "sigma") for a in range(3))
+        ]
+
+    def test_sidecar_moments_read_back_bit_for_bit(self, tmp_path):
+        dgp = dict(LINEAR_DGP, n_units=300)
+        cfg = write_config(tmp_path, dgp=dgp, outdir=str(tmp_path / "s"))
+        assert run(["simulate", "--config", cfg]) == 0
+        names, values = read_csv(tmp_path / "s" / "oracle.csv")
+        oracle = generate(DGPSpec.from_dict(dgp))
+        np.testing.assert_array_equal(values[:, 0], np.arange(300))
+        for stem, truth in (("mu", oracle.true_mu), ("sigma", oracle.true_sigma)):
+            cols = [names.index(f"{stem}_{a}") for a in range(3)]
+            assert np.array_equal(values[:, cols], truth)
 
     def test_identical_bytes_across_runs(self, tmp_path):
         cfg_a = write_config(tmp_path, name="a.json", dgp=LINEAR_DGP, outdir=str(tmp_path / "a"))
@@ -754,6 +767,26 @@ class TestEvaluate:
             ]
         )
         assert code == 1
+
+    def test_without_neutral_column_regret_is_left_unreported(self, tmp_path, sim_run, capsys):
+        names, values = read_csv(sim_run["run"] / "assignments.csv")
+        keep = [names.index(h) for h in ("unit", "linear_action", "quadratic_action")]
+        table = tmp_path / "assignments.csv"
+        write_csv(table, [names[j] for j in keep], [values[:, j].astype(int) for j in keep])
+        outdir = tmp_path / "eval"
+        argv = ["evaluate", "--config", sim_run["fit_cfg"], "--outdir", str(outdir)]
+        capsys.readouterr()
+        assert run([*argv, "--assignments", str(table)]) == 0
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        warning = "no 'neutral' policy column; regret left unreported"
+        assert record["warnings"].count(warning) == 1
+        assert err.splitlines() == [f"warning: {line}" for line in record["warnings"]]
+        rows = json.loads((outdir / "values.json").read_text())
+        assert {r["policy_label"] for r in rows} == {"linear", "quadratic"}
+        for table_rows in (rows, record["value_table"]):
+            assert len(table_rows) == 6
+            assert all(r["regret_vs_fb"] is None for r in table_rows)
 
     @pytest.mark.parametrize(
         "damage, fragment",

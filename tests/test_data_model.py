@@ -50,6 +50,33 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+class TestSchema:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (
+                lambda: ColumnSchema("y", "a", ()),
+                ValueError,
+                "schema needs at least one feature column",
+            ),
+            (
+                lambda: ColumnSchema("y", "a", ("x", "y")),
+                ValueError,
+                "schema column names must be distinct: ('y', 'a', 'x', 'y')",
+            ),
+            (
+                lambda: ColumnSchema.from_mapping({"outcome": "y", "features": ["x"]}),
+                DataFormatError,
+                "schema is missing the 'action' entry",
+            ),
+        ],
+        ids=["no_feature", "repeated_name", "no_action"],
+    )
+    def test_invalid_schema_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
 class TestLoad:
     def test_actions_recoded_by_ascending_label(self, tmp_path):
         path = write(
@@ -111,6 +138,9 @@ class TestLoad:
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(DataFormatError, match="empty file"):
+            load_dataset(path, SCHEMA)
+        path = write(tmp_path, "y,treat,x1\n", name="header_only.csv")
+        with pytest.raises(DataFormatError, match=f"^no data rows in {re.escape(str(path))}$"):
             load_dataset(path, SCHEMA)
 
     def test_non_integer_action(self, tmp_path):
@@ -321,6 +351,25 @@ class TestDatasetInvariants:
                 features=np.ones((4, 1)),
                 n_actions=2,
             )
+        features = np.ones((4, 1))
+        features[2, 0] = np.inf
+        with pytest.raises(ValueError, match="^features contain non-finite entries$"):
+            Dataset(np.ones(4), np.array([0, 1, 0, 1]), features, n_actions=2)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"features": np.ones(4)}, "features must be a 2-d matrix"),
+            ({"feature_names": ("x1", "x2")}, "feature_names length mismatch"),
+            ({"action_labels": ("a", "b", "c")}, "action_labels length mismatch"),
+        ],
+        ids=["one_d_features", "feature_names", "action_labels"],
+    )
+    def test_rejects_malformed_features_or_names(self, change, message):
+        args = {"outcomes": np.ones(4), "actions": np.array([0, 1, 0, 1])}
+        args.update({"features": np.ones((4, 1)), "n_actions": 2}, **change)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(**args)
 
     def test_arrays_are_read_only(self):
         d = make_dataset(np.random.default_rng(0), n=20)

@@ -1,5 +1,7 @@
 """Ground-truth generator: determinism, consistency, and dominance."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,24 @@ class TestGenerate:
                 assignment="logit",
             )
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_units": 0}, "need n_units >= 1, n_actions >= 2, n_features >= 1"),
+            ({"assignment": "softmax"}, "unknown assignment mechanism 'softmax'"),
+            (
+                {"assignment": "logit", "assignment_coeffs": np.zeros((2, 2))},
+                "assignment_coeffs must have shape (3, 2)",
+            ),
+            ({"n_arms": 3}, "unknown DGP option(s): ['n_arms']"),
+        ],
+        ids=["no_units", "softmax", "coeff_shape", "unknown_key"],
+    )
+    def test_invalid_spec_names_the_fault(self, change, message):
+        cfg = {**constant_spec().to_dict(), **change}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DGPSpec.from_dict(cfg)
+
     def test_spec_round_trips_through_dict(self):
         spec = constant_spec(seed=11, noise_raw=0.5)
         clone = DGPSpec.from_dict(spec.to_dict())
@@ -278,3 +298,23 @@ class TestOraclePolicy:
                 true_sigma=oracle.true_sigma,
                 true_propensity=oracle.true_propensity,
             )
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("true_mu", np.zeros((4, 3)), "true_mu must have shape (4, 2)"),
+            ("true_propensity", np.full((4, 2), 0.6), "true propensity rows must sum to 1"),
+            (
+                "true_sigma",
+                np.array([[1.0, 0.0]] * 4),
+                "true noise scales must be strictly positive",
+            ),
+        ],
+        ids=["shape", "propensity_sum", "zero_sigma"],
+    )
+    def test_invalid_truth_rejected(self, name, value, message):
+        oracle = self.manual_oracle()
+        fields = ("potential_outcomes", "true_mu", "true_sigma", "true_propensity")
+        args = {field: getattr(oracle, field) for field in fields}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OracleData(dataset=oracle.dataset, **{**args, name: value})

@@ -259,6 +259,10 @@ class TestOls:
         with pytest.raises(ValueError, match="rows"):
             fit_ols(np.ones((2, 3)), np.ones(2))
 
+    def test_y_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^y has shape \(4,\), expected \(5,\)$"):
+            fit_ols(np.ones((5, 1)), np.ones(4))
+
     def test_non_finite_coefficients_rejected(self):
         y = np.ones(10)
         y[3] = np.inf
@@ -592,6 +596,33 @@ class TestMnlogit:
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="class 1"):
             fit_mnlogit(np.ones((10, 1)), np.array([0, 0, 2, 2, 0, 2, 0, 2, 0, 2]))
+
+    @pytest.mark.parametrize(
+        "n, actions, message",
+        [
+            (6, [0, 1, 0, 1, 0], "actions length mismatch"),
+            (6, [0] * 6, "need at least two classes"),
+            # three classes and an intercept and a slope each: 6 rows needed
+            (5, [0, 1, 2, 0, 1], "need at least 6 rows, got 5"),
+        ],
+        ids=["length", "one_class", "too_few_rows"],
+    )
+    def test_unfittable_sample_rejected(self, n, actions, message):
+        X = np.random.default_rng(3).standard_normal((n, 1))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_mnlogit(X, np.array(actions))
+
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            (np.zeros(3), r"coefficients must be \(M-1, p\+1\)"),
+            (np.array([[0.0, np.nan]]), "coefficients must be finite"),
+        ],
+        ids=["one_d", "nan"],
+    )
+    def test_model_coefficients_checked(self, coefficients, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MultinomialLogitModel(coefficients, True, 1, 0.0)
 
     @pytest.mark.parametrize("label", [2.5, np.nan])
     def test_fractional_or_non_finite_label_rejected(self, label):

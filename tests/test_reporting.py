@@ -26,6 +26,7 @@ from oplearn.reporting import (
 
 from helpers import (
     PLOT_H,
+    PLOT_LEFT,
     PLOT_W,
     occupied_cells_oracle,
     read_csv_oracle,
@@ -449,6 +450,17 @@ def test_title_and_legend_text_are_escaped():
     texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
     assert texts[0] == "mu < 0 & risk"
     assert texts[-3:] == ["arm a<b", "arm c&d", "arm e>f"]
+
+
+def test_constant_axis_is_widened_to_a_unit_span():
+    # a span of zero would divide by zero in the pixel map
+    x, y, arms = np.ones(5), np.arange(5.0), np.zeros(5, dtype=int)
+    svg = scatter_svg(x, y, arms, title="t")
+    texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[1:6] == ["0.45", "0.725", "1", "1.28", "1.55"]
+    marks = svg_marks(svg)
+    assert marks == reference_marks(x, y, arms, PALETTE)
+    assert {cx for cx, _, _, _ in marks} == {PLOT_LEFT + PLOT_W // 2}
 
 
 def test_non_finite_coordinates_are_refused():

@@ -66,6 +66,10 @@ class TestValueRA:
         brute /= 20
         assert abs(value_ra(q, actions).value - brute) < 1e-12
 
+    def test_one_dimensional_q_hat_rejected(self):
+        with pytest.raises(ValueError, match="^q_hat must be 2-d$"):
+            value_ra(np.ones(6), np.zeros(6, dtype=int))
+
     @settings(max_examples=50, deadline=None)
     @given(
         q=hnp.arrays(np.float64, (8, 3), elements=st.floats(-100, 100, allow_nan=False)),
@@ -222,6 +226,19 @@ class TestClipPropensities:
         with pytest.raises(ValueError, match="sum to 1"):
             clip_propensities(np.array([[0.5, 0.6]]), 0.01, 0.99)
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (np.full(4, 0.5), "propensity matrix must be 2-d"),
+            (np.array([[0.5, np.nan], [0.5, 0.5]]), "propensities contain non-finite entries"),
+            (np.array([[0.995, 0.005], [0.5, 0.5]]), "propensities outside the clip bounds"),
+        ],
+        ids=["one_d", "nan", "below_low"],
+    )
+    def test_matrix_refuses_invalid_entries(self, p, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PropensityMatrix(p=p, clip_bounds=(0.01, 0.99), clipped_count=0)
+
     @settings(max_examples=40, deadline=None)
     @given(
         raw=hnp.arrays(np.float64, (6, 3), elements=st.floats(0.001, 1.0)),
@@ -249,6 +266,13 @@ class TestObservedPropensity:
                 score()
 
 
+    def test_propensities_of_another_shape_rejected(self):
+        d = make_dataset(np.random.default_rng(5), n=6, m=2)
+        props = exact_propensities(np.full((5, 2), 0.5))
+        with pytest.raises(ValueError, match="^dataset and propensities disagree on shape$"):
+            value_dr(d, d.actions, interpolating_q_hat(d), props)
+
+
 class TestRegret:
     def test_identical_policies_zero(self):
         d = make_dataset(np.random.default_rng(12), n=40, m=3)
@@ -261,6 +285,8 @@ class TestRegret:
     def test_unknown_estimator_kind_rejected(self):
         with pytest.raises(ValueError, match="estimator must be one of"):
             ValueEstimate("TRUE", 1.0)
+        with pytest.raises(ValueError, match="^value must be finite$"):
+            ValueEstimate("RA", float("nan"))
 
     def test_first_best_dominates_random_policies_under_ra(self):
         # regret is the first-best value minus the policy's, so it is never
@@ -399,6 +425,19 @@ class TestScorePolicies:
         rows = score_policies(d, policies, q, props)
         assert len(rows) == 6
         assert all(r["regret_vs_fb"] is None for r in rows)
+
+    def test_q_hat_checked_then_propensities_then_each_policy(self):
+        # one fault at a time, in the order _unit_scores checks them
+        d, q, props, policies = self.inputs()
+        bad_q, bad_props = q[:-1], exact_propensities(np.full((79, 3), 1 / 3))
+        policies["linear"] = policies["linear"][:-1]
+        for q_hat, p, message in (
+            (bad_q, bad_props, "q_hat shape mismatch"),
+            (q, bad_props, "dataset and propensities disagree on shape"),
+            (q, props, "policy needs one action for each of 80 units"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                score_policies(d, policies, q_hat, p)
 
     def test_each_policy_checked_once_and_propensities_gathered_once(self, monkeypatch):
         calls = {"_policy_actions": 0, "_observed_propensity": 0}

@@ -164,7 +164,6 @@ class TestConditionalVariance:
                 clamped=np.zeros((2, 2), dtype=bool),
             )
 
-
     @pytest.mark.parametrize(
         "field, value, message",
         [

@@ -1,8 +1,10 @@
 """Golden artifact hashes of a fixed-seed simulate -> fit -> evaluate -> report run.
 
-Two setups: the default CSV tables, and JSON tables with a ';' delimiter,
-action codes 10/20/40, an extra text column and reordered input columns.
-Every manifest entry (the input and artifact hashes, ``config.json`` among
+Two setups run all four commands: the default CSV tables, and JSON tables
+with a ';' delimiter, action codes 10/20/40, an extra text column and
+reordered input columns. A third runs ``simulate`` alone on an 8-arm,
+10-feature logit DGP, where NumPy sums a row of arms pairwise rather than
+in order. Every manifest entry (the input and artifact hashes, ``config.json`` among
 the artifacts) and the sha256 of each file ``report`` writes must equal the
 committed values in ``golden_hashes.json``. An intended artifact change
 updates that file and says why in CHANGES.md; rewrite it from the current
@@ -17,6 +19,8 @@ import hashlib
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 from oplearn import DGPSpec, generate
 from oplearn.cli import main
@@ -34,6 +38,30 @@ DGP = {
     "feature_dist": "normal",
     "seed": 2024,
 }
+
+
+def _wide_dgp() -> dict:
+    """8 arms, 10 features, 2,000 units; coefficients drawn from a fixed
+    seed and rounded, so the hashed config.json holds short decimals."""
+    m, p = 8, 10
+    rng = np.random.default_rng(880)
+    mean = np.column_stack([rng.uniform(3.0, 5.0, m), rng.normal(0.0, 0.4, (m, p))])
+    noise = np.column_stack([rng.uniform(-0.5, 1.0, m), rng.normal(0.0, 0.3, (m, p))])
+    assign = np.column_stack([np.zeros(m), rng.normal(0.0, 0.5, (m, p))])
+    return {
+        "n_units": 2000,
+        "n_actions": m,
+        "n_features": p,
+        "mean_coeffs": np.round(mean, 4).tolist(),
+        "noise_scale_coeffs": np.round(noise, 4).tolist(),
+        "assignment": "logit",
+        "assignment_coeffs": np.round(assign, 4).tolist(),
+        "feature_dist": "normal",
+        "seed": 88,
+    }
+
+
+WIDE_DGP = _wide_dgp()
 CODES = (10, 20, 40)
 MESSY_COLUMNS = ("x2", "note", "y", "treat", "x1")
 REPORT_FILES = (
@@ -100,11 +128,25 @@ def _pipeline(workdir: Path, messy: bool) -> dict:
         os.chdir(cwd)
 
 
+def _simulate_only(workdir: Path, dgp: dict) -> dict:
+    """``simulate``'s manifest for ``dgp``, run with relative paths."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        Path("dgp.json").write_text(json.dumps({"dgp": dgp}))
+        assert main(["simulate", "--config", "dgp.json", "--outdir", "sim"]) == 0
+        return {"sim": json.loads(Path("sim", "manifest.json").read_text())}
+    finally:
+        os.chdir(cwd)
+
+
 def _all_hashes(root: Path) -> dict:
     out = {}
     for name, messy in (("csv", False), ("messy_json", True)):
         (root / name).mkdir()
         out[name] = _pipeline(root / name, messy)
+    (root / "wide_sim").mkdir()
+    out["wide_sim"] = _simulate_only(root / "wide_sim", WIDE_DGP)
     return out
 
 

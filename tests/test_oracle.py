@@ -31,7 +31,52 @@ def constant_spec(seed=0, n=600, noise_raw=-40.0):
     )
 
 
+def logit_spec(m, p, seed, n=3000, feature_dist="normal"):
+    """``m`` arms on ``p`` features with logit assignment; coefficients drawn
+    from a fixed seed per shape."""
+    rng = np.random.default_rng(100 * m + p)
+    return DGPSpec(
+        n_units=n,
+        n_actions=m,
+        n_features=p,
+        mean_coeffs=rng.normal(3.0, 1.0, (m, p + 1)),
+        noise_scale_coeffs=rng.normal(0.0, 0.4, (m, p + 1)),
+        assignment="logit",
+        assignment_coeffs=rng.normal(0.0, 0.5, (m, p + 1)),
+        feature_dist=feature_dist,
+        seed=seed,
+    )
+
+
+DRAW_ORDER_SPECS = {
+    "logit_3_arms": logit_spec(3, 2, seed=31),
+    "logit_8_arms_10_features": logit_spec(8, 10, seed=81),
+    "uniform_features": logit_spec(4, 3, seed=43, feature_dist="uniform"),
+}
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("spec", DRAW_ORDER_SPECS.values(), ids=DRAW_ORDER_SPECS)
+    def test_draw_order_is_features_then_noise_then_uniforms(self, spec):
+        # replay the stream: one (p, N) feature draw, (N, M) standard normal
+        # noise, then one uniform per unit read against the cumulative
+        # propensities; any other order or shape gives other numbers
+        oracle = generate(spec)
+        n, m, p = spec.n_units, spec.n_actions, spec.n_features
+        rng = np.random.default_rng(spec.seed)
+        draw = rng.standard_normal if spec.feature_dist == "normal" else rng.random
+        features = draw((p, n)).T
+        noise = rng.standard_normal((n, m))
+        u = rng.random(n)
+        assert np.array_equal(oracle.dataset.features, features)
+        assert np.array_equal(
+            oracle.potential_outcomes, oracle.true_mu + oracle.true_sigma * noise
+        )
+        cdf = np.cumsum(oracle.true_propensity, axis=1)
+        actions = np.minimum((u[:, None] > cdf).sum(axis=1), m - 1)
+        assert np.array_equal(oracle.dataset.actions, actions)
+        assert np.bincount(actions, minlength=m).min() > 0
+
     def test_noiseless_constants(self):
         oracle = generate(constant_spec())
         assert np.abs(oracle.potential_outcomes - [1.0, 2.0, 3.0]).max() < 1e-8

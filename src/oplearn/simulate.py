@@ -43,6 +43,11 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
+def _require_finite(name: str, coeffs: np.ndarray) -> None:
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"DGP option {name!r} must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class DGPSpec:
     """Configuration of one synthetic data-generating process.
@@ -78,6 +83,8 @@ class DGPSpec:
         noise = _freeze(self, "noise_scale_coeffs", np.float64)
         if mean.shape != shape or noise.shape != shape:
             raise ValueError(f"coefficient matrices must have shape {shape}")
+        _require_finite("mean_coeffs", mean)
+        _require_finite("noise_scale_coeffs", noise)
         if self.assignment not in ("uniform", "logit"):
             raise ValueError(f"unknown assignment mechanism {self.assignment!r}")
         if self.assignment == "logit" and self.assignment_coeffs is None:
@@ -85,8 +92,10 @@ class DGPSpec:
         if self.assignment == "uniform" and self.assignment_coeffs is not None:
             raise ValueError("uniform assignment takes no assignment_coeffs")
         if self.assignment_coeffs is not None:
-            if _freeze(self, "assignment_coeffs", np.float64).shape != shape:
+            assign = _freeze(self, "assignment_coeffs", np.float64)
+            if assign.shape != shape:
                 raise ValueError(f"assignment_coeffs must have shape {shape}")
+            _require_finite("assignment_coeffs", assign)
         dist = self.feature_dist
         if not (isinstance(dist, str) and dist in FEATURE_DISTRIBUTIONS):
             raise ValueError(
@@ -133,9 +142,10 @@ class OracleData:
         observed = self.potential_outcomes[idx, self.dataset.actions]
         if not np.array_equal(observed, self.dataset.outcomes):
             raise ValueError("observed outcomes violate the consistency rule")
-        if np.abs(self.true_propensity.sum(axis=1) - 1.0).max() > 1e-10:
+        # negated, so that a NaN entry fails both checks
+        if not np.abs(self.true_propensity.sum(axis=1) - 1.0).max() <= 1e-10:
             raise ValueError("true propensity rows must sum to 1")
-        if self.true_sigma.min() <= 0:
+        if not self.true_sigma.min() > 0:
             raise ValueError("true noise scales must be strictly positive")
 
     @property

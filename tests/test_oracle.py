@@ -1,5 +1,6 @@
 """Ground-truth generator: determinism, consistency, and dominance."""
 
+import json
 import re
 
 import numpy as np
@@ -202,8 +203,31 @@ class TestGenerate:
                 "assignment_coeffs must have shape (3, 2)",
             ),
             ({"n_arms": 3}, "unknown DGP option(s): ['n_arms']"),
+            (
+                {"mean_coeffs": [[1.0, 0.0], [2.0, json.loads("1e400")], [3.0, 0.0]]},
+                "DGP option 'mean_coeffs' must be finite",
+            ),
+            (
+                {"noise_scale_coeffs": [[0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]]},
+                "DGP option 'noise_scale_coeffs' must be finite",
+            ),
+            (
+                {
+                    "assignment": "logit",
+                    "assignment_coeffs": [[0.0, 0.0], [0.0, -1e400], [0.0, 0.0]],
+                },
+                "DGP option 'assignment_coeffs' must be finite",
+            ),
         ],
-        ids=["no_units", "softmax", "coeff_shape", "unknown_key"],
+        ids=[
+            "no_units",
+            "softmax",
+            "coeff_shape",
+            "unknown_key",
+            "infinite_mean",
+            "nan_noise_scale",
+            "infinite_assignment",
+        ],
     )
     def test_invalid_spec_names_the_fault(self, change, message):
         cfg = {**constant_spec().to_dict(), **change}
@@ -354,8 +378,18 @@ class TestOraclePolicy:
                 np.array([[1.0, 0.0]] * 4),
                 "true noise scales must be strictly positive",
             ),
+            (
+                "true_sigma",
+                np.array([[1.0, np.nan]] * 4),
+                "true noise scales must be strictly positive",
+            ),
+            (
+                "true_propensity",
+                np.array([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5], [0.5, 0.5]]),
+                "true propensity rows must sum to 1",
+            ),
         ],
-        ids=["shape", "propensity_sum", "zero_sigma"],
+        ids=["shape", "propensity_sum", "zero_sigma", "nan_sigma", "nan_propensity"],
     )
     def test_invalid_truth_rejected(self, name, value, message):
         oracle = self.manual_oracle()

@@ -14,8 +14,9 @@ noise draws are independent of the assignment given X, so treatment is
 unconfounded by construction.
 
 All randomness comes from ``numpy.random.default_rng(seed)`` (the PCG64
-generator) with a fixed draw order - features, then noise, then assignment -
-so a given spec reproduces bit-identical data.
+generator) with a fixed draw order - one (p, N) feature draw, then (N, M)
+noise, then one uniform per unit for the assignment - so a given spec
+reproduces bit-identical data.
 
 The "true value" of a policy is reported as the finite-population mean of
 the realised potential outcomes rather than the analytic expectation; this
@@ -123,8 +124,12 @@ class DGPSpec:
 class OracleData:
     """Observed triplets plus the full counterfactual ground truth.
 
-    The consistency rule ``outcomes[i] == potential_outcomes[i, actions[i]]``
-    and row-stochastic true propensities are checked at construction.
+    The four (N, M) matrices are held arm-major (Fortran order), as
+    :class:`~oplearn.moments.ArmMoments` holds its own: a C-ordered input is
+    copied once, an F-ordered one is held as a read-only view. The
+    consistency rule ``outcomes[i] == potential_outcomes[i, actions[i]]``,
+    row-stochastic true propensities and strictly positive noise scales are
+    checked at construction.
     """
 
     dataset: Dataset
@@ -136,7 +141,7 @@ class OracleData:
     def __post_init__(self) -> None:
         shape = (self.dataset.n_units, self.dataset.n_actions)
         for name in ("potential_outcomes", "true_mu", "true_sigma", "true_propensity"):
-            if _freeze(self, name, np.float64).shape != shape:
+            if _freeze(self, name, np.float64, "F").shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
         idx = np.arange(self.dataset.n_units)
         observed = self.potential_outcomes[idx, self.dataset.actions]
@@ -160,39 +165,52 @@ class OracleData:
 def generate(spec: DGPSpec) -> OracleData:
     """Draw one synthetic dataset with its counterfactual ground truth."""
     rng = np.random.default_rng(spec.seed)
-    # one (p, N) draw, so feature j takes the j-th run of N draws; copied to
-    # C order here, so that Dataset holds it without a second copy
+    n, m = spec.n_units, spec.n_actions
+    # arm-major: the design is (d, N), so each product below is (M, N) and
+    # every reduction over arms runs element-wise along whole rows of units.
+    # The features are one (p, N) draw into the design's lower rows, so
+    # feature j takes the j-th run of N draws; copied to C order for Dataset
+    design = np.empty((spec.n_features + 1, n))
+    design[0] = 1.0
     draw = rng.standard_normal if spec.feature_dist == "normal" else rng.random
-    features = np.ascontiguousarray(draw((spec.n_features, spec.n_units)).T)
-    design = np.column_stack([np.ones(spec.n_units), features])
-    true_mu = design @ spec.mean_coeffs.T
-    true_sigma = _softplus(design @ spec.noise_scale_coeffs.T)
-    noise = rng.standard_normal((spec.n_units, spec.n_actions))
-    potential = true_mu + true_sigma * noise
+    draw(out=design[1:])
+    features = np.ascontiguousarray(design[1:].T)
+    true_mu = spec.mean_coeffs @ design
+    true_sigma = _softplus(spec.noise_scale_coeffs @ design)
+    # the noise is drawn (N, M), unit by unit, and read through its transpose
+    potential = true_sigma * rng.standard_normal((n, m)).T
+    potential += true_mu
 
     if spec.assignment == "uniform":
-        propensity = np.full((spec.n_units, spec.n_actions), 1.0 / spec.n_actions)
+        propensity = np.full((m, n), 1.0 / m)
     else:
-        scores = design @ spec.assignment_coeffs.T
-        shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-        propensity = shifted / shifted.sum(axis=1, keepdims=True)
-    # Inverse-CDF draw keeps a single code path for both mechanisms.
-    u = rng.random(spec.n_units)
-    actions = (u[:, None] > np.cumsum(propensity, axis=1)).sum(axis=1)
-    actions = np.minimum(actions, spec.n_actions - 1)
+        propensity = spec.assignment_coeffs @ design
+        propensity -= propensity.max(axis=0)
+        np.exp(propensity, out=propensity)
+        propensity /= propensity.sum(axis=0)
+    # Inverse-CDF draw keeps a single code path for both mechanisms: a unit's
+    # action counts the running sums of its propensities, in arm order, that
+    # its uniform exceeds. The sums never fall, so leaving out the last one
+    # caps the action at M - 1 even where rounding leaves the total below 1
+    u = rng.random(n)
+    cdf = propensity[0].copy()
+    actions = (u > cdf).astype(np.int64)
+    for a in range(1, m - 1):
+        cdf += propensity[a]
+        actions += u > cdf
 
     dataset = Dataset(
-        outcomes=potential[np.arange(spec.n_units), actions],
+        outcomes=potential[actions, np.arange(n)],
         actions=actions,
         features=features,
-        n_actions=spec.n_actions,
+        n_actions=m,
     )
     return OracleData(
         dataset=dataset,
-        potential_outcomes=potential,
-        true_mu=true_mu,
-        true_sigma=true_sigma,
-        true_propensity=propensity,
+        potential_outcomes=potential.T,
+        true_mu=true_mu.T,
+        true_sigma=true_sigma.T,
+        true_propensity=propensity.T,
     )
 
 

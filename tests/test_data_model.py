@@ -419,10 +419,10 @@ FROZEN_INPUTS = {
     ),
     OracleData: (
         lambda: {
-            "potential_outcomes": np.array([[1.0, 5.0], [3.0, 2.0]]),
-            "true_mu": np.zeros((2, 2)),
-            "true_sigma": np.ones((2, 2)),
-            "true_propensity": np.full((2, 2), 0.5),
+            "potential_outcomes": np.array([[1.0, 5.0], [3.0, 2.0]], order="F"),
+            "true_mu": np.zeros((2, 2), order="F"),
+            "true_sigma": np.ones((2, 2), order="F"),
+            "true_propensity": np.full((2, 2), 0.5, order="F"),
         },
         {
             "dataset": Dataset(

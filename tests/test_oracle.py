@@ -78,6 +78,18 @@ class TestGenerate:
         assert np.array_equal(oracle.dataset.actions, actions)
         assert np.bincount(actions, minlength=m).min() > 0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [constant_spec(noise_raw=0.5), logit_spec(8, 10, seed=5, n=200)],
+        ids=["uniform", "logit"],
+    )
+    def test_truth_is_arm_major_and_read_only(self, spec):
+        oracle = generate(spec)
+        for name in ("potential_outcomes", "true_mu", "true_sigma", "true_propensity"):
+            array = getattr(oracle, name)
+            assert array.flags.f_contiguous, name
+            assert not array.flags.writeable, name
+
     def test_noiseless_constants(self):
         oracle = generate(constant_spec())
         assert np.abs(oracle.potential_outcomes - [1.0, 2.0, 3.0]).max() < 1e-8

@@ -44,11 +44,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
-def _require_finite(name: str, coeffs: np.ndarray) -> None:
-    if not np.isfinite(coeffs).all():
-        raise ValueError(f"DGP option {name!r} must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class DGPSpec:
     """Configuration of one synthetic data-generating process.
@@ -84,8 +79,6 @@ class DGPSpec:
         noise = _freeze(self, "noise_scale_coeffs", np.float64)
         if mean.shape != shape or noise.shape != shape:
             raise ValueError(f"coefficient matrices must have shape {shape}")
-        _require_finite("mean_coeffs", mean)
-        _require_finite("noise_scale_coeffs", noise)
         if self.assignment not in ("uniform", "logit"):
             raise ValueError(f"unknown assignment mechanism {self.assignment!r}")
         if self.assignment == "logit" and self.assignment_coeffs is None:
@@ -93,10 +86,12 @@ class DGPSpec:
         if self.assignment == "uniform" and self.assignment_coeffs is not None:
             raise ValueError("uniform assignment takes no assignment_coeffs")
         if self.assignment_coeffs is not None:
-            assign = _freeze(self, "assignment_coeffs", np.float64)
-            if assign.shape != shape:
+            if _freeze(self, "assignment_coeffs", np.float64).shape != shape:
                 raise ValueError(f"assignment_coeffs must have shape {shape}")
-            _require_finite("assignment_coeffs", assign)
+        for name in ("mean_coeffs", "noise_scale_coeffs", "assignment_coeffs"):
+            coeffs = getattr(self, name)
+            if coeffs is not None and not np.isfinite(coeffs).all():
+                raise ValueError(f"DGP option {name!r} must be finite")
         dist = self.feature_dist
         if not (isinstance(dist, str) and dist in FEATURE_DISTRIBUTIONS):
             raise ValueError(

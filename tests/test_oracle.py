@@ -78,6 +78,28 @@ class TestGenerate:
         assert np.array_equal(oracle.dataset.actions, actions)
         assert np.bincount(actions, minlength=m).min() > 0
 
+    @pytest.mark.parametrize("spec", DRAW_ORDER_SPECS.values(), ids=DRAW_ORDER_SPECS)
+    def test_truth_matches_a_unit_major_reference(self, spec):
+        # the formulas row by row, on an (N, d) design: sums over arms run in
+        # another order, so the propensities may differ by a few ulps
+        oracle = generate(spec)
+        design = np.column_stack([np.ones(spec.n_units), oracle.dataset.features])
+        scores = design @ spec.assignment_coeffs.T
+        shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(
+            oracle.true_mu, design @ spec.mean_coeffs.T, rtol=64 * eps, atol=64 * eps
+        )
+        np.testing.assert_allclose(
+            oracle.true_sigma, _softplus(design @ spec.noise_scale_coeffs.T), rtol=64 * eps
+        )
+        np.testing.assert_allclose(
+            oracle.true_propensity,
+            shifted / shifted.sum(axis=1, keepdims=True),
+            rtol=0,
+            atol=4 * eps,
+        )
+
     @pytest.mark.parametrize(
         "spec",
         [constant_spec(noise_raw=0.5), logit_spec(8, 10, seed=5, n=200)],

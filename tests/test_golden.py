@@ -4,21 +4,23 @@ Two setups run all four commands: the default CSV tables, and JSON tables
 with a ';' delimiter, action codes 10/20/40, an extra text column and
 reordered input columns. A third runs ``simulate`` alone on an 8-arm,
 10-feature logit DGP, where NumPy sums a row of arms pairwise rather than
-in order. Every manifest entry (the input and artifact hashes, ``config.json`` among
-the artifacts) and the sha256 of each file ``report`` writes must equal the
-committed values in ``golden_hashes.json``. An intended artifact change
-updates that file and says why in CHANGES.md; rewrite it from the current
-code with
+in order. Every manifest entry (the input and artifact hashes,
+``config.json`` among the artifacts) and the sha256 of each file ``report``
+writes must equal the committed values in ``golden_hashes.json``. An
+intended artifact change updates that file and says why in CHANGES.md;
+rewrite it from the current code with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -92,12 +94,21 @@ def _write_messy_input(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _pipeline(workdir: Path, messy: bool) -> dict:
-    """Run the four commands with relative paths inside ``workdir``, so the
-    hashed config does not depend on where the run happens."""
+@contextlib.contextmanager
+def _inside(workdir: Path) -> Iterator[None]:
+    """Run with relative paths inside ``workdir``, so the hashed configs do
+    not depend on where the run happens."""
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+def _pipeline(workdir: Path, messy: bool) -> dict:
+    """Run the four commands inside ``workdir``."""
+    with _inside(workdir):
         Path("dgp.json").write_text(json.dumps({"dgp": DGP}))
         if messy:
             _write_messy_input(Path("input.txt"))
@@ -124,20 +135,14 @@ def _pipeline(workdir: Path, messy: bool) -> dict:
         }
         hashes["report"] = {name: _sha256(Path("fit", name)) for name in REPORT_FILES}
         return hashes
-    finally:
-        os.chdir(cwd)
 
 
 def _simulate_only(workdir: Path, dgp: dict) -> dict:
-    """``simulate``'s manifest for ``dgp``, run with relative paths."""
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
+    """``simulate``'s manifest for ``dgp``, run inside ``workdir``."""
+    with _inside(workdir):
         Path("dgp.json").write_text(json.dumps({"dgp": dgp}))
         assert main(["simulate", "--config", "dgp.json", "--outdir", "sim"]) == 0
         return {"sim": json.loads(Path("sim", "manifest.json").read_text())}
-    finally:
-        os.chdir(cwd)
 
 
 def _all_hashes(root: Path) -> dict:
@@ -156,7 +161,6 @@ def test_artifact_hashes_match_golden(tmp_path):
 
 
 if __name__ == "__main__":
-    import contextlib
     import io
     import tempfile
 

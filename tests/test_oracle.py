@@ -1,6 +1,5 @@
 """Ground-truth generator: determinism, consistency, and dominance."""
 
-import json
 import re
 
 import numpy as np
@@ -238,7 +237,7 @@ class TestGenerate:
             ),
             ({"n_arms": 3}, "unknown DGP option(s): ['n_arms']"),
             (
-                {"mean_coeffs": [[1.0, 0.0], [2.0, json.loads("1e400")], [3.0, 0.0]]},
+                {"mean_coeffs": [[1.0, 0.0], [2.0, float("inf")], [3.0, 0.0]]},
                 "DGP option 'mean_coeffs' must be finite",
             ),
             (
